@@ -1,13 +1,20 @@
 """Independent re-verification of a construction run.
 
 Given the graph and the trace of a run, every invariant the construction
-promises is rechecked from scratch: stabilizers are recomputed from the
-full automorphism group, the inner colouring states are replayed from the
-recorded deltas, and each bound is tested numerically. The audit's groups
-are explicit element lists from the enumerating search, a second route to
-the construction's strong generating sets, and it shares none of the
-construction's control flow, so a bookkeeping bug in one of the two
-shows up as a failed check.
+promises is rechecked from scratch: the inner colouring states are
+replayed from the recorded deltas, each bound is tested numerically, and
+every group is recomputed by the audit's own route. That route is
+:func:`~asymcolour.symmetry.coset_search`, Sims' backtrack over vertex
+images that keeps one automorphism per coset and is pruned only by vertex
+keys and adjacency; it shares no search or refinement code with the
+construction's coloured automorphism search and lists no elements. The
+stabilizer of ``c_k`` is keyed by each vertex's colour and distance from
+the root, and each running stabilizer also by the vertex's induced block
+colours. Orders, orbits, monotonicity and the fixed blocks are read from
+generators; the embedded final stabilizer is compared with the closure of
+the recomputed generators. The audit shares none of the construction's
+control flow either, so a bookkeeping bug in one of the two shows up as a
+failed check.
 """
 
 from __future__ import annotations
@@ -26,12 +33,13 @@ from .colouring import (
     initial_colouring,
     numeric,
 )
-from .graphs import Graph, ball, distances, sphere
+from .graphs import Graph, distances
 from .symmetry import (
     DEFAULT_CAP,
-    automorphism_group,
+    PermGroup,
     block_index_map,
-    colouring_stabilizer,
+    coset_search,
+    fixes_block,
     orbits,
     partition_image,
 )
@@ -58,8 +66,10 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring, cap: int =
     delta = max(graph.max_degree, 1)
     chunk_cap = ceil_sqrt(delta)
     dist = distances(graph, root)
+    spheres: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+    for v in range(graph.n):
+        spheres[dist[v]].append(v)
     budget = colour_bound(delta)
-    full_group = automorphism_group(graph, cap=cap)
 
     colourings = _replay_colourings(graph, trace)
     checks.append(
@@ -71,7 +81,9 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring, cap: int =
         )
     )
 
-    stabilizers = [colouring_stabilizer(full_group, c) for c in colourings]
+    # an automorphism preserving c_k fixes the uniquely coloured root (see
+    # root-colour-unique), so it preserves the distance from the root too
+    stabilizers = [coset_search(graph, list(zip(c.colours, dist))) for c in colourings]
     for k, recorded in enumerate(trace.stabilizer_orders):
         checks.append(
             CheckResult(
@@ -82,26 +94,30 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring, cap: int =
             )
         )
     if trace.final_stabilizer is not None:
+        last = stabilizers[-1]
         checks.append(
             CheckResult(
                 "final-stabilizer-elements",
                 None,
-                trace.final_stabilizer == stabilizers[-1].elements,
+                last.order == len(trace.final_stabilizer)
+                and trace.final_stabilizer == PermGroup.from_generators(graph.n, last.generators, cap=cap).elements,
                 "embedded final stabilizer differs from the recomputed one",
             )
         )
 
+    ball: list[int] = []
     for k, colouring in enumerate(colourings):
-        ok_root = all((colouring[v] == ROOT) == (v == root) for v in range(graph.n))
+        colours = colouring.colours
+        ok_root = all((colours[v] == ROOT) == (v == root) for v in range(graph.n))
         checks.append(CheckResult("root-colour-unique", k, ok_root))
-        ok_far = all((colouring[v] == FAR) == (dist[v] > k) for v in range(graph.n))
+        ok_far = all((colours[v] == FAR) == (dist[v] > k) for v in range(graph.n))
         checks.append(CheckResult("far-matches-distance", k, ok_far))
         if k > 0:
-            prev = colourings[k - 1]
-            inner_ball = ball(graph, root, k - 1)
-            ok_restrict = all(colouring[v] == prev[v] for v in inner_ball)
+            prev = colourings[k - 1].colours
+            ok_restrict = all(colours[v] == prev[v] for v in ball)
             checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
-        orbit_sizes = [len(b) for b in orbits(stabilizers[k], ball(graph, root, k))]
+        ball += spheres[k]
+        orbit_sizes = [len(b) for b in orbits(stabilizers[k], ball)]
         checks.append(
             CheckResult(
                 "ball-orbits-small",
@@ -115,12 +131,14 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring, cap: int =
                 CheckResult(
                     "stabilizer-monotone",
                     k,
-                    stabilizers[k].is_subgroup_of(stabilizers[k - 1]),
+                    all(prev[g[v]] == prev[v] for g in stabilizers[k].generators for v in range(graph.n)),
                 )
             )
 
     for step in trace.steps:
-        checks.extend(_audit_step(graph, trace, step, colourings[step.k], stabilizers[step.k], delta))
+        k = step.k
+        keys = list(zip(colourings[k].colours, dist))
+        checks.extend(_audit_step(graph, step, spheres[k], keys, stabilizers[k], delta))
 
     used = {c for c in final.colours if c != FAR}
     checks.append(
@@ -161,7 +179,9 @@ def _replay_colourings(graph: Graph, trace: RefinementTrace) -> list[Colouring]:
     return colourings
 
 
-def _audit_step(graph, trace, step, colouring, stabilizer, delta):
+def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
+    """Recheck step k against the stabilizer of c_k, whose vertex keys
+    ``keys`` are (colour, distance from the root)."""
     checks: list[CheckResult] = []
     k = step.k
     chunk_cap = ceil_sqrt(delta)
@@ -170,7 +190,7 @@ def _audit_step(graph, trace, step, colouring, stabilizer, delta):
         CheckResult(
             "orbits-match",
             k,
-            orbits(stabilizer, sphere(graph, trace.root, k)) == step.orbit_list,
+            orbits(stabilizer, sphere_k) == step.orbit_list,
             "recorded orbit list differs from recomputed orbits",
         )
     )
@@ -195,6 +215,23 @@ def _audit_step(graph, trace, step, colouring, stabilizer, delta):
             oversized_ok = False
     checks.append(CheckResult("class-sizes", k, oversized_ok))
 
+    # the running stabilizers are taken by vertex keys, which is sound only
+    # for partitions whose blocks every element of the stabilizer permutes
+    permuted = 0
+    for blocks in partitions:
+        index_of = block_index_map(blocks)
+        if any(partition_image(g, blocks, index_of) is None for g in stabilizer.generators):
+            break
+        permuted += 1
+    checks.append(
+        CheckResult(
+            "stabilizer-permutes-partitions",
+            k,
+            permuted == len(partitions),
+            f"a stabilizer generator does not permute the blocks of partition {permuted}",
+        )
+    )
+
     # replay the inner loop against recomputed running stabilizers
     state = {v: numeric(1) for v in step.next_sphere}
     recolour_counts = {v: 0 for v in step.next_sphere}
@@ -208,13 +245,17 @@ def _audit_step(graph, trace, step, colouring, stabilizer, delta):
                 f"inner {rec.index}",
             )
         )
-        gamma_tilde = _recompute_running_stabilizer(stabilizer, partitions[: rec.index + 1], state)
+        if rec.index < permuted:
+            gamma_tilde = _running_stabilizer(graph, stabilizer, keys, partitions[: rec.index + 1], state)
+            order = gamma_tilde.order
+        else:
+            gamma_tilde, order = None, "none (the stabilizer does not permute the partitions)"
         checks.append(
             CheckResult(
                 "running-stabilizer-order",
                 k,
-                gamma_tilde.order == rec.stabilizer_order,
-                f"inner {rec.index}: recomputed {gamma_tilde.order}, trace says {rec.stabilizer_order}",
+                order == rec.stabilizer_order,
+                f"inner {rec.index}: recomputed {order}, trace says {rec.stabilizer_order}",
             )
         )
 
@@ -222,11 +263,7 @@ def _audit_step(graph, trace, step, colouring, stabilizer, delta):
         mono = all(len({state[v] for v in block}) == 1 for block in blocks_i)
         checks.append(CheckResult("blocks-monochromatic", k, mono, f"inner {rec.index}"))
 
-        fixes = all(
-            frozenset(p[v] for v in block) == frozenset(block)
-            for block in blocks_i
-            for p in gamma_tilde.elements
-        )
+        fixes = gamma_tilde is not None and all(fixes_block(gamma_tilde, block) for block in blocks_i)
         checks.append(CheckResult("running-stabilizer-fixes-blocks", k, fixes, f"inner {rec.index}"))
 
         checks.append(
@@ -318,24 +355,21 @@ def _audit_step(graph, trace, step, colouring, stabilizer, delta):
     return checks
 
 
-def _recompute_running_stabilizer(stabilizer, partitions, state):
-    conditions = []
+def _running_stabilizer(graph, stabilizer, keys, partitions, state):
+    """The elements of ``stabilizer`` preserving the induced block colours
+    of every partition, as the automorphisms preserving ``keys`` extended
+    by each vertex's tuple of its blocks' induced colours; the stabilizer
+    itself when every generator already preserves them."""
+    if stabilizer.is_trivial():
+        return stabilizer
+    keys = list(keys)
     for blocks in partitions:
-        if not blocks:
-            continue
-        induced = induced_colouring(state, blocks)
-        conditions.append((blocks, block_index_map(blocks), induced))
-
-    def preserves(p) -> bool:
-        for blocks, index_of, induced in conditions:
-            img = partition_image(p, blocks, index_of)
-            if img is None:
-                return False
-            if any(induced[img[b]] != induced[b] for b in range(len(blocks))):
-                return False
-        return True
-
-    return stabilizer.subgroup(preserves)
+        for block, colour in zip(blocks, induced_colouring(state, blocks)):
+            for v in block:
+                keys[v] += (colour,)
+    if all(keys[g[v]] == keys[v] for g in stabilizer.generators for v in state):
+        return stabilizer
+    return coset_search(graph, keys)
 
 
 def summarize(checks: list[CheckResult]) -> dict[str, CheckResult]:

@@ -234,11 +234,7 @@ def cmd_verify(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"asym: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        order = oracle.stabilizer_order(graph, colouring, cap=cap)
-    except GroupCapError as exc:
-        print(f"asym: group cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    order = oracle.stabilizer_order(graph, colouring, cap=cap)
     if order == 1:
         print("asymmetric: true")
         return EXIT_OK

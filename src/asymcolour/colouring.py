@@ -150,6 +150,8 @@ def parse_colouring(text: str) -> Colouring:
             colour = Colour.from_token(fields[1])
         except ValueError as exc:
             raise GraphFormatError(str(exc), line=lineno) from None
+        if v < 0:
+            raise GraphFormatError(f"vertex {v} is negative", line=lineno)
         if v in assigned:
             raise GraphFormatError(f"vertex {v} coloured twice", line=lineno)
         assigned[v] = colour

@@ -19,7 +19,6 @@ from .symmetry import (
     SGSGroup,
     automorphism_group,
     coloured_automorphisms,
-    colouring_stabilizer,
 )
 
 DISTINGUISHING_VERTEX_GUARD = 12
@@ -62,8 +61,12 @@ def is_asymmetric(graph: Graph, colouring, cap: int = DEFAULT_CAP) -> bool:
 
 
 def stabilizer_order(graph: Graph, colouring, cap: int = DEFAULT_CAP) -> int:
-    group = automorphism_group(graph, cap=cap)
-    return colouring_stabilizer(group, colouring).order
+    """The order of the colouring's stabilizer in ``Aut(G)``.
+
+    Found by the exhaustive coloured search, as in :func:`is_asymmetric`,
+    so ``cap`` never applies.
+    """
+    return coloured_automorphisms(graph, colouring).order
 
 
 def _partitions_with_classes(n: int, classes: int):
@@ -222,6 +225,8 @@ def exterior_stabilizer(graph: Graph, root: int, truncation_radius: int) -> SGSG
     Searched exhaustively as the automorphisms of the colouring that gives
     each outside vertex a colour of its own.
     """
+    if truncation_radius < 0:
+        raise ValueError(f"truncation radius must be >= 0, got {truncation_radius}")
     if truncation_radius > eccentricity(graph, root):
         raise ValueError(f"truncation radius {truncation_radius} exceeds the root's eccentricity")
     interior = set(ball(graph, root, truncation_radius - 1))

@@ -10,10 +10,16 @@ the generators only, and every subgroup the construction needs is
 ``Aut(G, c')`` for a finer colouring ``c'``.
 
 :class:`PermGroup` is the explicit element list. It is built by the
-exhaustive :func:`automorphism_group` (the audit's and the oracles'
-independent route) and by closing a generator list; a configurable
-element cap (default 10**6) turns a list that would grow too long into a
-hard error.
+exhaustive :func:`automorphism_group` (the oracles' route) and by closing
+a generator list; a configurable element cap (default 10**6) turns a list
+that would grow too long into a hard error.
+
+The audit's independent route is :func:`coset_search`, Sims' backtrack
+over vertex images that keeps one automorphism per coset and returns a
+:class:`GeneratedGroup` by generators and basic orbit lengths. Its
+iterative backtrack is pruned only by the caller's vertex keys and by
+adjacency, so it uses none of the construction's search or refinement
+code, and it lists no elements.
 
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
@@ -73,7 +79,7 @@ class PermGroup:
     Elements are sorted, duplicate-free, and always include the identity.
     Construction by :meth:`from_elements` or :meth:`from_generators`
     enforces the element cap; closure itself is only verified by
-    :meth:`validate` (tests call it, the audit trusts subgroup filtering).
+    :meth:`validate`, which tests call.
     """
 
     __slots__ = ("degree", "elements", "generators", "_element_set")
@@ -150,9 +156,6 @@ class PermGroup:
 
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self._element_set <= other._element_set
 
     def subgroup(self, predicate) -> "PermGroup":
         """The elements satisfying a predicate (caller promises a subgroup)."""
@@ -569,6 +572,168 @@ def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> 
 
     extend(0)
     return PermGroup(n, tuple(sorted(found)))
+
+
+class _Backtrack:
+    """Backtracking over vertex images in breadth-first order from
+    ``start``, pruned only by the vertex ``keys`` and by adjacency with
+    earlier neighbours.
+
+    ``image`` and ``used`` hold the partial map; :meth:`first_leaf`
+    completes it from a given depth of the order. Every vertex after the
+    first has an earlier neighbour, so every edge is checked when its
+    later end is assigned; for a bijection of a finite graph to itself,
+    mapping every edge onto an edge already forces non-edges onto
+    non-edges, so a leaf is an automorphism preserving the keys.
+    """
+
+    def __init__(self, graph: Graph, keys, start: int):
+        n = graph.n
+        self.graph = graph
+        self.keys = keys
+        order = [start]
+        position = [-1] * n
+        position[start] = 0
+        for u in order:
+            for v in graph.adjacency[u]:
+                if position[v] < 0:
+                    position[v] = len(order)
+                    order.append(v)
+        self.order = order
+        self.earlier = [[u for u in graph.adjacency[v] if position[u] < i] for i, v in enumerate(order)]
+        self.members: dict = {}
+        for v in range(n):
+            self.members.setdefault(keys[v], []).append(v)
+        self.image = [-1] * n
+        self.used = [False] * n
+
+    def candidates(self, i: int) -> list[int]:
+        """Unused images for ``order[i]`` with its key, adjacent to the
+        images of its earlier neighbours."""
+        keys, image, used = self.keys, self.image, self.used
+        key = keys[self.order[i]]
+        anchors = self.earlier[i]
+        if not anchors:
+            return [w for w in self.members[key] if not used[w]]
+        found = [w for w in self.graph.adjacency[image[anchors[0]]] if not used[w] and keys[w] == key]
+        for u in anchors[1:]:
+            adjacent = self.graph.neighbours(image[u])
+            found = [w for w in found if w in adjacent]
+        return found
+
+    def first_leaf(self, depth: int) -> Perm | None:
+        """A completion of the partial map on ``order[:depth]``, or None
+        if there is none. Iterative, so the depth is not bounded by the
+        interpreter's recursion limit; on return the map is left as the
+        completion was found or, with None, as it was given."""
+        order, image, used, candidates = self.order, self.image, self.used, self.candidates
+        n = len(order)
+        if depth == n:
+            return tuple(image)
+        stack = [candidates(depth)]
+        i = depth
+        while True:
+            v = order[i]
+            if image[v] >= 0:
+                used[image[v]] = False
+                image[v] = -1
+            if not stack[-1]:
+                stack.pop()
+                if i == depth:
+                    return None
+                i -= 1
+                continue
+            w = stack[-1].pop()
+            image[v] = w
+            used[w] = True
+            if i + 1 == n:
+                return tuple(image)
+            i += 1
+            stack.append(candidates(i))
+
+
+class GeneratedGroup:
+    """A permutation group held by generators and basic orbit lengths.
+
+    ``orbit_lengths`` are the lengths of the basic orbits that have more
+    than one point, so the order is their product. Built by
+    :func:`coset_search`; elements are never listed.
+    """
+
+    __slots__ = ("degree", "generators", "orbit_lengths")
+
+    def __init__(self, degree: int, generators, orbit_lengths):
+        self.degree = degree
+        self.generators = tuple(generators)
+        self.orbit_lengths = tuple(orbit_lengths)
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.orbit_lengths)
+
+    def is_trivial(self) -> bool:
+        return not self.generators
+
+    def __repr__(self):
+        return f"GeneratedGroup(degree={self.degree}, order={self.order})"
+
+
+def coset_search(graph: Graph, keys) -> GeneratedGroup:
+    """The automorphisms preserving the vertex keys, by Sims' backtrack
+    that keeps one automorphism per coset (Sims 1970; Butler 1991, ch. 10).
+
+    The base is the breadth-first order from a vertex of a smallest key
+    class. From the deepest level up, each level's candidate images of its
+    base point, with every earlier base point fixed, are tried unless the
+    generators found so far already reach them; a backtrack search
+    (:class:`_Backtrack`, pruned only by keys and adjacency) stops at the
+    first automorphism that maps the base point there. Every generator
+    found at a level fixes the base points before it and each level tries
+    every candidate, so the orbit lengths are exact. Levels with a single
+    candidate are skipped, and keys that are all distinct give the trivial
+    group at once.
+    """
+    n = graph.n
+    keys = _class_ids(keys[v] for v in range(n))
+    if keys[-1] == n - 1:
+        # ids are numbered in order of first appearance: all keys differ
+        return GeneratedGroup(n, (), ())
+    sizes = [0] * n
+    for key in keys:
+        sizes[key] += 1
+    search = _Backtrack(graph, keys, min(range(n), key=lambda v: sizes[keys[v]]))
+    order, image, used = search.order, search.image, search.used
+    for v in order:
+        image[v] = v
+        used[v] = True
+    generators: list[Perm] = []
+    orbit_lengths = []
+    for i in reversed(range(n)):
+        b = order[i]
+        image[b] = -1
+        used[b] = False
+        if sizes[keys[b]] == 1:
+            continue
+        candidates = search.candidates(i)
+        if len(candidates) == 1:
+            continue
+        orbit = _orbit(b, generators)
+        for w in candidates:
+            if w in orbit:
+                continue
+            image[b] = w
+            used[w] = True
+            found = search.first_leaf(i + 1)
+            for v in order[i:]:
+                if image[v] >= 0:
+                    used[image[v]] = False
+                    image[v] = -1
+            if found is not None:
+                generators.append(found)
+                orbit = _orbit(b, generators)
+        if len(orbit) > 1:
+            orbit_lengths.append(len(orbit))
+    return GeneratedGroup(n, generators, orbit_lengths)
 
 
 def _generating_perms(group) -> tuple[Perm, ...]:

@@ -98,3 +98,15 @@ def test_detects_oversized_barred_value(tree_run):
     tampered = Colouring(tuple(colours), root=0, radius=2)
     names = failing_names(graph, trace, tampered)
     assert "barred-palette" in names
+
+
+def test_detects_partition_the_stabilizer_does_not_permute(tree_run):
+    graph, colouring, trace = tree_run
+    step = trace.steps[1]
+    # the stabilizer of c_1 swaps 4 and 5 (order 8), which maps {4,6} to
+    # {5,6}, not a block of the forged finest partition
+    forged = step.partitions[:-1] + (((4, 6), (5, 7), (8, 9)),)
+    bad_step = dataclasses.replace(step, partitions=forged)
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    names = failing_names(graph, tampered, colouring)
+    assert "stabilizer-permutes-partitions" in names

@@ -1,6 +1,14 @@
 import pytest
 
-from asymcolour import cycle_graph, complete_graph, path_graph, serialize_graph
+from asymcolour import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    run,
+    serialize_colouring,
+    serialize_graph,
+    truncated_tree,
+)
 from asymcolour.cli import main
 
 
@@ -63,20 +71,27 @@ class TestColourCommand:
         path.write_text("3\n0 1\n", encoding="utf-8")  # disconnected
         assert main(["colour", "--input", str(path)]) == 1
 
+    # the cap bounds the listed final stabilizer: K5 ends with one of order 2
     def test_cap_exceeded(self, capsys):
-        code = main(["colour", "--family", "tree", "--degree", "5", "--radius", "2", "--cap", "1000"])
+        code = main(["colour", "--family", "complete", "--n", "5", "--cap", "1"])
         assert code == 2
 
     def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("ASYM_CAP", "3")
-        code = main(["colour", "--family", "complete", "--n", "4"])
+        monkeypatch.setenv("ASYM_CAP", "1")
+        code = main(["colour", "--family", "complete", "--n", "5"])
         assert code == 2
 
     def test_flag_overrides_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("ASYM_CAP", "3")
-        code = main(["colour", "--family", "complete", "--n", "4", "--cap", "1000000", "--format", "kv"])
+        monkeypatch.setenv("ASYM_CAP", "1")
+        code = main(["colour", "--family", "complete", "--n", "5", "--cap", "1000000", "--format", "kv"])
         assert code == 0
         assert kv_report(capsys)["run.cap"] == "1000000"
+
+    def test_audit_lists_no_group_beyond_the_cap(self, capsys):
+        # |Aut| = 955,514,880: the audit holds every group by generators
+        code = main(["colour", "--family", "tree", "--degree", "5", "--radius", "2", "--cap", "1000", "--format", "kv"])
+        assert code == 0
+        assert kv_report(capsys)["checks.all"] == "pass"
 
     def test_text_format(self, capsys):
         code = main(["colour", "--family", "cycle", "--n", "5"])
@@ -175,6 +190,28 @@ class TestVerifyCommand:
         graph_path = write_graph(tmp_path, cycle_graph(5))
         assert main(["verify", graph_path, str(tmp_path / "nope.txt")]) == 1
 
+    def test_negative_vertex(self, tmp_path, capsys):
+        graph_path = write_graph(tmp_path, cycle_graph(5))
+        col = tmp_path / "col.txt"
+        col.write_text("-1\t0\n", encoding="utf-8")
+        assert main(["verify", graph_path, str(col)]) == 1
+        assert "line 1: vertex -1 is negative" in capsys.readouterr().err
+
+    def test_run_colouring_beyond_the_cap(self, tmp_path, capsys):
+        # |Aut| = 955,514,880: the stabilizer is searched, never listed
+        graph_path = write_graph(tmp_path, truncated_tree(5, 2))
+        col = tmp_path / "col.txt"
+        col.write_text(serialize_colouring(run(truncated_tree(5, 2), 0)[0]), encoding="utf-8")
+        assert main(["verify", graph_path, str(col)]) == 0
+        assert "asymmetric: true" in capsys.readouterr().out
+
+    def test_run_colouring_of_k5_is_not_asymmetric(self, tmp_path, capsys):
+        graph_path = write_graph(tmp_path, complete_graph(5))
+        col = tmp_path / "col.txt"
+        col.write_text(serialize_colouring(run(complete_graph(5), 0)[0]), encoding="utf-8")
+        assert main(["verify", graph_path, str(col)]) == 4
+        assert "stabilizer-order: 2" in capsys.readouterr().out.splitlines()
+
 
 class TestOracleCommand:
     def test_motion_c5(self, tmp_path, capsys):
@@ -208,6 +245,13 @@ class TestOracleCommand:
         path = write_graph(tmp_path, truncated_tree(3, 2))
         assert main(["oracle", path, "interior-support", "--root", "0", "--horizon", "2"]) == 0
         assert "oracle.value true" in capsys.readouterr().out
+
+    def test_interior_support_negative_horizon(self, tmp_path, capsys):
+        path = write_graph(tmp_path, truncated_tree(3, 2))
+        assert main(["oracle", path, "interior-support", "--horizon", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "truncation radius must be >= 0, got -3" in captured.err
 
     def test_interior_support_beyond_the_cap(self, tmp_path, capsys):
         from asymcolour import truncated_tree

@@ -293,6 +293,11 @@ class TestColouringIO:
         with pytest.raises(GraphFormatError):
             parse_colouring("")
 
+    def test_negative_vertex_is_a_line_numbered_error(self):
+        with pytest.raises(GraphFormatError, match="vertex -1 is negative") as raised:
+            parse_colouring("# comment\n-1\t0\n")
+        assert raised.value.line == 2
+
     def test_constant_colouring_has_no_root(self):
         parsed = parse_colouring("0\t1\n1\t1\n")
         assert parsed.root is None

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from asymcolour import (
     complete_graph,
     compose,
     cycle_graph,
+    distances,
     format_group,
     format_permutation,
     identity_perm,
@@ -26,7 +28,7 @@ from asymcolour import (
     truncated_tree,
 )
 from asymcolour.errors import DomainNotInvariantError, GroupCapError, NotAPartitionActionError
-from asymcolour.symmetry import PermGroup, coloured_automorphisms, equitable_classes
+from asymcolour.symmetry import PermGroup, coloured_automorphisms, coset_search, equitable_classes
 
 from .conftest import brute_automorphisms, connected_graphs
 
@@ -230,6 +232,39 @@ class TestColouredAutomorphisms:
     def test_enumerate_respects_cap(self):
         with pytest.raises(GroupCapError):
             coloured_automorphisms(complete_graph(7)).enumerate(cap=100)
+
+
+class TestCosetSearch:
+    """The audit's search, against brute force, against filtering the
+    enumerated group, and against the AHU tree orders."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=6), st.data())
+    def test_matches_bruteforce_and_filtered_list(self, g, data):
+        keys = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+        searched = coset_search(g, keys)
+        filtered = automorphism_group(g).stabilizer(keys)
+        brute = brute_automorphisms(g, keys)
+        assert searched.order == filtered.order == len(brute)
+        assert orbits(searched, range(g.n)) == orbits(filtered, range(g.n))
+        assert PermGroup.from_generators(g.n, searched.generators).elements == tuple(brute)
+
+    @pytest.mark.parametrize("degree,radius,expected", [(5, 2, 955_514_880), (4, 3, 67_706_637_778_944)])
+    def test_tree_orders(self, degree, radius, expected):
+        g = truncated_tree(degree, radius)
+        assert coset_search(g, distances(g, 0)).order == expected == ahu_tree_order(g, 0)
+
+    def test_path_longer_than_the_recursion_limit(self):
+        n = 1200
+        assert n > sys.getrecursionlimit()
+        # keyed by the distance to the nearer end: only the reflection is left
+        group = coset_search(path_graph(n), [min(v, n - 1 - v) for v in range(n)])
+        assert group.order == 2
+        assert group.generators == (tuple(reversed(range(n))),)
+
+    def test_distinct_keys_give_the_trivial_group(self):
+        group = coset_search(complete_graph(5), range(5))
+        assert group.is_trivial() and group.order == 1
 
 
 class TestOrbitsAndStabilizers:
