@@ -63,7 +63,6 @@ from .symmetry import (
     block_stabilizer,
     chain_length_bound,
     coloured_automorphisms,
-    colouring_stabilizer,
     compose,
     format_group,
     format_permutation,

@@ -35,7 +35,6 @@ from .colouring import (
 )
 from .graphs import Graph, distances
 from .symmetry import (
-    DEFAULT_CAP,
     PermGroup,
     block_index_map,
     coset_search,
@@ -57,8 +56,9 @@ class CheckResult:
         return f"{self.name}{where}"
 
 
-def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring, cap: int = DEFAULT_CAP) -> list[CheckResult]:
-    """Recheck every per-step invariant of a finished run."""
+def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[CheckResult]:
+    """Recheck every per-step invariant of a finished run. The one element
+    list built is the closure compared with the embedded final stabilizer."""
     checks: list[CheckResult] = []
     root = trace.root
     # a single-vertex graph has max degree 0; its bounds degenerate to the
@@ -100,7 +100,7 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring, cap: int =
                 "final-stabilizer-elements",
                 None,
                 last.order == len(trace.final_stabilizer)
-                and trace.final_stabilizer == PermGroup.from_generators(graph.n, last.generators, cap=cap).elements,
+                and trace.final_stabilizer == PermGroup.from_generators(graph.n, last.generators).elements,
                 "embedded final stabilizer differs from the recomputed one",
             )
         )

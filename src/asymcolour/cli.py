@@ -5,11 +5,17 @@ checks a colouring file for asymmetry, ``oracle`` computes exhaustive
 quantities, ``bound`` prints the closed-form bounds.
 
 Exit codes: 0 success (all checks pass), 1 invalid input or guard
-violation, 2 group cap exceeded, 3 internal invariant violation (a bug
-surface, not an input problem). ``verify`` uses 4 for a well-formed
-colouring that is not asymmetric, so failure kinds stay distinguishable.
-The ASYM_CAP environment variable overrides the default group cap; an
-explicit --cap flag wins over both.
+violation, 2 group cap exceeded, 3 a bug surface, not an input problem:
+an internal invariant violated, a group that does not act as the
+construction promised, or the interpreter's recursion limit reached.
+``verify`` uses 4 for a well-formed colouring that is not asymmetric, so
+failure kinds stay distinguishable.
+
+The group cap bounds only element lists, which ``colour`` builds for the
+embedded final stabilizer and ``oracle`` for the enumerating quantities;
+``verify`` lists none and takes no cap. On those two commands the ASYM_CAP
+environment variable overrides the default cap; an explicit --cap flag
+wins over both.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ from .colouring import (
 )
 from .errors import (
     AsymmetricGraphError,
+    DomainNotInvariantError,
     GroupCapError,
     InternalInvariantError,
+    NotAPartitionActionError,
     SearchGuardError,
 )
 from .graphs import FamilySpec, eccentricity, generate_family, parse_graph
@@ -43,6 +51,9 @@ EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_INVARIANT = 3
 EXIT_NOT_ASYMMETRIC = 4
+
+# exceptions that signal a bug, never bad input; each exits 3
+BUG_SURFACE = (InternalInvariantError, NotAPartitionActionError, DomainNotInvariantError, RecursionError)
 
 ORACLE_QUANTITIES = ("motion", "dnumber", "autorder", "motion-lemma", "interior-support")
 
@@ -97,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a colouring file for asymmetry")
     verify.add_argument("graph")
     verify.add_argument("colouring")
-    verify.add_argument("--cap", type=int, default=None)
 
     orc = sub.add_parser("oracle", help="exhaustive oracle quantities")
     orc.add_argument("graph")
@@ -111,6 +121,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("kind", choices=("colours", "chain"))
     bound.add_argument("value", type=int)
     return parser
+
+
+def _report_bug(exc: BaseException) -> int:
+    if isinstance(exc, InternalInvariantError):
+        print(f"asym: internal invariant violated: {exc}", file=sys.stderr)
+    else:
+        print(f"asym: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+    return EXIT_INVARIANT
 
 
 def _load_graph_file(path: str):
@@ -176,14 +194,13 @@ def cmd_colour(args) -> int:
 
     try:
         colouring, trace = run(graph, config.root, config.horizon, bound_mode=config.bound_mode, cap=config.cap)
-        checks = audit.audit_run(graph, trace, colouring, cap=config.cap)
-        asymmetric = oracle.is_asymmetric(graph, colouring, cap=config.cap)
+        checks = audit.audit_run(graph, trace, colouring)
+        asymmetric = oracle.is_asymmetric(graph, colouring)
     except GroupCapError as exc:
         print(f"asym: group cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InternalInvariantError as exc:
-        print(f"asym: internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except BUG_SURFACE as exc:
+        return _report_bug(exc)
 
     if config.out_path:
         Path(config.out_path).write_text(serialize_colouring(colouring), encoding="utf-8")
@@ -223,7 +240,6 @@ def cmd_colour(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
     try:
         graph = _load_graph_file(args.graph)
         text = Path(args.colouring).read_text(encoding="utf-8")
@@ -234,7 +250,7 @@ def cmd_verify(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"asym: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    order = oracle.stabilizer_order(graph, colouring, cap=cap)
+    order = oracle.stabilizer_order(graph, colouring)
     if order == 1:
         print("asymmetric: true")
         return EXIT_OK
@@ -254,18 +270,9 @@ def cmd_oracle(args) -> int:
     start = time.perf_counter()
     try:
         if args.quantity == "motion":
-            value = oracle.motion(graph, cap=cap)
-            report = oracle.OracleReport("motion", value, oracle.automorphism_order(graph, cap=cap), time.perf_counter() - start)
+            report = oracle.motion_report(graph, cap=cap)
         elif args.quantity == "dnumber":
-            value = oracle.distinguishing_number(graph, args.max_colours, cap=cap)
-            witness = oracle.distinguishing_witness(graph, value, cap=cap)
-            report = oracle.OracleReport(
-                "dnumber",
-                value,
-                graph.n,
-                time.perf_counter() - start,
-                details={"witness": " ".join(str(x) for x in witness)},
-            )
+            report = oracle.distinguishing_report(graph, args.max_colours, cap=cap)
         elif args.quantity == "autorder":
             value = oracle.automorphism_order(graph, cap=cap)
             report = oracle.OracleReport("autorder", value, value, time.perf_counter() - start)
@@ -287,12 +294,11 @@ def cmd_oracle(args) -> int:
     except GroupCapError as exc:
         print(f"asym: group cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BUG_SURFACE as exc:
+        return _report_bug(exc)
     except (SearchGuardError, AsymmetricGraphError, ValueError) as exc:
         print(f"asym: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InternalInvariantError as exc:
-        print(f"asym: internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
 
     for line in report.kv_lines():
         print(line)

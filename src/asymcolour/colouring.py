@@ -23,7 +23,6 @@ from .errors import GraphFormatError, InternalInvariantError, VertexRangeError
 from .graphs import Graph, eccentricity, sphere
 from .symmetry import (
     DEFAULT_CAP,
-    PermGroup,
     SGSGroup,
     block_index_map,
     coloured_automorphisms,
@@ -356,30 +355,24 @@ def extend_colouring(
     graph: Graph,
     root: int,
     colouring: Colouring,
-    stabilizer: PermGroup,
+    stabilizer: SGSGroup,
     *,
     bound_mode: str = "csg",
 ) -> tuple[Colouring, StepTrace]:
     """One construction step: colour the next sphere.
 
     ``stabilizer`` must be the stabilizer of ``colouring`` in the graph's
-    automorphism group, held by generators as :func:`run` holds it; an
-    explicit element list is accepted too and is then searched again by
-    generators, which must give the same order. Every group of the step is
-    the stabilizer of a finer colouring, taken from ``stabilizer`` by
-    coloured search: the running stabilizers, the pointwise stabilizer of
-    each acting orbit, and the block stabilizers of the fixing-set search.
-    Returns the extended colouring (radius k+1, equal to the input on the
-    current ball) and the step's trace record.
+    automorphism group, ``coloured_automorphisms(graph, colouring)`` as
+    :func:`run` holds it. Every group of the step is the stabilizer of a
+    finer colouring, taken from ``stabilizer`` by coloured search: the
+    running stabilizers, the pointwise stabilizer of each acting orbit,
+    and the block stabilizers of the fixing-set search. Returns the
+    extended colouring (radius k+1, equal to the input on the current
+    ball) and the step's trace record.
     """
     k = colouring.radius
     if k is None:
         raise ValueError("colouring has no radius; use a construction colouring")
-    if isinstance(stabilizer, PermGroup):
-        given = stabilizer.order
-        stabilizer = coloured_automorphisms(graph, colouring)
-        if stabilizer.order != given:
-            raise ValueError(f"a group of order {given} is not the colouring's stabilizer (order {stabilizer.order})")
     delta = graph.max_degree
     chunk_cap = ceil_sqrt(delta)
     sphere_k = sphere(graph, root, k)

@@ -19,6 +19,7 @@ from .symmetry import (
     SGSGroup,
     automorphism_group,
     coloured_automorphisms,
+    identity_perm,
 )
 
 DISTINGUISHING_VERTEX_GUARD = 12
@@ -60,12 +61,9 @@ def is_asymmetric(graph: Graph, colouring, cap: int = DEFAULT_CAP) -> bool:
     return coloured_automorphisms(graph, colouring).is_trivial()
 
 
-def stabilizer_order(graph: Graph, colouring, cap: int = DEFAULT_CAP) -> int:
-    """The order of the colouring's stabilizer in ``Aut(G)``.
-
-    Found by the exhaustive coloured search, as in :func:`is_asymmetric`,
-    so ``cap`` never applies.
-    """
+def stabilizer_order(graph: Graph, colouring) -> int:
+    """The order of the colouring's stabilizer in ``Aut(G)``, found by the
+    exhaustive coloured search, as in :func:`is_asymmetric`."""
     return coloured_automorphisms(graph, colouring).order
 
 
@@ -102,8 +100,23 @@ def _preserving_automorphism(group: PermGroup, labels) -> bool:
     return False
 
 
-def distinguishing_number(graph: Graph, max_colours: int | None = None, cap: int = DEFAULT_CAP) -> int:
-    """The least number of colours admitting an asymmetric colouring.
+def _asymmetric_partition(group: PermGroup, class_counts) -> tuple[tuple[int, ...] | None, int]:
+    """The first partition, over each class count in turn, that no
+    nontrivial element preserves (None if there is none), and the number
+    of partitions examined."""
+    examined = 0
+    for classes in class_counts:
+        for labels in _partitions_with_classes(group.degree, classes):
+            examined += 1
+            if not _preserving_automorphism(group, labels):
+                return labels, examined
+    return None, examined
+
+
+def distinguishing_report(graph: Graph, max_colours: int | None = None, cap: int = DEFAULT_CAP) -> OracleReport:
+    """The least number of colours admitting an asymmetric colouring, with
+    the first such partition as witness and the number of partitions
+    examined as search space.
 
     Exhaustive over set partitions (colourings up to colour renaming) with
     the first vertex's colour pinned; exactness is unaffected because both
@@ -111,6 +124,7 @@ def distinguishing_number(graph: Graph, max_colours: int | None = None, cap: int
     search at c colours only runs after every (c-1)-class partition has
     been refuted, so the returned value is minimal by exhaustion.
     """
+    start = time.perf_counter()
     if graph.n > DISTINGUISHING_VERTEX_GUARD:
         raise SearchGuardError(
             f"distinguishing-number search supports up to {DISTINGUISHING_VERTEX_GUARD} vertices, got {graph.n}"
@@ -120,36 +134,50 @@ def distinguishing_number(graph: Graph, max_colours: int | None = None, cap: int
     if max_colours < 1:
         raise SearchGuardError(f"max_colours must be >= 1, got {max_colours}")
     group = automorphism_group(graph, cap=cap)
-    for classes in range(1, min(max_colours, graph.n) + 1):
-        for labels in _partitions_with_classes(graph.n, classes):
-            if not _preserving_automorphism(group, labels):
-                return classes
-    raise NoAsymmetricColouringError(f"no asymmetric colouring with at most {max_colours} colours")
+    witness, examined = _asymmetric_partition(group, range(1, min(max_colours, graph.n) + 1))
+    if witness is None:
+        raise NoAsymmetricColouringError(f"no asymmetric colouring with at most {max_colours} colours")
+    return OracleReport(
+        quantity="dnumber",
+        value=max(witness) + 1,
+        search_space=examined,
+        elapsed=time.perf_counter() - start,
+        details={"witness": " ".join(str(x) for x in witness)},
+    )
+
+
+def distinguishing_number(graph: Graph, max_colours: int | None = None, cap: int = DEFAULT_CAP) -> int:
+    """The least number of colours admitting an asymmetric colouring; see
+    :func:`distinguishing_report`."""
+    return distinguishing_report(graph, max_colours, cap).value
 
 
 def distinguishing_witness(graph: Graph, classes: int, cap: int = DEFAULT_CAP) -> tuple[int, ...] | None:
     """First asymmetric partition with the given class count, if any."""
+    return _asymmetric_partition(automorphism_group(graph, cap=cap), (classes,))[0]
+
+
+def _motion_of(group: PermGroup) -> int:
+    """The fewest points a nontrivial element moves; undefined for the
+    trivial group, which raises rather than returning a sentinel."""
+    if group.is_trivial():
+        raise AsymmetricGraphError("graph has no nontrivial automorphism; motion is undefined")
+    identity = identity_perm(group.degree)
+    return min(sum(1 for v, w in enumerate(p) if v != w) for p in group.elements if p != identity)
+
+
+def motion_report(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
+    """Minimum number of vertices moved by a nontrivial automorphism, with
+    ``|Aut|``, every element of which is examined, as search space."""
+    start = time.perf_counter()
     group = automorphism_group(graph, cap=cap)
-    for labels in _partitions_with_classes(graph.n, classes):
-        if not _preserving_automorphism(group, labels):
-            return labels
-    return None
+    return OracleReport("motion", _motion_of(group), group.order, time.perf_counter() - start)
 
 
 def motion(graph: Graph, cap: int = DEFAULT_CAP) -> int:
-    """Minimum number of vertices moved by a nontrivial automorphism.
-
-    Undefined for asymmetric graphs; that case raises rather than
-    returning a sentinel.
-    """
-    group = automorphism_group(graph, cap=cap)
-    if group.is_trivial():
-        raise AsymmetricGraphError("graph has no nontrivial automorphism; motion is undefined")
-    return min(
-        sum(1 for v in range(graph.n) if p[v] != v)
-        for p in group.elements
-        if any(p[v] != v for v in range(graph.n))
-    )
+    """Minimum number of vertices moved by a nontrivial automorphism; see
+    :func:`motion_report`."""
+    return motion_report(graph, cap).value
 
 
 def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
@@ -161,13 +189,7 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     """
     start = time.perf_counter()
     group = automorphism_group(graph, cap=cap)
-    if group.is_trivial():
-        raise AsymmetricGraphError("graph has no nontrivial automorphism; motion is undefined")
-    m = min(
-        sum(1 for v in range(graph.n) if p[v] != v)
-        for p in group.elements
-        if any(p[v] != v for v in range(graph.n))
-    )
+    m = _motion_of(group)
     hypothesis = 2.0 ** (m / 2) >= group.order
     details = {"motion": m, "aut-order": group.order}
     if not hypothesis:

@@ -5,14 +5,8 @@ vertex colouring ``c``, by a base and a strong generating set
 (:class:`SGSGroup`, from :func:`coloured_automorphisms`). The search is
 individualisation and refinement (McKay & Piperno 2014), so the order is
 the product of the basic orbit lengths and never needs a list of
-elements. Orbits, "fixes this block" and the partition-action checks read
-the generators only, and every subgroup the construction needs is
-``Aut(G, c')`` for a finer colouring ``c'``.
-
-:class:`PermGroup` is the explicit element list. It is built by the
-exhaustive :func:`automorphism_group` (the oracles' route) and by closing
-a generator list; a configurable element cap (default 10**6) turns a list
-that would grow too long into a hard error.
+elements. Every subgroup the construction needs is ``Aut(G, c')`` for a
+finer colouring ``c'``, taken by :meth:`SGSGroup.stabilizer`.
 
 The audit's independent route is :func:`coset_search`, Sims' backtrack
 over vertex images that keeps one automorphism per coset and returns a
@@ -21,6 +15,15 @@ iterative backtrack is pruned only by the caller's vertex keys and by
 adjacency, so it uses none of the construction's search or refinement
 code, and it lists no elements.
 
+:class:`PermGroup` is the explicit element list, the one representation
+that lists elements. It is built only by the exhaustive
+:func:`automorphism_group` (the enumerating oracles' route), for the small
+final stabilizer embedded in a trace (and the audit's comparison with it),
+and as the tests' reference filter. A configurable element cap (default
+10**6) turns a list that would grow too long into a hard error.
+
+Every group kind carries ``generators``, and :func:`orbits`,
+:func:`fixes_block` and :func:`minimal_fixing_set` read only those.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
 
@@ -77,9 +80,10 @@ class PermGroup:
     """A permutation group on 0..degree-1 as an explicit element list.
 
     Elements are sorted, duplicate-free, and always include the identity.
-    Construction by :meth:`from_elements` or :meth:`from_generators`
-    enforces the element cap; closure itself is only verified by
-    :meth:`validate`, which tests call.
+    ``generators`` is the set it was closed from, or else the elements
+    themselves. Construction by :meth:`from_elements` or
+    :meth:`from_generators` enforces the element cap; closure itself is
+    only verified by :meth:`validate`, which tests call.
     """
 
     __slots__ = ("degree", "elements", "generators", "_element_set")
@@ -87,7 +91,7 @@ class PermGroup:
     def __init__(self, degree: int, elements: tuple[Perm, ...], generators: tuple[Perm, ...] | None = None):
         self.degree = degree
         self.elements = elements
-        self.generators = generators
+        self.generators = elements if generators is None else generators
         self._element_set = frozenset(elements)
 
     @classmethod
@@ -736,12 +740,6 @@ def coset_search(graph: Graph, keys) -> GeneratedGroup:
     return GeneratedGroup(n, generators, orbit_lengths)
 
 
-def _generating_perms(group) -> tuple[Perm, ...]:
-    """Permutations that generate the group: the strong generators, or
-    every element of an explicit list."""
-    return group.elements if isinstance(group, PermGroup) else group.generators
-
-
 def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of a setwise-invariant domain.
 
@@ -749,12 +747,11 @@ def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
     """
     domain = sorted(domain)
     domain_set = set(domain)
-    perms = _generating_perms(group)
     seen: set[int] = set()
     blocks = []
     for v in domain:
         if v not in seen:
-            orbit = _orbit(v, perms, domain_set)
+            orbit = _orbit(v, group.generators, domain_set)
             seen |= orbit
             blocks.append(tuple(sorted(orbit)))
     return tuple(blocks)
@@ -763,7 +760,7 @@ def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
 def fixes_block(group, block) -> bool:
     """Whether every element maps the block onto itself."""
     bset = frozenset(block)
-    return all(p[v] in bset for p in _generating_perms(group) for v in block)
+    return all(p[v] in bset for p in group.generators for v in block)
 
 
 def pointwise_stabilizer(group, targets):
@@ -780,11 +777,6 @@ def block_stabilizer(group, partition):
         for v in block:
             keys[v] = b
     return group.stabilizer(keys)
-
-
-def colouring_stabilizer(group: PermGroup, colouring) -> PermGroup:
-    """Elements preserving a total colouring of the domain."""
-    return group.stabilizer(colouring)
 
 
 def chain_length_bound(n: int) -> int:
@@ -821,7 +813,7 @@ def longest_chain_bruteforce(n: int) -> int:
                 continue
             seen_cosets.add(coset_rep)
             new_gens = gens + (g,)
-            new_elems = frozenset(_close(elems | {g}, new_gens))
+            new_elems = frozenset(PermGroup.from_generators(n, new_gens).elements)
             if new_elems not in subgroups:
                 subgroups[new_elems] = new_gens
                 frontier.append((new_elems, new_gens))
@@ -843,19 +835,6 @@ def longest_chain_bruteforce(n: int) -> int:
         return depth[H]
 
     return longest(frozenset(full))
-
-
-def _close(start, gens):
-    elems = set(start)
-    frontier = deque(elems)
-    while frontier:
-        p = frontier.popleft()
-        for g in gens:
-            q = compose(g, p)
-            if q not in elems:
-                elems.add(q)
-                frontier.append(q)
-    return elems
 
 
 def partition_image(perm: Perm, blocks, index_of: dict[int, int]) -> list[int] | None:
@@ -887,9 +866,9 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     removal keeps the stabilizer equal to the full block stabilizer. The
     result is returned sorted by minimum vertex.
 
-    ``group`` is an :class:`SGSGroup` or a :class:`PermGroup`; the action
-    check and the moved-block test read its generating permutations, and
-    stabilizers are compared by order.
+    The action check and the moved-block test read ``group.generators``,
+    and stabilizers are compared by order, so any group kind with a
+    ``stabilizer`` method serves.
 
     Each greedy pick strictly shrinks the induced action on the block set,
     so the greedy length is bounded by the longest subgroup chain in the
@@ -899,7 +878,7 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     """
     blocks = tuple(tuple(sorted(b)) for b in blocks)
     index_of = block_index_map(blocks)
-    for p in _generating_perms(group):
+    for p in group.generators:
         if partition_image(p, blocks, index_of) is None:
             raise NotAPartitionActionError("group does not permute the blocks of the partition")
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import asymcolour
 from asymcolour import (
     complete_graph,
     cycle_graph,
@@ -9,13 +15,28 @@ from asymcolour import (
     serialize_graph,
     truncated_tree,
 )
+from asymcolour import cli, oracle
 from asymcolour.cli import main
+from asymcolour.errors import NotAPartitionActionError
 
 
 def write_graph(tmp_path, graph, name="graph.adj"):
     path = tmp_path / name
     path.write_text(serialize_graph(graph), encoding="utf-8")
     return str(path)
+
+
+def count_aut_builds(monkeypatch):
+    """Count the oracle module's calls of ``automorphism_group``."""
+    calls = []
+    build = oracle.automorphism_group
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "automorphism_group", counted)
+    return calls
 
 
 def kv_report(capsys):
@@ -92,6 +113,18 @@ class TestColourCommand:
         code = main(["colour", "--family", "tree", "--degree", "5", "--radius", "2", "--cap", "1000", "--format", "kv"])
         assert code == 0
         assert kv_report(capsys)["checks.all"] == "pass"
+
+    def test_partition_action_bug_exits_3(self, capsys, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise NotAPartitionActionError("group does not permute the blocks of the partition")
+
+        monkeypatch.setattr(cli, "run", broken_run)
+        assert main(["colour", "--family", "cycle", "--n", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "asym: internal error (NotAPartitionActionError): group does not permute the blocks of the partition"
+        ]
 
     def test_text_format(self, capsys):
         code = main(["colour", "--family", "cycle", "--n", "5"])
@@ -212,6 +245,20 @@ class TestVerifyCommand:
         assert main(["verify", graph_path, str(col)]) == 4
         assert "stabilizer-order: 2" in capsys.readouterr().out.splitlines()
 
+    def test_ignores_env_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ASYM_CAP", "abc")
+        graph_path = write_graph(tmp_path, cycle_graph(5))
+        col = tmp_path / "col.txt"
+        col.write_text(serialize_colouring(run(cycle_graph(5), 0)[0]), encoding="utf-8")
+        assert main(["verify", graph_path, str(col)]) == 0
+        assert capsys.readouterr().out == "asymmetric: true\n"
+
+    def test_takes_no_cap_flag(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "--help"])
+        assert exited.value.code == 0
+        assert "--cap" not in capsys.readouterr().out
+
 
 class TestOracleCommand:
     def test_motion_c5(self, tmp_path, capsys):
@@ -219,10 +266,44 @@ class TestOracleCommand:
         assert main(["oracle", path, "motion"]) == 0
         assert "oracle.value 4" in capsys.readouterr().out
 
+    def test_motion_lists_aut_once(self, tmp_path, capsys, monkeypatch):
+        calls = count_aut_builds(monkeypatch)
+        path = write_graph(tmp_path, cycle_graph(5))
+        assert main(["oracle", path, "motion"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle.value 4" in lines
+        assert "oracle.search-space 10" in lines
+        assert len(calls) == 1
+
     def test_dnumber_k4(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_graph(4))
         assert main(["oracle", path, "dnumber"]) == 0
         assert "oracle.value 4" in capsys.readouterr().out
+
+    # 1 + 7 + 6 partitions refuted before (0,1,2,3); 1 + 15 before (0,0,0,1,2)
+    @pytest.mark.parametrize("graph,value,examined", [(complete_graph(4), 4, 15), (cycle_graph(5), 3, 17)])
+    def test_dnumber_search_space_counts_partitions(self, tmp_path, capsys, monkeypatch, graph, value, examined):
+        calls = count_aut_builds(monkeypatch)
+        path = write_graph(tmp_path, graph)
+        assert main(["oracle", path, "dnumber"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"oracle.value {value}" in lines
+        assert f"oracle.search-space {examined}" in lines
+        assert len(calls) == 1
+
+    def test_recursion_limit_exits_3_without_traceback(self, tmp_path):
+        # the enumerating search recurses once per vertex
+        path = write_graph(tmp_path, path_graph(1500))
+        env = dict(os.environ, PYTHONPATH=str(Path(asymcolour.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "asymcolour.cli", "oracle", path, "autorder"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("asym: internal error (RecursionError): ")
+        assert "Traceback" not in done.stderr
 
     def test_autorder_c5(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(5))

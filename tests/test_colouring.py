@@ -13,7 +13,7 @@ from asymcolour import (
     build_graph,
     ceil_sqrt,
     colour_bound,
-    colouring_stabilizer,
+    coloured_automorphisms,
     complete_graph,
     cycle_graph,
     eccentricity,
@@ -114,7 +114,7 @@ class TestNeighbourhoodRefinement:
         g = cycle_graph(6)
         # stabilizer of a colouring that pins vertex 0: enumerated order 2,
         # with {1,5} a single orbit
-        stab = colouring_stabilizer(automorphism_group(g), [0, 1, 1, 1, 1, 1])
+        stab = automorphism_group(g).stabilizer([0, 1, 1, 1, 1, 1])
         assert stab.order == 2
         orbit_list = orbits(stab, sphere(g, 0, 1))
         assert orbit_list == ((1, 5),)
@@ -144,7 +144,7 @@ class TestExtendColouring:
     def test_k2_single_step(self):
         g = complete_graph(2)
         c0 = initial_colouring(g, 0)
-        stab = colouring_stabilizer(automorphism_group(g), c0)
+        stab = coloured_automorphisms(g, c0)
         c1, step = extend_colouring(g, 0, c0, stab)
         assert c1.colours == (ROOT, numeric(1))
         assert step.inner[0].fixing_blocks == ()
@@ -152,7 +152,7 @@ class TestExtendColouring:
     def test_path3_first_step(self):
         g = path_graph(3)
         c0 = initial_colouring(g, 0)
-        stab = colouring_stabilizer(automorphism_group(g), c0)
+        stab = coloured_automorphisms(g, c0)
         c1, _ = extend_colouring(g, 0, c0, stab)
         assert c1[1] == numeric(1)
         assert c1[2] == FAR
@@ -161,20 +161,20 @@ class TestExtendColouring:
         g = truncated_tree(3, 2)
         full = automorphism_group(g)
         c, _ = run(g, 0, 1)
-        stab = colouring_stabilizer(full, c)
+        stab = coloured_automorphisms(g, c)
         c2, step = extend_colouring(g, 0, c, stab)
         # each sibling pair is split: one keeps numeric 1, one goes barred 1
         for pair in ((4, 5), (6, 7), (8, 9)):
             got = sorted((c2[pair[0]], c2[pair[1]]))
             assert got == [numeric(1), barred(1)]
-        new_stab = colouring_stabilizer(full, c2)
+        new_stab = full.stabilizer(c2)
         limit = ceil_sqrt(g.max_degree)
         assert all(len(b) <= limit for b in orbits(new_stab, ball(g, 0, 2)))
 
     def test_requires_next_sphere(self):
         g = complete_graph(2)
         c, _ = run(g, 0)
-        stab = colouring_stabilizer(automorphism_group(g), c)
+        stab = coloured_automorphisms(g, c)
         with pytest.raises(ValueError):
             extend_colouring(g, 0, c, stab)
 
@@ -182,7 +182,7 @@ class TestExtendColouring:
         g = complete_graph(2)
         c = parse_colouring("0\t0\n1\tinf\n")
         with pytest.raises(ValueError):
-            extend_colouring(g, 0, c, automorphism_group(g))
+            extend_colouring(g, 0, c, coloured_automorphisms(g, c))
 
 
 class TestRun:
@@ -244,11 +244,10 @@ class TestRun:
 
         g = cycle_graph(6)
         root = 2
-        full = automorphism_group(g)
         d = distances(g, root)
         c = initial_colouring(g, root)
         for _ in range(eccentricity(g, root)):
-            stab = colouring_stabilizer(full, c)
+            stab = coloured_automorphisms(g, c)
             c, _ = extend_colouring(g, root, c, stab)
             for v in range(g.n):
                 assert (c[v] == ROOT) == (v == root)

@@ -11,7 +11,6 @@ from asymcolour import (
     block_stabilizer,
     build_graph,
     chain_length_bound,
-    colouring_stabilizer,
     complete_graph,
     compose,
     cycle_graph,
@@ -126,7 +125,7 @@ class TestAutomorphismGroup:
     def test_coloured_search_equals_filtered_stabilizer(self, g, seed):
         colours = [(v * (seed + 2)) % 3 for v in range(g.n)]
         direct = automorphism_group(g, colours)
-        filtered = colouring_stabilizer(automorphism_group(g), colours)
+        filtered = automorphism_group(g).stabilizer(colours)
         assert direct == filtered
 
 
@@ -171,7 +170,7 @@ class TestColouredAutomorphisms:
     def test_matches_filtered_list_and_bruteforce(self, g, data):
         colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
         searched = coloured_automorphisms(g, colours)
-        filtered = colouring_stabilizer(automorphism_group(g), colours)
+        filtered = automorphism_group(g).stabilizer(colours)
         brute = brute_automorphisms(g, colours)
         assert searched.order == filtered.order == len(brute)
         assert searched.enumerate().elements == filtered.elements == tuple(brute)
@@ -300,7 +299,7 @@ class TestOrbitsAndStabilizers:
 
     def test_stabilizer_results_are_groups(self):
         group = automorphism_group(cycle_graph(5))
-        colouring_stabilizer(group, (1, 1, 2, 2, 2)).validate()
+        group.stabilizer((1, 1, 2, 2, 2)).validate()
         pointwise_stabilizer(group, [0]).validate()
 
     def test_pointwise_c4(self):
@@ -338,8 +337,8 @@ class TestOrbitsAndStabilizers:
 
     def test_colouring_stabilizer_extremes(self):
         group = automorphism_group(cycle_graph(5))
-        assert colouring_stabilizer(group, [7] * 5) == group
-        assert colouring_stabilizer(group, list(range(5))).is_trivial()
+        assert group.stabilizer([7] * 5) == group
+        assert group.stabilizer(list(range(5))).is_trivial()
 
 
 class TestChainLength:
