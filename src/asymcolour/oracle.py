@@ -3,12 +3,25 @@
 Every search here is exhaustive over an explicitly bounded space; nothing
 is sampled, so oracle output is admissible as test ground truth. Sizes
 are protected by guards, not by approximation.
+
+The enumerating oracles (``motion``, ``dnumber``, ``autorder`` and the
+motion lemma) list ``Aut(G)`` once, by the iterative
+:func:`~asymcolour.symmetry.automorphism_group`, so graph size is bounded
+by the element cap, not by the interpreter's recursion limit. The motion
+is read off the element list directly. A scan over labellings (colour
+partitions, 2-colourings) first orders the nontrivial elements by the
+number of points they move, fewest first, and tests each labelling
+against that table with C-level getters. The asymmetry and
+interior-support oracles list no elements: they use the coloured
+search.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import eq, itemgetter, ne
 
 from .colouring import Colouring, numeric
 from .errors import AsymmetricGraphError, InternalInvariantError, SearchGuardError, NoAsymmetricColouringError
@@ -19,7 +32,6 @@ from .symmetry import (
     SGSGroup,
     automorphism_group,
     coloured_automorphisms,
-    identity_perm,
 )
 
 DISTINGUISHING_VERTEX_GUARD = 12
@@ -91,12 +103,29 @@ def _partitions_with_classes(n: int, classes: int):
     yield from grow(1, 1) if n > 1 else iter([(0,)] if classes == 1 else [])
 
 
-def _preserving_automorphism(group: PermGroup, labels) -> bool:
-    """Whether some nontrivial group element preserves the label classes."""
-    for p in group.elements:
-        if all(labels[p[v]] == labels[v] for v in range(len(labels))):
-            if any(p[v] != v for v in range(len(labels))):
-                return True
+def _support_table(group: PermGroup) -> list[tuple[itemgetter, itemgetter]]:
+    """The nontrivial elements, fewest moved points first, each as a pair
+    of getters: one over the points it moves and one over their images.
+
+    A labelling is preserved by the element exactly when both getters read
+    the same labels from it. An element that moves few points preserves
+    the most labellings, so a scan in this order usually stops early.
+    """
+    points = range(group.degree)
+    fixed = lambda p: sum(map(eq, p, points))
+    table = []
+    # the sorted elements start with the identity
+    for p in sorted(group.elements[1:], key=fixed, reverse=True):
+        at = itemgetter(*compress(points, map(ne, p, points)))
+        table.append((at, itemgetter(*at(p))))
+    return table
+
+
+def _preserving_automorphism(table, labels) -> bool:
+    """Whether some element of the support table preserves the label classes."""
+    for at, to in table:
+        if at(labels) == to(labels):
+            return True
     return False
 
 
@@ -104,11 +133,12 @@ def _asymmetric_partition(group: PermGroup, class_counts) -> tuple[tuple[int, ..
     """The first partition, over each class count in turn, that no
     nontrivial element preserves (None if there is none), and the number
     of partitions examined."""
+    table = _support_table(group)
     examined = 0
     for classes in class_counts:
         for labels in _partitions_with_classes(group.degree, classes):
             examined += 1
-            if not _preserving_automorphism(group, labels):
+            if not _preserving_automorphism(table, labels):
                 return labels, examined
     return None, examined
 
@@ -162,8 +192,9 @@ def _motion_of(group: PermGroup) -> int:
     trivial group, which raises rather than returning a sentinel."""
     if group.is_trivial():
         raise AsymmetricGraphError("graph has no nontrivial automorphism; motion is undefined")
-    identity = identity_perm(group.degree)
-    return min(sum(1 for v, w in enumerate(p) if v != w) for p in group.elements if p != identity)
+    points = range(group.degree)
+    # the sorted elements start with the identity; the rest are nontrivial
+    return group.degree - max(sum(map(eq, p, points)) for p in group.elements[1:])
 
 
 def motion_report(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
@@ -180,6 +211,13 @@ def motion(graph: Graph, cap: int = DEFAULT_CAP) -> int:
     return motion_report(graph, cap).value
 
 
+def _motion_hypothesis(motion_value: int, order: int) -> bool:
+    """The motion lemma's hypothesis ``2^(m/2) >= |Aut|``, tested exactly
+    in integers as ``2^m >= |Aut|^2`` (a float ``2.0 ** (m / 2)``
+    overflows once m exceeds 2046)."""
+    return 2**motion_value >= order**2
+
+
 def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     """Check the motion hypothesis 2^(m/2) >= |Aut| and, when it holds,
     exhaustively find the promised asymmetric 2-colouring.
@@ -190,7 +228,7 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     start = time.perf_counter()
     group = automorphism_group(graph, cap=cap)
     m = _motion_of(group)
-    hypothesis = 2.0 ** (m / 2) >= group.order
+    hypothesis = _motion_hypothesis(m, group.order)
     details = {"motion": m, "aut-order": group.order}
     if not hypothesis:
         return OracleReport(
@@ -205,13 +243,14 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
         raise SearchGuardError(
             f"2-colouring search supports up to {TWO_COLOURING_VERTEX_GUARD} vertices, got {graph.n}"
         )
+    table = _support_table(group)
     tested = 0
     witness = None
     # vertex 0's colour is pinned: swapping the two colours preserves asymmetry
     for mask in range(2 ** (graph.n - 1)):
         labels = (0,) + tuple((mask >> i) & 1 for i in range(graph.n - 1))
         tested += 1
-        if not _preserving_automorphism(group, labels):
+        if not _preserving_automorphism(table, labels):
             witness = labels
             break
     if witness is None:

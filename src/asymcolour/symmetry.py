@@ -83,7 +83,8 @@ class PermGroup:
     ``generators`` is the set it was closed from, or else the elements
     themselves. Construction by :meth:`from_elements` or
     :meth:`from_generators` enforces the element cap; closure itself is
-    only verified by :meth:`validate`, which tests call.
+    only verified by :meth:`validate`, which tests call. The element set
+    behind membership tests is built on the first one.
     """
 
     __slots__ = ("degree", "elements", "generators", "_element_set")
@@ -92,7 +93,7 @@ class PermGroup:
         self.degree = degree
         self.elements = elements
         self.generators = elements if generators is None else generators
-        self._element_set = frozenset(elements)
+        self._element_set = None
 
     @classmethod
     def from_elements(cls, degree: int, elements, cap: int = DEFAULT_CAP) -> "PermGroup":
@@ -144,8 +145,13 @@ class PermGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def _members(self) -> frozenset:
+        if self._element_set is None:
+            self._element_set = frozenset(self.elements)
+        return self._element_set
+
     def __contains__(self, p) -> bool:
-        return tuple(p) in self._element_set
+        return tuple(p) in self._members()
 
     def __eq__(self, other):
         if not isinstance(other, PermGroup):
@@ -175,18 +181,19 @@ class PermGroup:
 
         Quadratic in the order; meant for tests and auditing, not hot paths.
         """
+        members = self._members()
         ident = identity_perm(self.degree)
-        if ident not in self._element_set:
+        if ident not in members:
             raise ValueError("identity missing")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("duplicate elements")
         if tuple(sorted(self.elements)) != self.elements:
             raise ValueError("elements not sorted")
         for p in self.elements:
-            if invert(p) not in self._element_set:
+            if invert(p) not in members:
                 raise ValueError(f"inverse of {p} missing")
             for q in self.elements:
-                if compose(p, q) not in self._element_set:
+                if compose(p, q) not in members:
                     raise ValueError(f"product of {p} and {q} missing")
 
 
@@ -507,6 +514,12 @@ def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> 
     itself, mapping every edge onto an edge already forces non-edges onto
     non-edges, so the per-vertex adjacency checks are sufficient.
 
+    The backtrack is iterative: each depth of the order keeps its pool of
+    candidate images in a flat list, so the depth is not bounded by the
+    interpreter's recursion limit. Before searching, the twin-class floor
+    (:func:`_twin_order_floor`) is compared with ``cap``; a
+    :class:`GroupCapError` raised there carries the floor.
+
     ``colouring`` may be a Colouring or any mapping-like object indexable
     by vertex; images are then restricted to equal colours.
     """
@@ -516,8 +529,11 @@ def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> 
     else:
         colour_key = lambda v: colouring[v]
 
-    if _twin_order_floor(graph, colour_key) > cap:
-        raise GroupCapError(f"automorphism group exceeds cap {cap} (twin classes alone)", cap=cap)
+    floor = _twin_order_floor(graph, colour_key)
+    if floor > cap:
+        raise GroupCapError(
+            f"automorphism group exceeds cap {cap} (twin classes alone give {floor} elements)", cap=cap, floor=floor
+        )
 
     classes = equitable_classes(graph, [colour_key(v) for v in range(n)])
     members: dict[int, list[int]] = {}
@@ -526,56 +542,69 @@ def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> 
 
     # breadth-first assignment order: every later vertex has an earlier
     # neighbour, which keeps candidate sets small
-    order: list[int] = []
-    seen = [False] * n
-    queue = deque([0])
-    seen[0] = True
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in graph.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
+    adjacency = graph.adjacency
+    order = [0]
+    position = [-1] * n
+    position[0] = 0
+    for u in order:
+        for v in adjacency[u]:
+            if position[v] < 0:
+                position[v] = len(order)
+                order.append(v)
+    earlier = [[u for u in adjacency[v] if position[u] < i] for i, v in enumerate(order)]
 
-    earlier_neighbours: list[list[int]] = []
-    position = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        earlier_neighbours.append([u for u in graph.adjacency[v] if position[u] < i])
+    first = [anchors[0] if anchors else -1 for anchors in earlier]
+    rest = [anchors[1:] for anchors in earlier]
+    nbrs = [graph.neighbours(v) for v in range(n)]
 
+    # depth i tries pools[i][pos[i]:] as images of order[i]: the class of
+    # order[0], or the neighbours of the image of order[i]'s first earlier
+    # neighbour
+    pools: list = [None] * n
+    pos = [0] * n
+    pools[0] = members[classes[0]]
     image = [-1] * n
     used = [False] * n
     found: list[Perm] = []
-
-    def extend(i: int) -> None:
-        if i == len(order):
+    last = n - 1
+    i = 0
+    while i >= 0:
+        v = order[i]
+        w = image[v]
+        if w >= 0:
+            used[w] = False
+        pool = pools[i]
+        size = len(pool)
+        k = pos[i]
+        c = classes[v]
+        anchors = rest[i]
+        while k < size:
+            w = pool[k]
+            k += 1
+            if used[w] or classes[w] != c:
+                continue
+            for u in anchors:
+                if w not in nbrs[image[u]]:
+                    break
+            else:
+                break
+        else:
+            image[v] = -1
+            i -= 1
+            continue
+        pos[i] = k
+        image[v] = w
+        used[w] = True
+        if i == last:
             found.append(tuple(image))
             if len(found) > cap:
                 raise GroupCapError(f"automorphism group exceeds cap {cap}", cap=cap)
-            return
-        v = order[i]
-        anchors = earlier_neighbours[i]
-        if anchors:
-            candidates = graph.adjacency[image[anchors[0]]]
-        else:
-            candidates = members[classes[v]]
-        for w in candidates:
-            if used[w] or classes[w] != classes[v]:
-                continue
-            ok = True
-            for u in anchors:
-                if not graph.has_edge(image[u], w):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                extend(i + 1)
-                used[w] = False
-                image[v] = -1
-
-    extend(0)
-    return PermGroup(n, tuple(sorted(found)))
+            continue
+        i += 1
+        pools[i] = adjacency[image[first[i]]]
+        pos[i] = 0
+    found.sort()
+    return PermGroup(n, tuple(found))
 
 
 class _Backtrack:

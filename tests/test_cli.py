@@ -1,11 +1,7 @@
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import asymcolour
 from asymcolour import (
     complete_graph,
     cycle_graph,
@@ -291,19 +287,25 @@ class TestOracleCommand:
         assert f"oracle.search-space {examined}" in lines
         assert len(calls) == 1
 
-    def test_recursion_limit_exits_3_without_traceback(self, tmp_path):
-        # the enumerating search recurses once per vertex
+    def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(1500))
-        env = dict(os.environ, PYTHONPATH=str(Path(asymcolour.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "asymcolour.cli", "oracle", path, "autorder"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 3
-        assert done.stdout == ""
-        assert len(done.stderr.splitlines()) == 1
-        assert done.stderr.startswith("asym: internal error (RecursionError): ")
-        assert "Traceback" not in done.stderr
+        assert 1500 > sys.getrecursionlimit()
+        for quantity, value in (("autorder", 2), ("motion", 1500)):
+            assert main(["oracle", path, quantity]) == 0
+            captured = capsys.readouterr()
+            assert f"oracle.value {value}" in captured.out.splitlines()
+            assert captured.err == ""
+
+    def test_recursion_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken_order(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(oracle, "automorphism_order", broken_order)
+        path = write_graph(tmp_path, cycle_graph(5))
+        assert main(["oracle", path, "autorder"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["asym: internal error (RecursionError): maximum recursion depth exceeded"]
 
     def test_autorder_c5(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(5))

@@ -1,7 +1,11 @@
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from asymcolour import (
     Colouring,
+    automorphism_group,
     build_graph,
     complete_bipartite_graph,
     complete_graph,
@@ -24,7 +28,7 @@ from asymcolour.errors import (
     SearchGuardError,
 )
 
-from .conftest import brute_automorphisms
+from .conftest import brute_automorphisms, connected_graphs
 
 
 def rigid_graph():
@@ -107,6 +111,21 @@ class TestDistinguishingNumber:
             assert sum(1 for _ in oracle._partitions_with_classes(n, c)) == expected
 
 
+class TestSupportTable:
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(max_n=6), st.data())
+    def test_scan_matches_filtered_list_and_bruteforce(self, g, data):
+        labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
+        group = automorphism_group(g)
+        scanned = oracle._preserving_automorphism(oracle._support_table(group), labels)
+        assert scanned == (group.stabilizer(labels).order > 1) == (len(brute_automorphisms(g, labels)) > 1)
+
+    def test_fewest_moved_points_first(self):
+        # K4: 6 transpositions, then 8 three-cycles, then 9 elements moving all four
+        table = oracle._support_table(automorphism_group(complete_graph(4)))
+        assert [len(at((0, 1, 2, 3))) for at, _ in table] == [2] * 6 + [3] * 8 + [4] * 9
+
+
 class TestMotion:
     def test_c5(self):
         assert motion(cycle_graph(5)) == 4
@@ -135,6 +154,16 @@ class TestMotion:
         with pytest.raises(AsymmetricGraphError):
             motion(rigid_graph())
 
+    def test_matches_naive_minimum_on_corpus(self, corpus):
+        for g in corpus:
+            elements = automorphism_group(g).elements
+            nontrivial = [p for p in elements if p != tuple(range(g.n))]
+            if not nontrivial:
+                with pytest.raises(AsymmetricGraphError):
+                    motion(g)
+                continue
+            assert motion(g) == min(sum(1 for v in range(g.n) if p[v] != v) for p in nontrivial)
+
 
 class TestMotionLemma:
     def test_path5_colouring_found(self):
@@ -161,6 +190,19 @@ class TestMotionLemma:
     def test_rigid_rejected(self):
         with pytest.raises(AsymmetricGraphError):
             motion_lemma_check(rigid_graph())
+
+    @pytest.mark.parametrize(
+        "m,order,holds",
+        [(4, 4, True), (3, 3, False), (3, 2, True), (5000, 2**2500, True), (5000, 2**2500 + 1, False)],
+        ids=["m4-order4", "m3-order3", "m3-order2", "m5000-order2^2500", "m5000-order2^2500+1"],
+    )
+    def test_hypothesis_is_exact(self, m, order, holds):
+        assert oracle._motion_hypothesis(m, order) is holds
+
+    def test_large_motion_reaches_the_vertex_guard(self):
+        # motion 2100 and order 2: a float 2.0 ** (m / 2) overflows here
+        with pytest.raises(SearchGuardError, match="up to 20 vertices"):
+            motion_lemma_check(path_graph(2100))
 
     def test_kv_lines(self):
         report = motion_lemma_check(complete_graph(2))

@@ -112,8 +112,30 @@ class TestAutomorphismGroup:
         # a star's leaves are twins; the factorial floor triggers before search
         from asymcolour import complete_bipartite_graph
 
-        with pytest.raises(GroupCapError):
+        with pytest.raises(GroupCapError) as raised:
             automorphism_group(complete_bipartite_graph(1, 9), cap=1000)
+        assert raised.value.cap == 1000
+        assert raised.value.floor == math.factorial(9) == 362_880
+        assert "362880" in str(raised.value)
+
+    def test_path_longer_than_the_recursion_limit(self):
+        n = 1500
+        assert n > sys.getrecursionlimit()
+        group = automorphism_group(path_graph(n))
+        assert group.order == 2
+        assert group.elements[1] == tuple(reversed(range(n)))
+
+    def test_cycle_longer_than_the_recursion_limit(self):
+        g = cycle_graph(1200)
+        assert g.n > sys.getrecursionlimit()
+        assert automorphism_group(g).order == coloured_automorphisms(g).order == 2400
+
+    def test_element_set_is_built_on_first_membership_test(self):
+        group = automorphism_group(cycle_graph(5))
+        assert group._element_set is None
+        assert (1, 2, 3, 4, 0) in group
+        assert (1, 0, 2, 3, 4) not in group
+        assert group._element_set == frozenset(group.elements)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_n=6))
