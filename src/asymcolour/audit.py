@@ -11,8 +11,9 @@ construction's coloured automorphism search and lists no elements. The
 stabilizer of ``c_k`` is keyed by each vertex's colour and distance from
 the root, and each running stabilizer also by the vertex's induced block
 colours. Orders, orbits, monotonicity and the fixed blocks are read from
-generators; the embedded final stabilizer is compared with the closure of
-the recomputed generators. The audit shares none of the construction's
+generators; the embedded final stabilizer, which the construction lists
+as products of transversals, is compared with the closure of the
+recomputed generators. The audit shares none of the construction's
 control flow either, so a bookkeeping bug in one of the two shows up as a
 failed check.
 """

@@ -32,16 +32,11 @@ class GraphFormatError(ValueError):
 
 
 class GroupCapError(RuntimeError):
-    """A permutation group grew past the configured element cap.
+    """A permutation group grew past the configured element cap."""
 
-    ``floor``, when set, is the lower bound on the group's order that
-    exceeded the cap before any element was listed.
-    """
-
-    def __init__(self, message, cap=None, floor=None):
+    def __init__(self, message, cap=None):
         super().__init__(message)
         self.cap = cap
-        self.floor = floor
 
 
 class DomainNotInvariantError(ValueError):

@@ -5,13 +5,15 @@ is sampled, so oracle output is admissible as test ground truth. Sizes
 are protected by guards, not by approximation.
 
 The enumerating oracles (``motion``, ``dnumber``, ``autorder`` and the
-motion lemma) list ``Aut(G)`` once, by the iterative
-:func:`~asymcolour.symmetry.automorphism_group`, so graph size is bounded
-by the element cap, not by the interpreter's recursion limit. The motion
-is read off the element list directly. A scan over labellings (colour
-partitions, 2-colourings) first orders the nontrivial elements by the
-number of points they move, fewest first, and tests each labelling
-against that table with C-level getters. The asymmetry and
+motion lemma) list ``Aut(G)`` once, by
+:func:`~asymcolour.symmetry.automorphism_group`: the audit's coset search
+finds a strong generating set, and its products of transversals are the
+elements. The exact order is compared with the element cap before any
+element is listed, so the cap, not the graph's size, bounds the work.
+The motion is read off the element list directly. A scan over
+labellings (colour partitions, 2-colourings) first orders the nontrivial
+elements by the number of points they move, fewest first, and tests each
+labelling against that table with C-level getters. The asymmetry and
 interior-support oracles list no elements: they use the coloured
 search.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from operator import eq, itemgetter, ne
 
 from .colouring import Colouring, numeric
@@ -64,11 +66,10 @@ class OracleReport:
         return lines
 
 
-def is_asymmetric(graph: Graph, colouring, cap: int = DEFAULT_CAP) -> bool:
+def is_asymmetric(graph: Graph, colouring) -> bool:
     """True iff only the identity automorphism preserves the colouring.
 
-    Decided by the exhaustive coloured search, which lists no elements, so
-    ``cap`` never applies; it is kept for a uniform oracle signature.
+    Decided by the exhaustive coloured search, which lists no elements.
     """
     return coloured_automorphisms(graph, colouring).is_trivial()
 
@@ -83,24 +84,30 @@ def _partitions_with_classes(n: int, classes: int):
     """All surjective colourings of 0..n-1 with exactly the given number of
     colour classes, one representative per colour renaming.
 
-    Enumerated as restricted growth strings: class labels appear in first-
-    use order, which quotients out colour permutations exactly. Vertex 0
-    always has label 0, pinning one orbit representative's colour.
+    Enumerated as restricted growth strings in lexicographic order: class
+    labels appear in first-use order, which quotients out colour
+    permutations exactly. Vertex 0 always has label 0, pinning one orbit
+    representative's colour. Each string is the previous one with its
+    rightmost label that can grow increased, and the labels after it
+    reset to the least completion that still uses every class.
     """
-    labels = [0] * n
-
-    def grow(i: int, used: int):
-        if n - i < classes - used:
+    if not 1 <= classes <= n:
+        return
+    labels = [0] * (n - classes + 1) + list(range(1, classes))
+    while True:
+        yield tuple(labels)
+        peak = list(accumulate(labels, max))  # peak[i] is the largest of labels[:i + 1]
+        for i in range(n - 1, 0, -1):
+            grown = labels[i] + 1
+            top = max(peak[i - 1], grown)
+            # a label exceeds every earlier one by at most 1, and the labels
+            # after it must leave room for every class above the top one
+            if grown <= peak[i - 1] + 1 and grown < classes and n - 1 - i >= classes - 1 - top:
+                break
+        else:
             return
-        if i == n:
-            if used == classes:
-                yield tuple(labels)
-            return
-        for c in range(min(used + 1, classes)):
-            labels[i] = c
-            yield from grow(i + 1, max(used, c + 1))
-
-    yield from grow(1, 1) if n > 1 else iter([(0,)] if classes == 1 else [])
+        labels[i] = grown
+        labels[i + 1:] = [0] * (n - 1 - i - (classes - 1 - top)) + list(range(top + 1, classes))
 
 
 def _support_table(group: PermGroup) -> list[tuple[itemgetter, itemgetter]]:
@@ -266,7 +273,7 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     )
 
 
-def interior_support_check(graph: Graph, root: int, truncation_radius: int, cap: int = DEFAULT_CAP) -> bool:
+def interior_support_check(graph: Graph, root: int, truncation_radius: int) -> bool:
     """True iff no nontrivial automorphism moves only vertices strictly
     inside the truncation ball.
 
@@ -274,7 +281,7 @@ def interior_support_check(graph: Graph, root: int, truncation_radius: int, cap:
     automorphism fixing the outermost sphere and beyond pointwise is the
     identity, which is the finite stand-in for the extension argument on
     infinite graphs. Decided by :func:`exterior_stabilizer`, which lists
-    no elements, so ``cap`` never applies.
+    no elements.
     """
     return exterior_stabilizer(graph, root, truncation_radius).is_trivial()
 

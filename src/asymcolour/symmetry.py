@@ -1,28 +1,28 @@
-"""Permutations and the two representations of permutation groups.
+"""Permutations and the two kinds of permutation group.
 
-The construction holds every group it uses as ``Aut(G, c)`` for some
-vertex colouring ``c``, by a base and a strong generating set
-(:class:`SGSGroup`, from :func:`coloured_automorphisms`). The search is
-individualisation and refinement (McKay & Piperno 2014), so the order is
-the product of the basic orbit lengths and never needs a list of
-elements. Every subgroup the construction needs is ``Aut(G, c')`` for a
-finer colouring ``c'``, taken by :meth:`SGSGroup.stabilizer`.
+Every group is ``Aut(G, c)`` for some vertex colouring ``c``, held by a
+base and a strong generating set (:class:`SGSGroup`), so the order is the
+product of the basic orbit lengths. Two independent searches build one:
 
-The audit's independent route is :func:`coset_search`, Sims' backtrack
-over vertex images that keeps one automorphism per coset and returns a
-:class:`GeneratedGroup` by generators and basic orbit lengths. Its
-iterative backtrack is pruned only by the caller's vertex keys and by
-adjacency, so it uses none of the construction's search or refinement
-code, and it lists no elements.
+- the construction's :func:`coloured_automorphisms`, individualisation
+  and refinement (McKay & Piperno 2014); every subgroup the construction
+  needs is ``Aut(G, c')`` for a finer colouring ``c'``, taken by
+  :meth:`SGSGroup.stabilizer`;
+- the audit's :func:`coset_search`, Sims' backtrack over vertex images
+  that keeps one automorphism per coset, pruned only by the caller's
+  vertex keys and by adjacency, so it uses none of the construction's
+  search or refinement code.
 
-:class:`PermGroup` is the explicit element list, the one representation
-that lists elements. It is built only by the exhaustive
-:func:`automorphism_group` (the enumerating oracles' route), for the small
-final stabilizer embedded in a trace (and the audit's comparison with it),
-and as the tests' reference filter. A configurable element cap (default
-10**6) turns a list that would grow too long into a hard error.
+:class:`PermGroup` is the explicit element list. The one listing route is
+:meth:`SGSGroup.enumerate`, products of transversals, which compares the
+exact order with an element cap (default 10**6) before it lists anything.
+It lists the enumerating oracles' ``Aut(G)`` (:func:`automorphism_group`,
+from :func:`coset_search`) and the small final stabilizer embedded in a
+trace. The audit checks that embed against :meth:`PermGroup.from_generators`,
+the closure of its own generators; the tests filter lists with
+:meth:`PermGroup.stabilizer`.
 
-Every group kind carries ``generators``, and :func:`orbits`,
+Both group kinds carry ``generators``, and :func:`orbits`,
 :func:`fixes_block` and :func:`minimal_fixing_set` read only those.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
+from operator import itemgetter
 
 from .errors import (
     DomainNotInvariantError,
@@ -197,28 +198,6 @@ class PermGroup:
                     raise ValueError(f"product of {p} and {q} missing")
 
 
-def _twin_order_floor(graph: Graph, colour_key) -> int:
-    """A cheap lower bound on |Aut|: products of factorials of twin classes.
-
-    Vertices sharing the same colour and the same open (or the same closed)
-    neighbourhood can be permuted freely among themselves, so each twin
-    class of size t contributes t! automorphisms. Used to fail fast on the
-    cap before enumerating anything.
-    """
-    bound = 1
-    for closed in (False, True):
-        classes: dict[tuple, int] = {}
-        for v in range(graph.n):
-            nbhd = graph.neighbours(v) | {v} if closed else graph.neighbours(v)
-            key = (closed, colour_key(v), nbhd)
-            classes[key] = classes.get(key, 0) + 1
-        size = 1
-        for count in classes.values():
-            size *= math.factorial(count)
-        bound = max(bound, size)
-    return bound
-
-
 def _class_ids(keys) -> list[int]:
     """Number the distinct keys in order of first appearance."""
     ids: dict = {}
@@ -342,11 +321,12 @@ def equitable_classes(graph: Graph, colours) -> list[int]:
 class SGSGroup:
     """``Aut(G, c)`` held by a base and a strong generating set.
 
-    ``colours`` are the colour ids of ``c``. ``base[j]`` is the vertex
-    individualised at level ``j`` of the search, and the generators that
-    fix ``base[:j]`` move ``base[j]`` around its whole orbit in the
-    pointwise stabilizer of ``base[:j]``, of size ``orbit_lengths[j]``.
-    The order is the product of those lengths. Subgroups are taken by
+    ``colours`` are the colour ids of ``c``. The generators that fix
+    ``base[:j]`` move ``base[j]`` around its whole orbit in the pointwise
+    stabilizer of ``base[:j]``, of size ``orbit_lengths[j]``. The order is
+    the product of those lengths. Built by :func:`_search` (the base is
+    the individualised vertices) and by :func:`coset_search` (the base is
+    the levels with more than one image). Subgroups are taken by
     :meth:`stabilizer`; elements are listed only on request, by
     :meth:`enumerate`, under the element cap.
     """
@@ -387,8 +367,36 @@ class SGSGroup:
         return _search(self.graph, _class_ids(zip(self.colours, (keys[v] for v in domain))))
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> PermGroup:
-        """The explicit element list: the closure of the generators."""
-        return PermGroup.from_generators(self.degree, self.generators, cap=cap)
+        """The sorted element list, as products of transversals (Sims 1970).
+
+        The exact order is checked against ``cap`` before anything is
+        listed. From the deepest level up, the pointwise stabilizer of
+        ``base[:j]`` is the union, over the orbit of ``base[j]``, of the
+        previous level's list composed with the inverse of a coset
+        representative; the identity's coset is the previous list itself.
+        """
+        order = self.order
+        if order > cap:
+            raise GroupCapError(f"group has {order} elements, cap is {cap}", cap=cap)
+        base = self.base
+        moved_at = [next(j for j, b in enumerate(base) if g[b] != b) for g in self.generators]
+        elements = [identity_perm(self.degree)]
+        for j in reversed(range(len(base))):
+            generators = [g for g, m in zip(self.generators, moved_at) if m >= j]
+            # representatives[u] maps base[j] to u
+            representatives = {base[j]: identity_perm(self.degree)}
+            orbit = [base[j]]
+            for u in orbit:
+                for g in generators:
+                    if g[u] not in representatives:
+                        representatives[g[u]] = compose(g, representatives[u])
+                        orbit.append(g[u])
+            previous = elements
+            elements = previous[:]
+            for u in orbit[1:]:
+                elements.extend(map(itemgetter(*invert(representatives[u])), previous))
+        elements.sort()
+        return PermGroup(self.degree, tuple(elements))
 
 
 def coloured_automorphisms(graph: Graph, colouring=None) -> SGSGroup:
@@ -505,108 +513,6 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
     return None
 
 
-def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> PermGroup:
-    """All adjacency-preserving bijections, optionally colour-preserving.
-
-    Exhaustive backtracking over vertex images in breadth-first order from
-    vertex 0, pruned by the refined vertex classes and by adjacency with
-    already-assigned neighbours. For a bijection of a finite graph to
-    itself, mapping every edge onto an edge already forces non-edges onto
-    non-edges, so the per-vertex adjacency checks are sufficient.
-
-    The backtrack is iterative: each depth of the order keeps its pool of
-    candidate images in a flat list, so the depth is not bounded by the
-    interpreter's recursion limit. Before searching, the twin-class floor
-    (:func:`_twin_order_floor`) is compared with ``cap``; a
-    :class:`GroupCapError` raised there carries the floor.
-
-    ``colouring`` may be a Colouring or any mapping-like object indexable
-    by vertex; images are then restricted to equal colours.
-    """
-    n = graph.n
-    if colouring is None:
-        colour_key = lambda v: 0
-    else:
-        colour_key = lambda v: colouring[v]
-
-    floor = _twin_order_floor(graph, colour_key)
-    if floor > cap:
-        raise GroupCapError(
-            f"automorphism group exceeds cap {cap} (twin classes alone give {floor} elements)", cap=cap, floor=floor
-        )
-
-    classes = equitable_classes(graph, [colour_key(v) for v in range(n)])
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(classes[v], []).append(v)
-
-    # breadth-first assignment order: every later vertex has an earlier
-    # neighbour, which keeps candidate sets small
-    adjacency = graph.adjacency
-    order = [0]
-    position = [-1] * n
-    position[0] = 0
-    for u in order:
-        for v in adjacency[u]:
-            if position[v] < 0:
-                position[v] = len(order)
-                order.append(v)
-    earlier = [[u for u in adjacency[v] if position[u] < i] for i, v in enumerate(order)]
-
-    first = [anchors[0] if anchors else -1 for anchors in earlier]
-    rest = [anchors[1:] for anchors in earlier]
-    nbrs = [graph.neighbours(v) for v in range(n)]
-
-    # depth i tries pools[i][pos[i]:] as images of order[i]: the class of
-    # order[0], or the neighbours of the image of order[i]'s first earlier
-    # neighbour
-    pools: list = [None] * n
-    pos = [0] * n
-    pools[0] = members[classes[0]]
-    image = [-1] * n
-    used = [False] * n
-    found: list[Perm] = []
-    last = n - 1
-    i = 0
-    while i >= 0:
-        v = order[i]
-        w = image[v]
-        if w >= 0:
-            used[w] = False
-        pool = pools[i]
-        size = len(pool)
-        k = pos[i]
-        c = classes[v]
-        anchors = rest[i]
-        while k < size:
-            w = pool[k]
-            k += 1
-            if used[w] or classes[w] != c:
-                continue
-            for u in anchors:
-                if w not in nbrs[image[u]]:
-                    break
-            else:
-                break
-        else:
-            image[v] = -1
-            i -= 1
-            continue
-        pos[i] = k
-        image[v] = w
-        used[w] = True
-        if i == last:
-            found.append(tuple(image))
-            if len(found) > cap:
-                raise GroupCapError(f"automorphism group exceeds cap {cap}", cap=cap)
-            continue
-        i += 1
-        pools[i] = adjacency[image[first[i]]]
-        pos[i] = 0
-    found.sort()
-    return PermGroup(n, tuple(found))
-
-
 class _Backtrack:
     """Backtracking over vertex images in breadth-first order from
     ``start``, pruned only by the vertex ``keys`` and by adjacency with
@@ -685,44 +591,19 @@ class _Backtrack:
             stack.append(candidates(i))
 
 
-class GeneratedGroup:
-    """A permutation group held by generators and basic orbit lengths.
-
-    ``orbit_lengths`` are the lengths of the basic orbits that have more
-    than one point, so the order is their product. Built by
-    :func:`coset_search`; elements are never listed.
-    """
-
-    __slots__ = ("degree", "generators", "orbit_lengths")
-
-    def __init__(self, degree: int, generators, orbit_lengths):
-        self.degree = degree
-        self.generators = tuple(generators)
-        self.orbit_lengths = tuple(orbit_lengths)
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.orbit_lengths)
-
-    def is_trivial(self) -> bool:
-        return not self.generators
-
-    def __repr__(self):
-        return f"GeneratedGroup(degree={self.degree}, order={self.order})"
-
-
-def coset_search(graph: Graph, keys) -> GeneratedGroup:
+def coset_search(graph: Graph, keys) -> SGSGroup:
     """The automorphisms preserving the vertex keys, by Sims' backtrack
     that keeps one automorphism per coset (Sims 1970; Butler 1991, ch. 10).
 
-    The base is the breadth-first order from a vertex of a smallest key
+    The levels are the breadth-first order from a vertex of a smallest key
     class. From the deepest level up, each level's candidate images of its
-    base point, with every earlier base point fixed, are tried unless the
-    generators found so far already reach them; a backtrack search
+    point, with every earlier point fixed, are tried unless the generators
+    found so far already reach them; a backtrack search
     (:class:`_Backtrack`, pruned only by keys and adjacency) stops at the
-    first automorphism that maps the base point there. Every generator
-    found at a level fixes the base points before it and each level tries
-    every candidate, so the orbit lengths are exact. Levels with a single
+    first automorphism that maps the point there. Every generator found at
+    a level fixes the points before it and each level tries every
+    candidate, so the orbit lengths are exact. The base is the points of
+    the levels whose orbit has more than one point. Levels with a single
     candidate are skipped, and keys that are all distinct give the trivial
     group at once.
     """
@@ -730,7 +611,7 @@ def coset_search(graph: Graph, keys) -> GeneratedGroup:
     keys = _class_ids(keys[v] for v in range(n))
     if keys[-1] == n - 1:
         # ids are numbered in order of first appearance: all keys differ
-        return GeneratedGroup(n, (), ())
+        return SGSGroup(graph, keys, (), (), ())
     sizes = [0] * n
     for key in keys:
         sizes[key] += 1
@@ -740,7 +621,7 @@ def coset_search(graph: Graph, keys) -> GeneratedGroup:
         image[v] = v
         used[v] = True
     generators: list[Perm] = []
-    orbit_lengths = []
+    levels = []  # (point, orbit length), deepest first
     for i in reversed(range(n)):
         b = order[i]
         image[b] = -1
@@ -765,8 +646,25 @@ def coset_search(graph: Graph, keys) -> GeneratedGroup:
                 generators.append(found)
                 orbit = _orbit(b, generators)
         if len(orbit) > 1:
-            orbit_lengths.append(len(orbit))
-    return GeneratedGroup(n, generators, orbit_lengths)
+            levels.append((b, len(orbit)))
+    levels.reverse()
+    return SGSGroup(graph, keys, [b for b, _ in levels], generators, [length for _, length in levels])
+
+
+def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> PermGroup:
+    """All adjacency-preserving bijections, optionally colour-preserving,
+    as a sorted element list.
+
+    Listed by :meth:`SGSGroup.enumerate` from :func:`coset_search` keyed
+    by the colouring's 1-WL classes (:func:`equitable_classes`), which
+    every such bijection preserves; the classes keep the search's
+    candidate sets small. The exact order is compared with ``cap`` before
+    any element is listed. ``colouring`` may be a Colouring or any
+    sequence indexable by vertex; images are then restricted to equal
+    colours.
+    """
+    colours = [0] * graph.n if colouring is None else [colouring[v] for v in range(graph.n)]
+    return coset_search(graph, equitable_classes(graph, colours)).enumerate(cap)
 
 
 def orbits(group, domain) -> tuple[tuple[int, ...], ...]:

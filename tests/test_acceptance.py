@@ -124,9 +124,9 @@ def test_criterion_4_truncated_tree_asymmetry():
             tag = f"tree({degree},{radius})"
             graph = truncated_tree(degree, radius)
             try:
-                rigid = interior_support_check(graph, 0, radius, cap=cap)
+                rigid = interior_support_check(graph, 0, radius)
                 colouring, _ = run(graph, 0, cap=cap)
-                asymmetric = is_asymmetric(graph, colouring, cap=cap)
+                asymmetric = is_asymmetric(graph, colouring)
             except GroupCapError as exc:
                 skipped.append(tag)
                 print(f"  {tag}: skipped, {exc}")

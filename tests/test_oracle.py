@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hypothesis import given, settings
@@ -109,6 +111,14 @@ class TestDistinguishingNumber:
         }
         for (n, c), expected in counts.items():
             assert sum(1 for _ in oracle._partitions_with_classes(n, c)) == expected
+
+    def test_partitions_match_filtered_product(self):
+        # restricted growth strings: the labels first appear in the order 0, 1, 2, ...
+        for n in range(1, 8):
+            for c in range(n + 1):
+                brute = [p for p in itertools.product(range(c), repeat=n) if list(dict.fromkeys(p)) == list(range(c))]
+                assert list(oracle._partitions_with_classes(n, c)) == brute, (n, c)
+            assert list(oracle._partitions_with_classes(n, n + 1)) == []
 
 
 class TestSupportTable:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -109,14 +110,25 @@ class TestAutomorphismGroup:
             automorphism_group(complete_graph(7), cap=100)
 
     def test_cap_via_twins(self):
-        # a star's leaves are twins; the factorial floor triggers before search
+        # a star's leaves are twins; the exact order is known before listing
         from asymcolour import complete_bipartite_graph
 
         with pytest.raises(GroupCapError) as raised:
             automorphism_group(complete_bipartite_graph(1, 9), cap=1000)
         assert raised.value.cap == 1000
-        assert raised.value.floor == math.factorial(9) == 362_880
-        assert "362880" in str(raised.value)
+        assert str(math.factorial(9)) == "362880" in str(raised.value)
+
+    def test_cap_is_exact(self):
+        assert automorphism_group(complete_graph(7), cap=5040).order == 5040
+        with pytest.raises(GroupCapError):
+            automorphism_group(complete_graph(7), cap=5039)
+
+    def test_cap_fails_fast_on_a_deep_tree(self):
+        # keyed by degree alone the coset search takes minutes here
+        start = time.perf_counter()
+        with pytest.raises(GroupCapError):
+            automorphism_group(truncated_tree(3, 6))
+        assert time.perf_counter() - start < 1.0
 
     def test_path_longer_than_the_recursion_limit(self):
         n = 1500
@@ -269,6 +281,7 @@ class TestCosetSearch:
         assert searched.order == filtered.order == len(brute)
         assert orbits(searched, range(g.n)) == orbits(filtered, range(g.n))
         assert PermGroup.from_generators(g.n, searched.generators).elements == tuple(brute)
+        assert searched.enumerate().elements == tuple(brute)
 
     @pytest.mark.parametrize("degree,radius,expected", [(5, 2, 955_514_880), (4, 3, 67_706_637_778_944)])
     def test_tree_orders(self, degree, radius, expected):
