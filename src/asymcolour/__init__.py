@@ -60,6 +60,7 @@ from .symmetry import (
     PermGroup,
     SGSGroup,
     automorphism_group,
+    automorphism_sgs,
     block_stabilizer,
     chain_length_bound,
     coloured_automorphisms,

@@ -12,10 +12,13 @@ construction promised, or the interpreter's recursion limit reached.
 failure kinds stay distinguishable.
 
 The group cap bounds only element lists, which ``colour`` builds for the
-embedded final stabilizer and ``oracle`` for the enumerating quantities;
-``verify`` lists none and takes no cap. On those two commands the ASYM_CAP
-environment variable overrides the default cap; an explicit --cap flag
-wins over both.
+embedded final stabilizer and ``oracle`` where a scan needs the elements:
+``dnumber``, ``motion`` unless a strong generator moving two points
+settles it, and ``motion-lemma`` once its hypothesis holds. ``autorder``
+reads the order off the strong generating set and lists nothing, and
+``verify`` lists none and takes no cap. On ``colour`` and ``oracle`` the
+ASYM_CAP environment variable overrides the default cap; an explicit
+--cap flag wins over both.
 """
 
 from __future__ import annotations
@@ -274,8 +277,7 @@ def cmd_oracle(args) -> int:
         elif args.quantity == "dnumber":
             report = oracle.distinguishing_report(graph, args.max_colours, cap=cap)
         elif args.quantity == "autorder":
-            value = oracle.automorphism_order(graph, cap=cap)
-            report = oracle.OracleReport("autorder", value, value, time.perf_counter() - start)
+            report = oracle.autorder_report(graph)
         elif args.quantity == "motion-lemma":
             report = oracle.motion_lemma_check(graph, cap=cap)
         else:

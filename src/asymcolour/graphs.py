@@ -8,8 +8,9 @@ from the root for trees) so that repeated runs are bit-reproducible.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     DisconnectedError,
@@ -28,13 +29,14 @@ class Graph:
     adjacency); ``family_tag`` is descriptive metadata.
     """
 
-    __slots__ = ("n", "adjacency", "family_tag", "_adjsets")
+    __slots__ = ("n", "adjacency", "family_tag", "max_degree", "_adjsets")
 
     def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...], family_tag: str | None = None):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "family_tag", family_tag)
-        object.__setattr__(self, "_adjsets", tuple(frozenset(a) for a in adjacency))
+        object.__setattr__(self, "max_degree", max(map(len, adjacency), default=0))
+        object.__setattr__(self, "_adjsets", tuple(map(frozenset, adjacency)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -54,10 +56,6 @@ class Graph:
     @property
     def vertex_count(self) -> int:
         return self.n
-
-    @property
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
 
     @property
     def edge_count(self) -> int:
@@ -82,11 +80,12 @@ def build_graph(vertex_count: int, edges, family_tag: str | None = None) -> Grap
 
     Rejects self-loops, duplicate edges, out-of-range endpoints, and
     disconnected graphs, each with its own error type. Adjacency lists in
-    the result are sorted ascending.
+    the result are sorted ascending. A connected graph on n vertices has
+    at least n - 1 edges, so a vertex count beyond that is rejected from
+    the edges alone, before anything is sized by it.
     """
     if vertex_count < 1:
         raise GraphStructureError(f"graph needs at least one vertex, got {vertex_count}")
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
@@ -97,24 +96,35 @@ def build_graph(vertex_count: int, edges, family_tag: str | None = None) -> Grap
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge ({key[0]}, {key[1]})")
         seen.add(key)
+    if vertex_count > len(seen) + 1:
+        touching: defaultdict[int, list[int]] = defaultdict(list)
+        for u, v in seen:
+            touching[u].append(v)
+            touching[v].append(u)
+        _check_connected(vertex_count, touching)
+    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in seen:
         adj[u].append(v)
         adj[v].append(u)
-    graph = Graph(vertex_count, tuple(tuple(sorted(a)) for a in adj), family_tag)
-    _check_connected(graph)
+    graph = Graph(vertex_count, tuple(map(tuple, map(sorted, adj))), family_tag)
+    _check_connected(vertex_count, graph.adjacency)
     return graph
 
 
-def _check_connected(graph: Graph) -> None:
+def _check_connected(n: int, neighbours) -> None:
+    """Raise unless every vertex of 0..n-1 is reached from 0 through
+    ``neighbours[u]``, naming the smallest vertex that is not; nothing is
+    sized by n."""
     reached = {0}
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in graph.adjacency[u]:
+        for v in neighbours[u]:
             if v not in reached:
                 reached.add(v)
                 queue.append(v)
-    if len(reached) != graph.n:
-        missing = min(set(range(graph.n)) - reached)
+    if len(reached) != n:
+        missing = next(v for v in count() if v not in reached)
         raise DisconnectedError(f"graph is disconnected (vertex {missing} unreachable from 0)")
 
 

@@ -4,18 +4,23 @@ Every search here is exhaustive over an explicitly bounded space; nothing
 is sampled, so oracle output is admissible as test ground truth. Sizes
 are protected by guards, not by approximation.
 
-The enumerating oracles (``motion``, ``dnumber``, ``autorder`` and the
-motion lemma) list ``Aut(G)`` once, by
-:func:`~asymcolour.symmetry.automorphism_group`: the audit's coset search
-finds a strong generating set, and its products of transversals are the
-elements. The exact order is compared with the element cap before any
-element is listed, so the cap, not the graph's size, bounds the work.
-The motion is read off the element list directly. A scan over
-labellings (colour partitions, 2-colourings) first orders the nontrivial
-elements by the number of points they move, fewest first, and tests each
-labelling against that table with C-level getters. The asymmetry and
-interior-support oracles list no elements: they use the coloured
-search.
+``Aut(G)`` is read as a base and strong generating set,
+:func:`~asymcolour.symmetry.automorphism_sgs` (the audit's coset search).
+``autorder`` is its order, the product of the basic orbit lengths, and
+lists nothing. The fewest points moved by a strong generator bounds the
+motion from above, and every nontrivial permutation moves at least two,
+so a generator that moves two settles the motion without a listing; the
+motion lemma takes both numbers from the same generating set. The
+elements are listed once, as products of transversals, only where the
+motion is not settled so, and where labellings are scanned: ``dnumber``,
+and the motion lemma's 2-colourings once its hypothesis holds. The exact
+order is compared with the element cap before any element is listed, so
+the cap, not the graph's size, bounds each listing, and bounds nothing
+else. A scan over labellings (colour partitions, 2-colourings) first
+orders the nontrivial elements by the number of points they move, fewest
+first, and tests each labelling against that table with C-level getters.
+The asymmetry and interior-support oracles list no elements: they use the
+coloured search.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .symmetry import (
     PermGroup,
     SGSGroup,
     automorphism_group,
+    automorphism_sgs,
     coloured_automorphisms,
 )
 
@@ -194,22 +200,35 @@ def distinguishing_witness(graph: Graph, classes: int, cap: int = DEFAULT_CAP) -
     return _asymmetric_partition(automorphism_group(graph, cap=cap), (classes,))[0]
 
 
-def _motion_of(group: PermGroup) -> int:
-    """The fewest points a nontrivial element moves; undefined for the
-    trivial group, which raises rather than returning a sentinel."""
+def _motion(group: SGSGroup, cap: int) -> tuple[int, PermGroup | None]:
+    """The fewest points a nontrivial element moves, with the element list
+    scanned to find it, or None when a strong generator settles it.
+
+    A generator that moves two points gives the motion at once, since no
+    nontrivial permutation moves fewer; otherwise every element is listed
+    under ``cap`` and scanned. Undefined for the trivial group, which
+    raises rather than returning a sentinel.
+    """
     if group.is_trivial():
         raise AsymmetricGraphError("graph has no nontrivial automorphism; motion is undefined")
     points = range(group.degree)
+    if min(sum(map(ne, g, points)) for g in group.generators) == 2:
+        return 2, None
+    listed = group.enumerate(cap)
     # the sorted elements start with the identity; the rest are nontrivial
-    return group.degree - max(sum(map(eq, p, points)) for p in group.elements[1:])
+    return group.degree - max(sum(map(eq, p, points)) for p in listed.elements[1:]), listed
 
 
 def motion_report(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
-    """Minimum number of vertices moved by a nontrivial automorphism, with
-    ``|Aut|``, every element of which is examined, as search space."""
+    """Minimum number of vertices moved by a nontrivial automorphism. The
+    search space is the number of strong generators read when one of them
+    settles it, and otherwise ``|Aut|``, every element of which is
+    examined."""
     start = time.perf_counter()
-    group = automorphism_group(graph, cap=cap)
-    return OracleReport("motion", _motion_of(group), group.order, time.perf_counter() - start)
+    group = automorphism_sgs(graph)
+    value, listed = _motion(group, cap)
+    examined = len(group.generators) if listed is None else listed.order
+    return OracleReport("motion", value, examined, time.perf_counter() - start)
 
 
 def motion(graph: Graph, cap: int = DEFAULT_CAP) -> int:
@@ -229,15 +248,18 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     """Check the motion hypothesis 2^(m/2) >= |Aut| and, when it holds,
     exhaustively find the promised asymmetric 2-colouring.
 
-    The hypothesis holding but the search failing would disprove a
-    theorem, so that case raises an internal error instead of reporting.
+    The order and the motion come from one strong generating set; the
+    elements are listed only when the hypothesis holds, for the
+    2-colouring scan, or when the motion needs them. The hypothesis
+    holding but the search failing would disprove a theorem, so that case
+    raises an internal error instead of reporting.
     """
     start = time.perf_counter()
-    group = automorphism_group(graph, cap=cap)
-    m = _motion_of(group)
-    hypothesis = _motion_hypothesis(m, group.order)
-    details = {"motion": m, "aut-order": group.order}
-    if not hypothesis:
+    group = automorphism_sgs(graph)
+    m, listed = _motion(group, cap)
+    order = group.order
+    details = {"motion": m, "aut-order": order}
+    if not _motion_hypothesis(m, order):
         return OracleReport(
             quantity="motion-lemma",
             value="hypothesis-not-satisfied",
@@ -246,11 +268,13 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
             details=details,
         )
 
+    if listed is None:
+        listed = group.enumerate(cap)
     if graph.n > TWO_COLOURING_VERTEX_GUARD:
         raise SearchGuardError(
             f"2-colouring search supports up to {TWO_COLOURING_VERTEX_GUARD} vertices, got {graph.n}"
         )
-    table = _support_table(group)
+    table = _support_table(listed)
     tested = 0
     witness = None
     # vertex 0's colour is pinned: swapping the two colours preserves asymmetry
@@ -301,5 +325,15 @@ def exterior_stabilizer(graph: Graph, root: int, truncation_radius: int) -> SGSG
     return coloured_automorphisms(graph, [-1 if v in interior else v for v in range(graph.n)])
 
 
-def automorphism_order(graph: Graph, cap: int = DEFAULT_CAP) -> int:
-    return automorphism_group(graph, cap=cap).order
+def autorder_report(graph: Graph) -> OracleReport:
+    """``|Aut(G)|``, the product of the basic orbit lengths of its strong
+    generating set, with the number of strong generators as search space.
+    No element is listed, so no cap applies."""
+    start = time.perf_counter()
+    group = automorphism_sgs(graph)
+    return OracleReport("autorder", group.order, len(group.generators), time.perf_counter() - start)
+
+
+def automorphism_order(graph: Graph) -> int:
+    """``|Aut(G)|``; see :func:`autorder_report`."""
+    return autorder_report(graph).value

@@ -16,10 +16,11 @@ product of the basic orbit lengths. Two independent searches build one:
 :class:`PermGroup` is the explicit element list. The one listing route is
 :meth:`SGSGroup.enumerate`, products of transversals, which compares the
 exact order with an element cap (default 10**6) before it lists anything.
-It lists the enumerating oracles' ``Aut(G)`` (:func:`automorphism_group`,
-from :func:`coset_search`) and the small final stabilizer embedded in a
-trace. The audit checks that embed against :meth:`PermGroup.from_generators`,
-the closure of its own generators; the tests filter lists with
+It lists ``Aut(G)`` (:func:`automorphism_group`, from the
+:func:`coset_search` of :func:`automorphism_sgs`) where an oracle scans
+labellings, and the small final stabilizer embedded in a trace. The
+audit checks that embed against :meth:`PermGroup.from_generators`, the
+closure of its own generators; the tests filter lists with
 :meth:`PermGroup.stabilizer`.
 
 Both group kinds carry ``generators``, and :func:`orbits`,
@@ -651,20 +652,25 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     return SGSGroup(graph, keys, [b for b, _ in levels], generators, [length for _, length in levels])
 
 
-def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> PermGroup:
+def automorphism_sgs(graph: Graph, colouring=None) -> SGSGroup:
     """All adjacency-preserving bijections, optionally colour-preserving,
-    as a sorted element list.
+    as base and strong generating set; no element is listed.
 
-    Listed by :meth:`SGSGroup.enumerate` from :func:`coset_search` keyed
-    by the colouring's 1-WL classes (:func:`equitable_classes`), which
-    every such bijection preserves; the classes keep the search's
-    candidate sets small. The exact order is compared with ``cap`` before
-    any element is listed. ``colouring`` may be a Colouring or any
-    sequence indexable by vertex; images are then restricted to equal
-    colours.
+    Found by :func:`coset_search` keyed by the colouring's 1-WL classes
+    (:func:`equitable_classes`), which every such bijection preserves; the
+    classes keep the search's candidate sets small. ``colouring`` may be a
+    Colouring or any sequence indexable by vertex; images are then
+    restricted to equal colours.
     """
     colours = [0] * graph.n if colouring is None else [colouring[v] for v in range(graph.n)]
-    return coset_search(graph, equitable_classes(graph, colours)).enumerate(cap)
+    return coset_search(graph, equitable_classes(graph, colours))
+
+
+def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> PermGroup:
+    """The group of :func:`automorphism_sgs` as a sorted element list,
+    listed by :meth:`SGSGroup.enumerate`, which compares the exact order
+    with ``cap`` before it lists any element."""
+    return automorphism_sgs(graph, colouring).enumerate(cap)
 
 
 def orbits(group, domain) -> tuple[tuple[int, ...], ...]:

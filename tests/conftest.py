@@ -22,6 +22,19 @@ def brute_automorphisms(graph, colouring=None):
     return sorted(found)
 
 
+def vf2_automorphisms(graph, keys=None):
+    """Second independent oracle: networkx's VF2 matcher, listing the
+    isomorphisms of the graph onto itself that preserve the vertex keys."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = nx.Graph()
+    g.add_nodes_from((v, {"key": None if keys is None else keys[v]}) for v in range(graph.n))
+    g.add_edges_from(graph.edges())
+    matcher = GraphMatcher(g, g, node_match=lambda a, b: a["key"] == b["key"])
+    return sorted(tuple(m[v] for v in range(graph.n)) for m in matcher.isomorphisms_iter())
+
+
 def atlas_corpus():
     """All connected graphs on 1..7 vertices, relabelled to 0..n-1."""
     import networkx as nx

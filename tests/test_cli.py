@@ -1,8 +1,11 @@
 import sys
+import tracemalloc
 
 import pytest
 
 from asymcolour import (
+    SGSGroup,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -22,16 +25,16 @@ def write_graph(tmp_path, graph, name="graph.adj"):
     return str(path)
 
 
-def count_aut_builds(monkeypatch):
-    """Count the oracle module's calls of ``automorphism_group``."""
+def count_listings(monkeypatch):
+    """Count the element listings, the calls of ``SGSGroup.enumerate``."""
     calls = []
-    build = oracle.automorphism_group
+    enumerate_elements = SGSGroup.enumerate
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return enumerate_elements(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "automorphism_group", counted)
+    monkeypatch.setattr(SGSGroup, "enumerate", counted)
     return calls
 
 
@@ -87,6 +90,18 @@ class TestColourCommand:
         path = tmp_path / "bad.adj"
         path.write_text("3\n0 1\n", encoding="utf-8")  # disconnected
         assert main(["colour", "--input", str(path)]) == 1
+
+    def test_vertex_count_beyond_the_edges(self, tmp_path, capsys):
+        path = tmp_path / "huge.adj"
+        path.write_text("1000000000000\n0 1\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            assert main(["oracle", str(path), "autorder"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err == "asym: graph is disconnected (vertex 2 unreachable from 0)\n"
 
     # the cap bounds the listed final stabilizer: K5 ends with one of order 2
     def test_cap_exceeded(self, capsys):
@@ -263,13 +278,46 @@ class TestOracleCommand:
         assert "oracle.value 4" in capsys.readouterr().out
 
     def test_motion_lists_aut_once(self, tmp_path, capsys, monkeypatch):
-        calls = count_aut_builds(monkeypatch)
+        calls = count_listings(monkeypatch)
         path = write_graph(tmp_path, cycle_graph(5))
         assert main(["oracle", path, "motion"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "oracle.value 4" in lines
         assert "oracle.search-space 10" in lines
         assert len(calls) == 1
+
+    def test_motion_settled_by_a_generator_lists_nothing(self, tmp_path, capsys, monkeypatch):
+        # a strong generator of Aut(K4) is a transposition
+        calls = count_listings(monkeypatch)
+        path = write_graph(tmp_path, complete_graph(4))
+        assert main(["oracle", path, "motion"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle.value 2" in lines
+        assert "oracle.search-space 3" in lines
+        assert calls == []
+
+    # |Aut(tree(5,2))| = 955,514,880 is beyond the default cap; its 19
+    # strong generators include a transposition of twin leaves
+    @pytest.mark.parametrize(
+        "quantity,value,examined",
+        [("autorder", 955_514_880, 19), ("motion", 2, 19), ("motion-lemma", "hypothesis-not-satisfied", 0)],
+    )
+    def test_answers_beyond_the_cap_without_listing(self, tmp_path, capsys, monkeypatch, quantity, value, examined):
+        calls = count_listings(monkeypatch)
+        path = write_graph(tmp_path, truncated_tree(5, 2))
+        assert main(["oracle", path, quantity]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"oracle.value {value}" in lines
+        assert f"oracle.search-space {examined}" in lines
+        assert calls == []
+
+    def test_dnumber_beyond_the_cap(self, tmp_path, capsys):
+        # K(1,11): 12 vertices, within the vertex guard, and order 11! = 39,916,800
+        path = write_graph(tmp_path, complete_bipartite_graph(1, 11))
+        assert main(["oracle", path, "dnumber"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "group has 39916800 elements, cap is 1000000" in captured.err
 
     def test_dnumber_k4(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_graph(4))
@@ -279,7 +327,7 @@ class TestOracleCommand:
     # 1 + 7 + 6 partitions refuted before (0,1,2,3); 1 + 15 before (0,0,0,1,2)
     @pytest.mark.parametrize("graph,value,examined", [(complete_graph(4), 4, 15), (cycle_graph(5), 3, 17)])
     def test_dnumber_search_space_counts_partitions(self, tmp_path, capsys, monkeypatch, graph, value, examined):
-        calls = count_aut_builds(monkeypatch)
+        calls = count_listings(monkeypatch)
         path = write_graph(tmp_path, graph)
         assert main(["oracle", path, "dnumber"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -300,7 +348,7 @@ class TestOracleCommand:
         def broken_order(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(oracle, "automorphism_order", broken_order)
+        monkeypatch.setattr(oracle, "autorder_report", broken_order)
         path = write_graph(tmp_path, cycle_graph(5))
         assert main(["oracle", path, "autorder"]) == 3
         captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -45,6 +47,12 @@ class TestBuildGraph:
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
             build_graph(3, [(0, 1)])
+
+    # 4 edges could connect 5 vertices but never 6
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_disconnected_names_the_smallest_unreached_vertex(self, n):
+        with pytest.raises(DisconnectedError, match=r"\(vertex 2 unreachable from 0\)"):
+            build_graph(n, [(0, 1), (2, 3), (3, 4), (2, 4)])
 
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
@@ -188,6 +196,16 @@ class TestTextFormat:
     def test_parse_empty(self):
         with pytest.raises(GraphFormatError):
             parse_graph("# nothing\n")
+
+    def test_vertex_count_beyond_the_edges_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError, match=r"\(vertex 2 unreachable from 0\)"):
+                parse_graph("1000000000000\n0 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=60)
     @given(connected_graphs())

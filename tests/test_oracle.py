@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asymcolour import (
     Colouring,
     automorphism_group,
+    automorphism_sgs,
     build_graph,
     complete_bipartite_graph,
     complete_graph,
@@ -30,7 +31,7 @@ from asymcolour.errors import (
     SearchGuardError,
 )
 
-from .conftest import brute_automorphisms, connected_graphs
+from .conftest import brute_automorphisms, connected_graphs, vf2_automorphisms
 
 
 def rigid_graph():
@@ -173,6 +174,38 @@ class TestMotion:
                     motion(g)
                 continue
             assert motion(g) == min(sum(1 for v in range(g.n) if p[v] != v) for p in nontrivial)
+
+
+def moved_counts(elements, n):
+    """The number of points each nontrivial element moves."""
+    return [sum(1 for v in range(n) if p[v] != v) for p in elements if p != tuple(range(n))]
+
+
+class TestMotionFromGenerators:
+    """``motion`` and ``autorder`` read the strong generating set, and list
+    the group only when no generator moves exactly two points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=6))
+    def test_motion_and_order_match_bruteforce(self, g):
+        elements = brute_automorphisms(g)
+        assert oracle.automorphism_order(g) == len(elements)
+        moved = moved_counts(elements, g.n)
+        if not moved:
+            with pytest.raises(AsymmetricGraphError):
+                motion(g)
+        else:
+            assert motion(g) == min(moved)
+
+    @pytest.mark.parametrize(
+        "graph", [cycle_graph(n) for n in range(5, 10)] + [path_graph(5)], ids=lambda g: g.family_tag
+    )
+    def test_twin_free_graphs_list_the_group(self, graph):
+        assert min(moved_counts(automorphism_sgs(graph).generators, graph.n)) > 2
+        elements = vf2_automorphisms(graph)
+        report = oracle.motion_report(graph)
+        assert report.value == min(moved_counts(elements, graph.n))
+        assert report.search_space == len(elements) == oracle.automorphism_order(graph)
 
 
 class TestMotionLemma:

@@ -30,7 +30,7 @@ from asymcolour import (
 from asymcolour.errors import DomainNotInvariantError, GroupCapError, NotAPartitionActionError
 from asymcolour.symmetry import PermGroup, coloured_automorphisms, coset_search, equitable_classes
 
-from .conftest import brute_automorphisms, connected_graphs
+from .conftest import brute_automorphisms, connected_graphs, vf2_automorphisms
 
 perm5 = st.permutations(list(range(5))).map(tuple)
 
@@ -206,7 +206,7 @@ class TestColouredAutomorphisms:
         searched = coloured_automorphisms(g, colours)
         filtered = automorphism_group(g).stabilizer(colours)
         brute = brute_automorphisms(g, colours)
-        assert searched.order == filtered.order == len(brute)
+        assert searched.order == filtered.order == len(brute) == len(vf2_automorphisms(g, colours))
         assert searched.enumerate().elements == filtered.elements == tuple(brute)
         assert orbits(searched, range(g.n)) == orbits(filtered, range(g.n))
         assert searched.is_trivial() == (len(brute) == 1)
@@ -268,8 +268,9 @@ class TestColouredAutomorphisms:
 
 
 class TestCosetSearch:
-    """The audit's search, against brute force, against filtering the
-    enumerated group, and against the AHU tree orders."""
+    """The audit's search, against brute force, against networkx's VF2,
+    against filtering the enumerated group, and against the AHU tree
+    orders."""
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=6), st.data())
@@ -278,7 +279,8 @@ class TestCosetSearch:
         searched = coset_search(g, keys)
         filtered = automorphism_group(g).stabilizer(keys)
         brute = brute_automorphisms(g, keys)
-        assert searched.order == filtered.order == len(brute)
+        # the filtered list comes from coset_search itself; VF2 is independent
+        assert searched.order == filtered.order == len(brute) == len(vf2_automorphisms(g, keys))
         assert orbits(searched, range(g.n)) == orbits(filtered, range(g.n))
         assert PermGroup.from_generators(g.n, searched.generators).elements == tuple(brute)
         assert searched.enumerate().elements == tuple(brute)
