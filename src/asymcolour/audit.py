@@ -31,6 +31,7 @@ from .colouring import (
     ceil_sqrt,
     colour_bound,
     induced_colouring,
+    induced_keys,
     initial_colouring,
     numeric,
 )
@@ -359,15 +360,11 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
 def _running_stabilizer(graph, stabilizer, keys, partitions, state):
     """The elements of ``stabilizer`` preserving the induced block colours
     of every partition, as the automorphisms preserving ``keys`` extended
-    by each vertex's tuple of its blocks' induced colours; the stabilizer
-    itself when every generator already preserves them."""
+    by :func:`~asymcolour.colouring.induced_keys`; the stabilizer itself
+    when every generator already preserves them."""
     if stabilizer.is_trivial():
         return stabilizer
-    keys = list(keys)
-    for blocks in partitions:
-        for block, colour in zip(blocks, induced_colouring(state, blocks)):
-            for v in block:
-                keys[v] += (colour,)
+    keys = [key + induced for key, induced in zip(keys, induced_keys(graph.n, partitions, state))]
     if all(keys[g[v]] == keys[v] for g in stabilizer.generators for v in state):
         return stabilizer
     return coset_search(graph, keys)

@@ -9,7 +9,9 @@ violation, 2 group cap exceeded, 3 a bug surface, not an input problem:
 an internal invariant violated, a group that does not act as the
 construction promised, or the interpreter's recursion limit reached.
 ``verify`` uses 4 for a well-formed colouring that is not asymmetric, so
-failure kinds stay distinguishable.
+failure kinds stay distinguishable. Subcommands raise, and :func:`main`
+maps each exception to its exit code in one place, with one ``asym:``
+line on stderr.
 
 The group cap bounds only element lists, which ``colour`` builds for the
 embedded final stabilizer and ``oracle`` where a scan needs the elements:
@@ -26,8 +28,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import audit, oracle
@@ -39,14 +39,12 @@ from .colouring import (
     serialize_trace,
 )
 from .errors import (
-    AsymmetricGraphError,
     DomainNotInvariantError,
     GroupCapError,
     InternalInvariantError,
     NotAPartitionActionError,
-    SearchGuardError,
 )
-from .graphs import FamilySpec, eccentricity, generate_family, parse_graph
+from .graphs import FamilySpec, generate_family, parse_graph
 from .symmetry import DEFAULT_CAP, chain_length_bound
 
 EXIT_OK = 0
@@ -61,29 +59,16 @@ BUG_SURFACE = (InternalInvariantError, NotAPartitionActionError, DomainNotInvari
 ORACLE_QUANTITIES = ("motion", "dnumber", "autorder", "motion-lemma", "interior-support")
 
 
-@dataclass
-class RunConfig:
-    """Resolved configuration for the colour subcommand."""
-
-    graph_source: str  # description of where the graph came from
-    graph: object
-    root: int
-    horizon: int | None
-    bound_mode: str
-    cap: int
-    out_path: str | None
-    trace_path: str | None
-    report_format: str
-
-
-def _default_cap() -> int:
+def _cap(args) -> int:
+    if args.cap is not None:
+        return args.cap
     env = os.environ.get("ASYM_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(f"asym: invalid ASYM_CAP value {env!r}")
-    return DEFAULT_CAP
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"invalid ASYM_CAP value {env!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,14 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_bug(exc: BaseException) -> int:
-    if isinstance(exc, InternalInvariantError):
-        print(f"asym: internal invariant violated: {exc}", file=sys.stderr)
-    else:
-        print(f"asym: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
-    return EXIT_INVARIANT
-
-
 def _load_graph_file(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -142,85 +119,40 @@ def _load_graph_file(path: str):
     return parse_graph(text)
 
 
-def _family_from_args(args) -> FamilySpec:
-    return FamilySpec(
-        args.family,
-        degree=args.degree,
-        radius=args.radius,
-        n=args.n,
-        m=args.m,
-        w=args.w,
-        h=args.h,
-    )
-
-
-def _emit(lines, fmt: str, text_prefix: str = "") -> None:
+def _emit(lines, fmt: str) -> None:
     for key, value in lines:
         if fmt == "kv":
             print(f"{key} {value}")
         else:
-            print(f"{text_prefix}{key.replace('.', ' ')}: {value}")
-
-
-def _resolve_config(args) -> RunConfig:
-    cap = args.cap if args.cap is not None else _default_cap()
-    if args.input:
-        graph = _load_graph_file(args.input)
-        source = args.input
-    else:
-        graph = generate_family(_family_from_args(args))
-        source = graph.family_tag
-    if not (0 <= args.root < graph.n):
-        raise ValueError(f"root {args.root} outside 0..{graph.n - 1}")
-    if args.horizon is not None and not (0 <= args.horizon <= eccentricity(graph, args.root)):
-        raise ValueError(f"horizon {args.horizon} outside 0..{eccentricity(graph, args.root)}")
-    return RunConfig(
-        graph_source=source,
-        graph=graph,
-        root=args.root,
-        horizon=args.horizon,
-        bound_mode=args.bound_mode,
-        cap=cap,
-        out_path=args.out,
-        trace_path=args.trace,
-        report_format=args.format,
-    )
+            print(f"{key.replace('.', ' ')}: {value}")
 
 
 def cmd_colour(args) -> int:
-    try:
-        config = _resolve_config(args)
-    except ValueError as exc:
-        print(f"asym: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    graph = config.graph
-
-    try:
-        colouring, trace = run(graph, config.root, config.horizon, bound_mode=config.bound_mode, cap=config.cap)
-        checks = audit.audit_run(graph, trace, colouring)
-        asymmetric = oracle.is_asymmetric(graph, colouring)
-    except GroupCapError as exc:
-        print(f"asym: group cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except BUG_SURFACE as exc:
-        return _report_bug(exc)
-
-    if config.out_path:
-        Path(config.out_path).write_text(serialize_colouring(colouring), encoding="utf-8")
-    if config.trace_path:
-        Path(config.trace_path).write_text(serialize_trace(trace), encoding="utf-8")
+    cap = _cap(args)
+    if args.input:
+        graph = _load_graph_file(args.input)
+    else:
+        spec = FamilySpec(args.family, degree=args.degree, radius=args.radius, n=args.n, m=args.m, w=args.w, h=args.h)
+        graph = generate_family(spec)
+    colouring, trace = run(graph, args.root, args.horizon, bound_mode=args.bound_mode, cap=cap)
+    checks = audit.audit_run(graph, trace, colouring)
+    asymmetric = oracle.is_asymmetric(graph, colouring)
+    if args.out:
+        Path(args.out).write_text(serialize_colouring(colouring), encoding="utf-8")
+    if args.trace:
+        Path(args.trace).write_text(serialize_trace(trace), encoding="utf-8")
 
     budget = colour_bound(max(graph.max_degree, 1))
     used = {c for c in colouring.colours if c.kind != "far"}
     lines = [
-        ("graph.source", config.graph_source),
+        ("graph.source", args.input or graph.family_tag),
         ("graph.vertices", graph.n),
         ("graph.max-degree", graph.max_degree),
-        ("run.root", config.root),
+        ("run.root", args.root),
         ("run.horizon", trace.horizon),
         ("run.bound-mode", trace.bound_mode),
         ("run.orbit-domain", trace.orbit_domain),
-        ("run.cap", config.cap),
+        ("run.cap", cap),
         ("colours.used", len(used)),
         ("colours.max-numeric", colouring.max_numeric()),
         ("colours.barred", len(colouring.barred_values())),
@@ -235,7 +167,7 @@ def cmd_colour(args) -> int:
         lines.append((f"check.{name}", status))
     lines.append(("checks.all", "pass" if audit.all_passed(checks) else "fail"))
     lines.append(("oracle.asymmetric", "true" if asymmetric else "false"))
-    _emit(lines, config.report_format)
+    _emit(lines, args.format)
 
     if not audit.all_passed(checks):
         return EXIT_INVARIANT
@@ -243,16 +175,10 @@ def cmd_colour(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        graph = _load_graph_file(args.graph)
-        text = Path(args.colouring).read_text(encoding="utf-8")
-        colouring = parse_colouring(text)
-        if len(colouring) != graph.n:
-            print(f"asym: colouring covers {len(colouring)} vertices, graph has {graph.n}", file=sys.stderr)
-            return EXIT_INPUT
-    except (ValueError, OSError) as exc:
-        print(f"asym: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    graph = _load_graph_file(args.graph)
+    colouring = parse_colouring(Path(args.colouring).read_text(encoding="utf-8"))
+    if len(colouring) != graph.n:
+        raise ValueError(f"colouring covers {len(colouring)} vertices, graph has {graph.n}")
     order = oracle.stabilizer_order(graph, colouring)
     if order == 1:
         print("asymmetric: true")
@@ -263,45 +189,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cap = args.cap if args.cap is not None else _default_cap()
-    try:
-        graph = _load_graph_file(args.graph)
-    except ValueError as exc:
-        print(f"asym: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    start = time.perf_counter()
-    try:
-        if args.quantity == "motion":
-            report = oracle.motion_report(graph, cap=cap)
-        elif args.quantity == "dnumber":
-            report = oracle.distinguishing_report(graph, args.max_colours, cap=cap)
-        elif args.quantity == "autorder":
-            report = oracle.autorder_report(graph)
-        elif args.quantity == "motion-lemma":
-            report = oracle.motion_lemma_check(graph, cap=cap)
-        else:
-            horizon = args.horizon if args.horizon is not None else eccentricity(graph, args.root)
-            if not (0 <= args.root < graph.n):
-                print(f"asym: root {args.root} outside 0..{graph.n - 1}", file=sys.stderr)
-                return EXIT_INPUT
-            searched = oracle.exterior_stabilizer(graph, args.root, horizon)
-            report = oracle.OracleReport(
-                "interior-support",
-                "true" if searched.is_trivial() else "false",
-                searched.order,
-                time.perf_counter() - start,
-                details={"root": args.root, "radius": horizon},
-            )
-    except GroupCapError as exc:
-        print(f"asym: group cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except BUG_SURFACE as exc:
-        return _report_bug(exc)
-    except (SearchGuardError, AsymmetricGraphError, ValueError) as exc:
-        print(f"asym: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    cap = _cap(args)
+    graph = _load_graph_file(args.graph)
+    if args.quantity == "motion":
+        report = oracle.motion_report(graph, cap=cap)
+    elif args.quantity == "dnumber":
+        report = oracle.distinguishing_report(graph, args.max_colours, cap=cap)
+    elif args.quantity == "autorder":
+        report = oracle.autorder_report(graph)
+    elif args.quantity == "motion-lemma":
+        report = oracle.motion_lemma_check(graph, cap=cap)
+    else:
+        report = oracle.interior_support_report(graph, args.root, args.horizon)
     for line in report.kv_lines():
         print(line)
     return EXIT_OK
@@ -309,8 +208,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_bound(args) -> int:
     if args.value < 1:
-        print(f"asym: value must be positive, got {args.value}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"value must be positive, got {args.value}")
     if args.kind == "chain":
         print(chain_length_bound(args.value))
     else:
@@ -329,7 +227,20 @@ def main(argv=None) -> int:
         "oracle": cmd_oracle,
         "bound": cmd_bound,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except GroupCapError as exc:
+        print(f"asym: group cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except BUG_SURFACE as exc:
+        if isinstance(exc, InternalInvariantError):
+            print(f"asym: internal invariant violated: {exc}", file=sys.stderr)
+        else:
+            print(f"asym: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (ValueError, OSError) as exc:
+        print(f"asym: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import count
 
 from .errors import GraphFormatError, InternalInvariantError, VertexRangeError
 from .graphs import Graph, eccentricity, sphere
@@ -118,9 +119,6 @@ class Colouring:
     def __len__(self) -> int:
         return len(self.colours)
 
-    def distinct_colours(self) -> set[Colour]:
-        return set(self.colours)
-
     def max_numeric(self) -> int:
         """Largest numeric colour value used, 0 if none."""
         return max((c.value for c in self.colours if c.kind == "numeric"), default=0)
@@ -156,9 +154,11 @@ def parse_colouring(text: str) -> Colouring:
         assigned[v] = colour
     if not assigned:
         raise GraphFormatError("empty colouring")
-    n = max(assigned) + 1
-    if sorted(assigned) != list(range(n)):
-        missing = min(set(range(n)) - set(assigned))
+    # the vertices are distinct and non-negative, so they are 0..n-1
+    # exactly when the largest is n - 1; nothing is sized by the largest
+    n = len(assigned)
+    if max(assigned) != n - 1:
+        missing = next(v for v in count() if v not in assigned)
         raise GraphFormatError(f"vertex {missing} has no colour")
     colours = tuple(assigned[v] for v in range(n))
     roots = [v for v, c in enumerate(colours) if c == ROOT]
@@ -233,6 +233,23 @@ def induced_colouring(colours, partition) -> tuple[Colour, ...]:
     return tuple(min(colours[v] for v in block) for block in partition)
 
 
+def induced_keys(n: int, partitions, state) -> list[tuple]:
+    """For each of the vertices 0..n-1, the tuple of the induced colours of
+    its blocks, one per partition that holds it.
+
+    The running stabilizer is the subgroup preserving these keys: every
+    element of the step's stabilizer permutes the blocks of each
+    partition, so preserving the induced colourings of the partitions
+    means preserving each vertex's tuple.
+    """
+    keys: list[tuple] = [()] * n
+    for blocks in partitions:
+        for block, colour in zip(blocks, induced_colouring(state, blocks)):
+            for v in block:
+                keys[v] += (colour,)
+    return keys
+
+
 @dataclass(frozen=True)
 class InnerStep:
     """Record of one inner refinement index: which classes got offsets."""
@@ -265,7 +282,6 @@ class StepTrace:
     partitions: tuple[tuple[tuple[int, ...], ...], ...]
     inner: tuple[InnerStep, ...]
     splits: tuple[ClassSplit, ...]
-    stabilizer_order: int
     final_sphere_colours: tuple[tuple[int, Colour], ...]
 
 
@@ -305,30 +321,6 @@ def _fixing_size_bound(m: int, bound_mode: str) -> float:
     if bound_mode == "elementary":
         return m * math.log2(m) if m > 1 else 0.0
     raise ValueError(f"unknown bound mode {bound_mode!r}")
-
-
-def _running_stabilizer(stabilizer: SGSGroup, partitions, state) -> SGSGroup:
-    """Elements preserving the induced block colourings of every partition.
-
-    This is the definition of the running stabilizer; the construction
-    recomputes it from scratch at each inner index rather than relying on
-    the incremental identity, so the trace stays auditable. Every element
-    of ``stabilizer`` permutes the blocks of each partition, so preserving
-    the induced colourings means preserving each next-sphere vertex's
-    tuple of its blocks' induced colours.
-    """
-    keys: list[tuple] = [()] * stabilizer.degree
-    for blocks in partitions:
-        if not blocks:
-            continue
-        index_of = block_index_map(blocks)
-        if any(partition_image(p, blocks, index_of) is None for p in stabilizer.generators):
-            raise InternalInvariantError("stabilizer element does not permute a refinement partition")
-        induced = induced_colouring(state, blocks)
-        for b, block in enumerate(blocks):
-            for v in block:
-                keys[v] += (induced[b],)
-    return stabilizer.stabilizer(keys)
 
 
 def split_into_chunks(block, chunk_cap: int) -> tuple[tuple[int, ...], ...]:
@@ -386,7 +378,14 @@ def extend_colouring(
     state: dict[int, Colour] = {v: numeric(1) for v in next_sphere}
     inner_records = []
     for i in range(len(orbit_list)):
-        gamma_tilde = _running_stabilizer(stabilizer, partitions[: i + 1], state)
+        # the running stabilizer, recomputed from scratch at each index, is
+        # the subgroup preserving the induced keys; that is sound because
+        # every generator permutes the blocks of each partition, and
+        # partition i is first used at index i, so it is checked once, here
+        index_of = block_index_map(partitions[i])
+        if any(partition_image(p, partitions[i], index_of) is None for p in stabilizer.generators):
+            raise InternalInvariantError("stabilizer element does not permute a refinement partition")
+        gamma_tilde = stabilizer.stabilizer(induced_keys(graph.n, partitions[: i + 1], state))
         acting_orbit = orbit_list[i]
         target_blocks = partitions[i + 1]
 
@@ -444,7 +443,6 @@ def extend_colouring(
         partitions=partitions,
         inner=tuple(inner_records),
         splits=tuple(splits),
-        stabilizer_order=stabilizer.order,
         final_sphere_colours=tuple((v, state[v]) for v in next_sphere),
     )
     return extended, trace
@@ -532,7 +530,7 @@ def serialize_trace(trace: RefinementTrace) -> str:
             )
             recolour = " ".join(f"{v}:{old.token()}->{new.token()}" for v, old, new in rec.recoloured)
             lines.append(f"recolour {recolour or 'none'}")
-        for split in trace_splits_sorted(step):
+        for split in step.splits:
             chunks = "|".join(_fmt_block(c) for c in split.chunks)
             colours = "|".join(c.token() for c in split.chunk_colours)
             lines.append(f"split {_fmt_block(split.block)} chunks {chunks} colours {colours}")
@@ -546,7 +544,3 @@ def serialize_trace(trace: RefinementTrace) -> str:
         lines.append(f"final-stabilizer order {len(trace.final_stabilizer)}")
         lines.extend("perm " + " ".join(str(x) for x in p) for p in trace.final_stabilizer)
     return "\n".join(lines) + "\n"
-
-
-def trace_splits_sorted(step: StepTrace):
-    return sorted(step.splits, key=lambda s: s.block[0])

@@ -19,8 +19,10 @@ the cap, not the graph's size, bounds each listing, and bounds nothing
 else. A scan over labellings (colour partitions, 2-colourings) first
 orders the nontrivial elements by the number of points they move, fewest
 first, and tests each labelling against that table with C-level getters.
-The asymmetry and interior-support oracles list no elements: they use the
-coloured search.
+The asymmetry, stabilizer-order and interior-support oracles list no
+elements: they read the same coset search's generating set of
+``Aut(G, c)``, so they check the construction's groups by a route that
+shares none of its search.
 """
 
 from __future__ import annotations
@@ -32,15 +34,8 @@ from operator import eq, itemgetter, ne
 
 from .colouring import Colouring, numeric
 from .errors import AsymmetricGraphError, InternalInvariantError, SearchGuardError, NoAsymmetricColouringError
-from .graphs import Graph, ball, eccentricity
-from .symmetry import (
-    DEFAULT_CAP,
-    PermGroup,
-    SGSGroup,
-    automorphism_group,
-    automorphism_sgs,
-    coloured_automorphisms,
-)
+from .graphs import Graph, distances, eccentricity
+from .symmetry import DEFAULT_CAP, PermGroup, SGSGroup, automorphism_group, automorphism_sgs
 
 DISTINGUISHING_VERTEX_GUARD = 12
 TWO_COLOURING_VERTEX_GUARD = 20
@@ -75,15 +70,16 @@ class OracleReport:
 def is_asymmetric(graph: Graph, colouring) -> bool:
     """True iff only the identity automorphism preserves the colouring.
 
-    Decided by the exhaustive coloured search, which lists no elements.
+    Decided by :func:`~asymcolour.symmetry.automorphism_sgs`, the coset
+    search keyed by the colouring's 1-WL classes, which lists no elements.
     """
-    return coloured_automorphisms(graph, colouring).is_trivial()
+    return automorphism_sgs(graph, colouring).is_trivial()
 
 
 def stabilizer_order(graph: Graph, colouring) -> int:
-    """The order of the colouring's stabilizer in ``Aut(G)``, found by the
-    exhaustive coloured search, as in :func:`is_asymmetric`."""
-    return coloured_automorphisms(graph, colouring).order
+    """The order of the colouring's stabilizer in ``Aut(G)``, read off the
+    strong generating set of :func:`is_asymmetric`'s search."""
+    return automorphism_sgs(graph, colouring).order
 
 
 def _partitions_with_classes(n: int, classes: int):
@@ -310,19 +306,37 @@ def interior_support_check(graph: Graph, root: int, truncation_radius: int) -> b
     return exterior_stabilizer(graph, root, truncation_radius).is_trivial()
 
 
+def interior_support_report(graph: Graph, root: int, truncation_radius: int | None = None) -> OracleReport:
+    """:func:`interior_support_check` as a report, with the order of the
+    searched :func:`exterior_stabilizer` as search space. The radius
+    defaults to the root's eccentricity."""
+    start = time.perf_counter()
+    if truncation_radius is None:
+        truncation_radius = eccentricity(graph, root)
+    searched = exterior_stabilizer(graph, root, truncation_radius)
+    return OracleReport(
+        "interior-support",
+        "true" if searched.is_trivial() else "false",
+        searched.order,
+        time.perf_counter() - start,
+        details={"root": root, "radius": truncation_radius},
+    )
+
+
 def exterior_stabilizer(graph: Graph, root: int, truncation_radius: int) -> SGSGroup:
     """The automorphisms fixing every vertex outside ``ball(root,
     truncation_radius - 1)``: exactly those whose support lies inside it.
 
-    Searched exhaustively as the automorphisms of the colouring that gives
-    each outside vertex a colour of its own.
+    Searched exhaustively by :func:`~asymcolour.symmetry.automorphism_sgs`
+    as the automorphisms of the colouring that gives each outside vertex a
+    colour of its own.
     """
+    dist = distances(graph, root)
     if truncation_radius < 0:
         raise ValueError(f"truncation radius must be >= 0, got {truncation_radius}")
-    if truncation_radius > eccentricity(graph, root):
+    if truncation_radius > max(dist):
         raise ValueError(f"truncation radius {truncation_radius} exceeds the root's eccentricity")
-    interior = set(ball(graph, root, truncation_radius - 1))
-    return coloured_automorphisms(graph, [-1 if v in interior else v for v in range(graph.n)])
+    return automorphism_sgs(graph, [-1 if d < truncation_radius else v for v, d in enumerate(dist)])
 
 
 def autorder_report(graph: Graph) -> OracleReport:

@@ -5,13 +5,17 @@ base and a strong generating set (:class:`SGSGroup`), so the order is the
 product of the basic orbit lengths. Two independent searches build one:
 
 - the construction's :func:`coloured_automorphisms`, individualisation
-  and refinement (McKay & Piperno 2014); every subgroup the construction
+  and refinement (McKay & Piperno 2014), called only from
+  :func:`~asymcolour.colouring.run`; every subgroup the construction
   needs is ``Aut(G, c')`` for a finer colouring ``c'``, taken by
   :meth:`SGSGroup.stabilizer`;
-- the audit's :func:`coset_search`, Sims' backtrack over vertex images
-  that keeps one automorphism per coset, pruned only by the caller's
-  vertex keys and by adjacency, so it uses none of the construction's
-  search or refinement code.
+- :func:`coset_search`, Sims' backtrack over vertex images that keeps
+  one automorphism per coset, pruned only by the caller's vertex keys
+  and by adjacency, so it uses none of the construction's search or
+  refinement code. The audit keys it by colour and distance from the
+  root; every oracle reads it through :func:`automorphism_sgs`, keyed by
+  the colouring's 1-WL classes, which shares the refinement but not the
+  search.
 
 :class:`PermGroup` is the explicit element list. The one listing route is
 :meth:`SGSGroup.enumerate`, products of transversals, which compares the

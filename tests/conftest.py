@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
-from asymcolour import build_graph
+from asymcolour import build_graph, symmetry
 
 
 def brute_automorphisms(graph, colouring=None):
@@ -33,6 +33,16 @@ def vf2_automorphisms(graph, keys=None):
     g.add_edges_from(graph.edges())
     matcher = GraphMatcher(g, g, node_match=lambda a, b: a["key"] == b["key"])
     return sorted(tuple(m[v] for v in range(graph.n)) for m in matcher.isomorphisms_iter())
+
+
+def break_construction_search(monkeypatch):
+    """Make the construction's individualisation-refinement search raise,
+    so that only code on another route can still answer."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the construction's search was called")
+
+    monkeypatch.setattr(symmetry, "_search", broken)
 
 
 def atlas_corpus():

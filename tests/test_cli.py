@@ -1,8 +1,12 @@
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import asymcolour
 from asymcolour import (
     SGSGroup,
     complete_bipartite_graph,
@@ -17,6 +21,8 @@ from asymcolour import (
 from asymcolour import cli, oracle
 from asymcolour.cli import main
 from asymcolour.errors import NotAPartitionActionError
+
+from .conftest import break_construction_search
 
 
 def write_graph(tmp_path, graph, name="graph.adj"):
@@ -102,6 +108,14 @@ class TestColourCommand:
             tracemalloc.stop()
         assert peak < 2**20
         assert capsys.readouterr().err == "asym: graph is disconnected (vertex 2 unreachable from 0)\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "file.txt"
+        assert main(["colour", "--family", "complete", "--n", "3", flag, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"asym: [Errno 2] No such file or directory: '{target}'\n"
 
     # the cap bounds the listed final stabilizer: K5 ends with one of order 2
     def test_cap_exceeded(self, capsys):
@@ -256,6 +270,21 @@ class TestVerifyCommand:
         assert main(["verify", graph_path, str(col)]) == 4
         assert "stabilizer-order: 2" in capsys.readouterr().out.splitlines()
 
+    def test_vertex_far_beyond_the_count(self, tmp_path, capsys):
+        graph_path = write_graph(tmp_path, cycle_graph(5))
+        col = tmp_path / "col.txt"
+        col.write_text("1000000000000\t1\n", encoding="utf-8")
+        assert main(["verify", graph_path, str(col)]) == 1
+        assert capsys.readouterr().err == "asym: vertex 0 has no colour\n"
+
+    @pytest.mark.parametrize("graph,expected", [(cycle_graph(5), 0), (complete_graph(5), 4)])
+    def test_answers_without_the_construction_search(self, tmp_path, capsys, monkeypatch, graph, expected):
+        graph_path = write_graph(tmp_path, graph)
+        col = tmp_path / "col.txt"
+        col.write_text(serialize_colouring(run(graph, 0)[0]), encoding="utf-8")
+        break_construction_search(monkeypatch)
+        assert main(["verify", graph_path, str(col)]) == expected
+
     def test_ignores_env_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ASYM_CAP", "abc")
         graph_path = write_graph(tmp_path, cycle_graph(5))
@@ -394,6 +423,23 @@ class TestOracleCommand:
         assert "oracle.value true" in lines
         assert "oracle.search-space 1" in lines
 
+    def test_interior_support_default_radius(self, tmp_path, capsys):
+        # from leaf 4 the radius is 4; its sibling leaf 5 is interior
+        path = write_graph(tmp_path, truncated_tree(3, 2))
+        assert main(["oracle", path, "interior-support", "--root", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle.value false" in lines
+        assert "oracle.search-space 2" in lines
+        assert "oracle.radius 4" in lines
+
+    def test_interior_support_without_the_construction_search(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, truncated_tree(3, 3))
+        break_construction_search(monkeypatch)
+        assert main(["oracle", path, "interior-support"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle.value true" in lines
+        assert "oracle.radius 3" in lines
+
     def test_motion_guard_message(self, tmp_path, capsys):
         from .test_oracle import rigid_graph
 
@@ -422,3 +468,35 @@ class TestBoundCommand:
 
     def test_nonpositive(self, capsys):
         assert main(["bound", "chain", "0"]) == 1
+
+
+# each class of malformed input, run as the installed command runs: one
+# ``asym:`` line on stderr, the documented exit code and no traceback
+MALFORMED = {
+    "unwritable-out": (["colour", "--family", "complete", "--n", "3", "--out", "{tmp}/missing/c.txt"], {}, 1),
+    "bad-env-cap": (["colour", "--family", "complete", "--n", "3"], {"ASYM_CAP": "x"}, 1),
+    "colouring-vertex-1e12": (["verify", "{tmp}/c5.adj", "{tmp}/far.txt"], {}, 1),
+    "graph-vertex-count-1e12": (["oracle", "{tmp}/huge.adj", "autorder"], {}, 1),
+    "missing-graph-file": (["oracle", "{tmp}/nope.adj", "motion"], {}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_in_a_subprocess(tmp_path, case):
+    args, env, code = MALFORMED[case]
+    write_graph(tmp_path, cycle_graph(5), "c5.adj")
+    (tmp_path / "far.txt").write_text("1000000000000\t1\n", encoding="utf-8")
+    (tmp_path / "huge.adj").write_text("1000000000000\n0 1\n", encoding="utf-8")
+    src = str(Path(asymcolour.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "asymcolour.cli", *(a.format(tmp=tmp_path) for a in args)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("asym: "), done.stderr

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,9 @@ from asymcolour import (
     sphere,
     truncated_tree,
 )
-from asymcolour import audit, oracle
-from asymcolour.errors import GraphFormatError, VertexRangeError
+from asymcolour import audit, colouring, oracle
+from asymcolour.colouring import induced_keys
+from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
 
 from .conftest import connected_graphs
 
@@ -67,6 +69,18 @@ class TestInducedColouring:
 
     def test_numeric_below_barred(self):
         assert induced_colouring({0: numeric(2), 1: barred(1)}, [(0, 1)]) == (numeric(2),)
+
+
+class TestInducedKeys:
+    def test_one_entry_per_partition_holding_the_vertex(self):
+        state = {1: numeric(2), 2: numeric(1), 3: numeric(3)}
+        partitions = (((1, 2, 3),), ((1,), (2, 3)))
+        assert induced_keys(4, partitions, state) == [
+            (),
+            (numeric(1), numeric(2)),
+            (numeric(1), numeric(1)),
+            (numeric(1), numeric(1)),
+        ]
 
 
 class TestColourBound:
@@ -265,6 +279,27 @@ class TestRun:
         with pytest.raises(ValueError):
             run(complete_graph(3), 0, bound_mode="magic")
 
+    def test_each_partition_action_checked_once(self, monkeypatch):
+        # index i uses partitions 0..i; each is checked against the step's
+        # generators only at the first index that uses it
+        checked = []
+        partition_image = colouring.partition_image
+
+        def counted(perm, blocks, index_of):
+            checked.append((perm, blocks))
+            return partition_image(perm, blocks, index_of)
+
+        monkeypatch.setattr(colouring, "partition_image", counted)
+        _, trace = run(truncated_tree(4, 2), 0)
+        assert checked
+        assert len(checked) == len(set(checked))
+        assert max(len(step.inner) for step in trace.steps) > 1
+
+    def test_partition_not_permuted_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(colouring, "partition_image", lambda perm, blocks, index_of: None)
+        with pytest.raises(InternalInvariantError, match="stabilizer element does not permute a refinement partition"):
+            run(truncated_tree(3, 2), 0)
+
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=7))
     def test_random_graphs_audit_clean(self, g):
@@ -296,6 +331,20 @@ class TestColouringIO:
         with pytest.raises(GraphFormatError, match="vertex -1 is negative") as raised:
             parse_colouring("# comment\n-1\t0\n")
         assert raised.value.line == 2
+
+    def test_vertex_far_beyond_the_count_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="^vertex 0 has no colour$"):
+                parse_colouring("1000000000000\t1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_gap_names_the_smallest_missing_vertex(self):
+        with pytest.raises(GraphFormatError, match="^vertex 2 has no colour$"):
+            parse_colouring("0\t0\n1\t1\n4\t1\n3\t1\n")
 
     def test_constant_colouring_has_no_root(self):
         parsed = parse_colouring("0\t1\n1\t1\n")

@@ -1,0 +1,68 @@
+"""Malformed input never escapes as anything but a ValueError, and the
+command turns it into one ``asym:`` line."""
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asymcolour import parse_colouring, parse_graph
+from asymcolour.cli import main
+
+TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["b:1", "b:0", "inf", "#", "x"]))
+LINES = st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=8)
+
+
+def as_text(lines, separator="\t"):
+    return "".join(separator.join(tokens) + "\n" for tokens in lines)
+
+
+def parses_or_rejects(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINES, st.sampled_from([" ", "\t"]))
+def test_parse_graph_raises_only_value_errors(lines, separator):
+    parses_or_rejects(parse_graph, as_text(lines, separator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINES, st.sampled_from([" ", "\t"]))
+def test_parse_colouring_raises_only_value_errors(lines, separator):
+    parses_or_rejects(parse_colouring, as_text(lines, separator))
+
+
+# valid graphs and colourings among the fuzzed ones, so that verify also
+# gets past parsing and decides some colourings
+GRAPH_TEXTS = st.one_of(
+    LINES.map(as_text),
+    st.sampled_from(["1\n", "2\n0 1\n", "3\n0 1\n1 2\n", "4\n0 1\n1 2\n2 3\n0 3\n"]),
+)
+COLOURING_TEXTS = st.one_of(
+    LINES.map(as_text),
+    st.lists(st.sampled_from(["0", "1", "2", "b:1", "inf"]), min_size=1, max_size=4).map(
+        lambda tokens: "".join(f"{v}\t{token}\n" for v, token in enumerate(tokens))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_TEXTS, COLOURING_TEXTS)
+def test_verify_exits_with_a_documented_code(graph_text, colouring_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, colouring_path = Path(tmp) / "g.adj", Path(tmp) / "c.txt"
+        graph_path.write_text(graph_text, encoding="utf-8")
+        colouring_path.write_text(colouring_text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(graph_path), str(colouring_path)])
+    assert code in (0, 1, 4)
+    assert len(err.getvalue().splitlines()) <= 1
+    assert (code == 1) == bool(err.getvalue())

@@ -31,7 +31,7 @@ from asymcolour.errors import (
     SearchGuardError,
 )
 
-from .conftest import brute_automorphisms, connected_graphs, vf2_automorphisms
+from .conftest import break_construction_search, brute_automorphisms, connected_graphs, vf2_automorphisms
 
 
 def rigid_graph():
@@ -275,6 +275,45 @@ class TestInteriorSupport:
 
     def test_radius_zero_vacuous(self):
         assert interior_support_check(cycle_graph(5), 0, 0) is True
+
+
+class TestInteriorSupportReport:
+    def test_radius_defaults_to_the_eccentricity(self):
+        report = oracle.interior_support_report(truncated_tree(3, 2), 0)
+        assert (report.quantity, report.value, report.search_space) == ("interior-support", "true", 1)
+        assert report.details == {"root": 0, "radius": 2}
+
+    def test_search_space_is_the_searched_order(self):
+        # the leaves 0, 2 and 3 of vertex 1 are permuted inside the ball
+        report = oracle.interior_support_report(twin_interior_graph(), 0, 3)
+        assert (report.value, report.search_space) == ("false", 6)
+        assert report.details == {"root": 0, "radius": 3}
+
+    def test_root_is_checked_first(self):
+        with pytest.raises(ValueError, match="root 9 outside 0..4"):
+            oracle.interior_support_report(cycle_graph(5), 9, -3)
+
+
+class TestOneSearchRoute:
+    """Every oracle reads the coset search, never the construction's
+    individualisation-refinement search, so each still answers when that
+    search is broken."""
+
+    def test_answers_without_the_construction_search(self, monkeypatch):
+        break_construction_search(monkeypatch)
+        assert is_asymmetric(cycle_graph(5), [0, 1, 2, 2, 2])
+        assert oracle.stabilizer_order(cycle_graph(5), [1, 1, 1, 1, 1]) == 10
+        assert oracle.stabilizer_order(truncated_tree(3, 2), [0] + [1] * 9) == 48
+        assert interior_support_check(truncated_tree(3, 3), 0, 3) is True
+        assert interior_support_check(twin_interior_graph(), 0, 3) is False
+
+    def test_checks_a_construction_colouring(self, monkeypatch):
+        g = truncated_tree(4, 2)
+        colouring, trace = run(g, 0)
+        assert trace.stabilizer_orders[-1] == 1
+        break_construction_search(monkeypatch)
+        assert is_asymmetric(g, colouring)
+        assert oracle.stabilizer_order(g, colouring) == 1
 
 
 class TestRunVerification:
