@@ -1,16 +1,18 @@
 """Independent re-verification of a construction run.
 
 Given the graph and the trace of a run, every invariant the construction
-promises is rechecked from scratch: the inner colouring states are
-replayed from the recorded deltas, each bound is tested numerically, and
-every group is recomputed by the audit's own route. That route is
+promises is rechecked from scratch, in one pass over the spheres: the
+colourings and the inner colouring states are replayed from the recorded
+deltas, each bound is tested numerically, and every group is recomputed
+by the audit's own route. That route is
 :func:`~asymcolour.symmetry.coset_search`, Sims' backtrack over vertex
-images that keeps one automorphism per coset and is pruned only by vertex
-keys and adjacency; it shares no search or refinement code with the
-construction's coloured automorphism search and lists no elements. The
-stabilizer of ``c_k`` is keyed by each vertex's colour and distance from
-the root, and each running stabilizer also by the vertex's induced block
-colours. Orders, orbits, monotonicity and the fixed blocks are read from
+images that keeps one automorphism per coset, pruned by the 1-WL classes
+of the vertex keys and by adjacency. It shares the equitable refinement
+with the construction, which the tests check against round-based 1-WL,
+but none of its search, and it lists no elements. The stabilizer of
+``c_k`` is keyed by each vertex's colour and distance from the root, and
+each running stabilizer also by the vertex's induced block colours.
+Orders, orbits, monotonicity and the fixed blocks are read from
 generators; the embedded final stabilizer, which the construction lists
 as products of transversals, is compared with the closure of the
 recomputed generators. The audit shares none of the construction's
@@ -59,8 +61,10 @@ class CheckResult:
 
 
 def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[CheckResult]:
-    """Recheck every per-step invariant of a finished run. The one element
-    list built is the closure compared with the embedded final stabilizer."""
+    """Recheck every per-step invariant of a finished run in one pass over
+    k = 0..K, which replays ``c_k`` in place and searches its stabilizer
+    once for all of k's checks. The one element list built is the closure
+    compared with the embedded final stabilizer."""
     checks: list[CheckResult] = []
     root = trace.root
     # a single-vertex graph has max degree 0; its bounds degenerate to the
@@ -73,53 +77,31 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
         spheres[dist[v]].append(v)
     budget = colour_bound(delta)
 
-    colourings = _replay_colourings(graph, trace)
-    checks.append(
-        CheckResult(
-            "replay-matches-result",
-            None,
-            colourings[-1].colours == final.colours,
-            "colouring rebuilt from the trace differs from the returned colouring",
-        )
-    )
-
-    # an automorphism preserving c_k fixes the uniquely coloured root (see
-    # root-colour-unique), so it preserves the distance from the root too
-    stabilizers = [coset_search(graph, list(zip(c.colours, dist))) for c in colourings]
-    for k, recorded in enumerate(trace.stabilizer_orders):
-        checks.append(
-            CheckResult(
-                "stabilizer-order-recorded",
-                k,
-                stabilizers[k].order == recorded,
-                f"recomputed order {stabilizers[k].order}, trace says {recorded}",
-            )
-        )
-    if trace.final_stabilizer is not None:
-        last = stabilizers[-1]
-        checks.append(
-            CheckResult(
-                "final-stabilizer-elements",
-                None,
-                last.order == len(trace.final_stabilizer)
-                and trace.final_stabilizer == PermGroup.from_generators(graph.n, last.generators).elements,
-                "embedded final stabilizer differs from the recomputed one",
-            )
-        )
-
+    colours = list(initial_colouring(graph, root).colours)
     ball: list[int] = []
-    for k, colouring in enumerate(colourings):
-        colours = colouring.colours
+    for k in range(len(trace.steps) + 1):
+        if k > 0:
+            # c_{k-1} is c_k with the old colours of the recoloured sphere
+            recoloured = trace.steps[k - 1].final_sphere_colours
+            before = {v: colours[v] for v, _ in recoloured}
+            ok_restrict = all(dist[v] >= k or colours[v] == colour for v, colour in recoloured)
+            checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
+            for v, colour in recoloured:
+                colours[v] = colour
+        # an automorphism preserving c_k fixes the uniquely coloured root (see
+        # root-colour-unique), so it preserves the distance from the root too
+        keys = list(zip(colours, dist))
+        group = coset_search(graph, keys)
+        if k < len(trace.stabilizer_orders):
+            recorded = trace.stabilizer_orders[k]
+            detail = f"recomputed order {group.order}, trace says {recorded}"
+            checks.append(CheckResult("stabilizer-order-recorded", k, group.order == recorded, detail))
         ok_root = all((colours[v] == ROOT) == (v == root) for v in range(graph.n))
         checks.append(CheckResult("root-colour-unique", k, ok_root))
         ok_far = all((colours[v] == FAR) == (dist[v] > k) for v in range(graph.n))
         checks.append(CheckResult("far-matches-distance", k, ok_far))
-        if k > 0:
-            prev = colourings[k - 1].colours
-            ok_restrict = all(colours[v] == prev[v] for v in ball)
-            checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
         ball += spheres[k]
-        orbit_sizes = [len(b) for b in orbits(stabilizers[k], ball)]
+        orbit_sizes = [len(b) for b in orbits(group, ball)]
         checks.append(
             CheckResult(
                 "ball-orbits-small",
@@ -129,18 +111,33 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
             )
         )
         if k > 0:
-            checks.append(
-                CheckResult(
-                    "stabilizer-monotone",
-                    k,
-                    all(prev[g[v]] == prev[v] for g in stabilizers[k].generators for v in range(graph.n)),
-                )
+            ok_monotone = all(
+                before.get(g[v], colours[g[v]]) == before.get(v, colours[v])
+                for g in group.generators
+                for v in range(graph.n)
             )
+            checks.append(CheckResult("stabilizer-monotone", k, ok_monotone))
+        if k < len(trace.steps):
+            checks.extend(_audit_step(graph, trace.steps[k], spheres[k], keys, group, delta))
 
-    for step in trace.steps:
-        k = step.k
-        keys = list(zip(colourings[k].colours, dist))
-        checks.extend(_audit_step(graph, step, spheres[k], keys, stabilizers[k], delta))
+    checks.append(
+        CheckResult(
+            "replay-matches-result",
+            None,
+            tuple(colours) == final.colours,
+            "colouring rebuilt from the trace differs from the returned colouring",
+        )
+    )
+    if trace.final_stabilizer is not None:
+        checks.append(
+            CheckResult(
+                "final-stabilizer-elements",
+                None,
+                group.order == len(trace.final_stabilizer)
+                and trace.final_stabilizer == PermGroup.from_generators(graph.n, group.generators).elements,
+                "embedded final stabilizer differs from the recomputed one",
+            )
+        )
 
     used = {c for c in final.colours if c != FAR}
     checks.append(
@@ -170,20 +167,10 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
     return checks
 
 
-def _replay_colourings(graph: Graph, trace: RefinementTrace) -> list[Colouring]:
-    """Rebuild c_0..c_K from the per-step sphere colour records."""
-    colourings = [initial_colouring(graph, trace.root)]
-    for step in trace.steps:
-        colours = list(colourings[-1].colours)
-        for v, colour in step.final_sphere_colours:
-            colours[v] = colour
-        colourings.append(Colouring(tuple(colours), root=trace.root, radius=step.k + 1))
-    return colourings
-
-
 def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
-    """Recheck step k against the stabilizer of c_k, whose vertex keys
-    ``keys`` are (colour, distance from the root)."""
+    """Recheck step k against ``stabilizer``, the group of c_k that the
+    pass of :func:`audit_run` at k searched, by the vertex keys ``keys``,
+    (colour, distance from the root), that the running stabilizers extend."""
     checks: list[CheckResult] = []
     k = step.k
     chunk_cap = ceil_sqrt(delta)

@@ -32,6 +32,7 @@ from pathlib import Path
 
 from . import audit, oracle
 from .colouring import (
+    ORBIT_DOMAIN,
     colour_bound,
     parse_colouring,
     run,
@@ -151,7 +152,7 @@ def cmd_colour(args) -> int:
         ("run.root", args.root),
         ("run.horizon", trace.horizon),
         ("run.bound-mode", trace.bound_mode),
-        ("run.orbit-domain", trace.orbit_domain),
+        ("run.orbit-domain", ORBIT_DOMAIN),
         ("run.cap", cap),
         ("colours.used", len(used)),
         ("colours.max-numeric", colouring.max_numeric()),

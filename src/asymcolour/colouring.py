@@ -21,7 +21,7 @@ from functools import total_ordering
 from itertools import count
 
 from .errors import GraphFormatError, InternalInvariantError, VertexRangeError
-from .graphs import Graph, eccentricity, sphere
+from .graphs import Graph, distances
 from .symmetry import (
     DEFAULT_CAP,
     SGSGroup,
@@ -287,16 +287,17 @@ class StepTrace:
 
 STABILIZER_EMBED_LIMIT = 120
 
+# the sphere the per-step orbits are taken on: always the previous one, the
+# one already coloured, as the construction's own bookkeeping forces
+ORBIT_DOMAIN = "previous-sphere"
+
 
 @dataclass(frozen=True)
 class RefinementTrace:
     """Full record of a run, sufficient to re-audit every invariant.
 
-    ``orbit_domain`` documents which sphere the per-step orbits are taken
-    on: this implementation always uses the previous sphere (the one that
-    is already coloured), the convention forced by the construction's own
-    bookkeeping. The residual symmetry after the last step is embedded as
-    an explicit element list when it is small enough to print.
+    The residual symmetry after the last step is embedded as an explicit
+    element list when it is small enough to print.
     """
 
     root: int
@@ -305,7 +306,6 @@ class RefinementTrace:
     bound_mode: str
     stabilizer_orders: tuple[int, ...]
     steps: tuple[StepTrace, ...]
-    orbit_domain: str = "previous-sphere"
     final_stabilizer: tuple[tuple[int, ...], ...] | None = None
 
 
@@ -345,7 +345,8 @@ def split_into_chunks(block, chunk_cap: int) -> tuple[tuple[int, ...], ...]:
 
 def extend_colouring(
     graph: Graph,
-    root: int,
+    sphere_k: tuple[int, ...],
+    next_sphere: tuple[int, ...],
     colouring: Colouring,
     stabilizer: SGSGroup,
     *,
@@ -353,6 +354,8 @@ def extend_colouring(
 ) -> tuple[Colouring, StepTrace]:
     """One construction step: colour the next sphere.
 
+    ``sphere_k`` and ``next_sphere`` are the sorted vertices at distance
+    k and k+1 from the root, where k is the colouring's radius.
     ``stabilizer`` must be the stabilizer of ``colouring`` in the graph's
     automorphism group, ``coloured_automorphisms(graph, colouring)`` as
     :func:`run` holds it. Every group of the step is the stabilizer of a
@@ -365,10 +368,9 @@ def extend_colouring(
     k = colouring.radius
     if k is None:
         raise ValueError("colouring has no radius; use a construction colouring")
+    root = colouring.root
     delta = graph.max_degree
     chunk_cap = ceil_sqrt(delta)
-    sphere_k = sphere(graph, root, k)
-    next_sphere = sphere(graph, root, k + 1)
     if not next_sphere:
         raise ValueError(f"no vertices at distance {k + 1} from root {root}")
 
@@ -466,9 +468,11 @@ def run(
     embedded final stabilizer, which is listed when it has at most
     ``STABILIZER_EMBED_LIMIT`` elements.
     """
-    if not (0 <= root < graph.n):
-        raise VertexRangeError(f"root {root} outside 0..{graph.n - 1}")
-    ecc = eccentricity(graph, root)
+    dist = distances(graph, root)
+    spheres: list[list[int]] = [[] for _ in range(max(dist) + 1)]
+    for v, d in enumerate(dist):
+        spheres[d].append(v)
+    ecc = len(spheres) - 1
     if horizon is None:
         horizon = ecc
     if horizon < 0 or horizon > ecc:
@@ -478,8 +482,10 @@ def run(
     stabilizer = coloured_automorphisms(graph, colouring)
     orders = [stabilizer.order]
     steps = []
-    for _ in range(horizon):
-        colouring, step = extend_colouring(graph, root, colouring, stabilizer, bound_mode=bound_mode)
+    for k in range(horizon):
+        colouring, step = extend_colouring(
+            graph, tuple(spheres[k]), tuple(spheres[k + 1]), colouring, stabilizer, bound_mode=bound_mode
+        )
         stabilizer = stabilizer.stabilizer(colouring)
         orders.append(stabilizer.order)
         steps.append(step)
@@ -509,7 +515,7 @@ def serialize_trace(trace: RefinementTrace) -> str:
         f"horizon {trace.horizon}",
         f"max-degree {trace.max_degree}",
         f"bound-mode {trace.bound_mode}",
-        f"orbit-domain {trace.orbit_domain}",
+        f"orbit-domain {ORBIT_DOMAIN}",
         "stabilizer-orders " + " ".join(str(o) for o in trace.stabilizer_orders),
     ]
     for step in trace.steps:

@@ -10,12 +10,11 @@ product of the basic orbit lengths. Two independent searches build one:
   needs is ``Aut(G, c')`` for a finer colouring ``c'``, taken by
   :meth:`SGSGroup.stabilizer`;
 - :func:`coset_search`, Sims' backtrack over vertex images that keeps
-  one automorphism per coset, pruned only by the caller's vertex keys
-  and by adjacency, so it uses none of the construction's search or
-  refinement code. The audit keys it by colour and distance from the
-  root; every oracle reads it through :func:`automorphism_sgs`, keyed by
-  the colouring's 1-WL classes, which shares the refinement but not the
-  search.
+  one automorphism per coset, pruned by the 1-WL classes of the
+  caller's vertex keys and by adjacency, so it shares the construction's
+  refinement but none of its search. The audit keys it by colour and
+  distance from the root; every oracle reads it through
+  :func:`automorphism_sgs`, keyed by the colouring.
 
 :class:`PermGroup` is the explicit element list. The one listing route is
 :meth:`SGSGroup.enumerate`, products of transversals, which compares the
@@ -600,22 +599,29 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     """The automorphisms preserving the vertex keys, by Sims' backtrack
     that keeps one automorphism per coset (Sims 1970; Butler 1991, ch. 10).
 
-    The levels are the breadth-first order from a vertex of a smallest key
-    class. From the deepest level up, each level's candidate images of its
-    point, with every earlier point fixed, are tried unless the generators
-    found so far already reach them; a backtrack search
-    (:class:`_Backtrack`, pruned only by keys and adjacency) stops at the
-    first automorphism that maps the point there. Every generator found at
-    a level fixes the points before it and each level tries every
+    Keys that are all distinct give the trivial group at once. Otherwise
+    they are refined to their 1-WL classes (:func:`equitable_classes`),
+    which every automorphism preserving the keys preserves; without this
+    pruning (McKay & Piperno 2014) a child-to-child candidate of a wide
+    tree is refuted only after permuting the later children. The levels
+    are the breadth-first order from a vertex of a smallest class. From
+    the deepest level up, each level's candidate images of its point,
+    with every earlier point fixed, are tried unless the generators found
+    so far already reach them; a backtrack search (:class:`_Backtrack`,
+    pruned only by the classes and adjacency) stops at the first
+    automorphism that maps the point there. Every generator found at a
+    level fixes the points before it and each level tries every
     candidate, so the orbit lengths are exact. The base is the points of
     the levels whose orbit has more than one point. Levels with a single
-    candidate are skipped, and keys that are all distinct give the trivial
-    group at once.
+    candidate are skipped.
     """
     n = graph.n
+    # ids are numbered in order of first appearance: all differ exactly
+    # when the last is n - 1
     keys = _class_ids(keys[v] for v in range(n))
+    if keys[-1] != n - 1:
+        keys = _class_ids(equitable_classes(graph, keys))
     if keys[-1] == n - 1:
-        # ids are numbered in order of first appearance: all keys differ
         return SGSGroup(graph, keys, (), (), ())
     sizes = [0] * n
     for key in keys:
@@ -660,14 +666,11 @@ def automorphism_sgs(graph: Graph, colouring=None) -> SGSGroup:
     """All adjacency-preserving bijections, optionally colour-preserving,
     as base and strong generating set; no element is listed.
 
-    Found by :func:`coset_search` keyed by the colouring's 1-WL classes
-    (:func:`equitable_classes`), which every such bijection preserves; the
-    classes keep the search's candidate sets small. ``colouring`` may be a
-    Colouring or any sequence indexable by vertex; images are then
-    restricted to equal colours.
+    The :func:`coset_search` of the colouring, which searches it by its
+    1-WL classes. ``colouring`` may be a Colouring or any sequence
+    indexable by vertex; images are then restricted to equal colours.
     """
-    colours = [0] * graph.n if colouring is None else [colouring[v] for v in range(graph.n)]
-    return coset_search(graph, equitable_classes(graph, colours))
+    return coset_search(graph, [0] * graph.n if colouring is None else colouring)
 
 
 def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> PermGroup:

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -43,6 +45,24 @@ def break_construction_search(monkeypatch):
         raise AssertionError("the construction's search was called")
 
     monkeypatch.setattr(symmetry, "_search", broken)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test with a message, instead of stalling the suite, if the
+    block runs longer than ``seconds``. Uses SIGALRM, so it works only in
+    the main thread on POSIX; the handler interrupts pure-Python loops."""
+
+    def expire(signum, frame):
+        pytest.fail(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def atlas_corpus():

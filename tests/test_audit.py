@@ -1,6 +1,7 @@
 """The audit must reject tampered runs, not just accept honest ones."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -9,10 +10,13 @@ from asymcolour import (
     barred,
     cycle_graph,
     numeric,
+    path_graph,
     run,
     truncated_tree,
 )
 from asymcolour import audit
+
+from .conftest import deadline
 
 
 @pytest.fixture()
@@ -29,6 +33,44 @@ def failing_names(graph, trace, colouring):
 def test_honest_run_is_clean(tree_run):
     graph, colouring, trace = tree_run
     assert failing_names(graph, trace, colouring) == set()
+
+
+@pytest.mark.parametrize("graph", [truncated_tree(4, 2), cycle_graph(7)], ids=lambda g: g.family_tag)
+def test_each_check_name_comes_in_step_order(graph):
+    colouring, trace = run(graph, 0)
+    steps: dict[str, list] = {}
+    for check in audit.audit_run(graph, trace, colouring):
+        steps.setdefault(check.name, []).append(check.step)
+    assert len(steps["stabilizer-order-recorded"]) == len(trace.steps) + 1
+    for name, seen in steps.items():
+        if seen != [None]:
+            assert seen == sorted(seen), name
+
+
+def test_audit_holds_one_colouring_at_a_time():
+    # c_0..c_K of a path are K+1 colourings of n vertices each; streaming
+    # them keeps the peak linear in n
+    graph = path_graph(600)
+    colouring, trace = run(graph, 0)
+    tracemalloc.start()
+    try:
+        checks = audit.audit_run(graph, trace, colouring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.all_passed(checks)
+    assert peak < 6 * 2**20
+
+
+def test_wide_tree_audit_finishes():
+    # searched by the (colour, distance) keys alone, the audit refuted each
+    # child-to-child candidate by trying permutations of the later
+    # children, and ran far past this deadline
+    graph = truncated_tree(8, 2)
+    colouring, trace = run(graph, 0)
+    with deadline(10):
+        checks = audit.audit_run(graph, trace, colouring)
+    assert audit.all_passed(checks)
 
 
 def test_detects_result_tampering(tree_run):
@@ -58,6 +100,27 @@ def test_detects_sphere_colour_tampering(tree_run):
     names = failing_names(graph, tampered, colouring)
     assert names, "tampered sphere colours went unnoticed"
     assert "replay-matches-result" in names or "sphere-colours-match" in names
+
+
+def test_detects_recolouring_of_the_inner_ball(tree_run):
+    graph, colouring, trace = tree_run
+    step = trace.steps[1]
+    # vertex 1 lies in sphere 1, which step 1 must leave as it is
+    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((1, numeric(5)),))
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    assert "inner-ball-preserved" in failing_names(graph, tampered, colouring)
+
+
+def test_detects_a_stabilizer_that_moves_an_earlier_colour():
+    graph = truncated_tree(6, 2)
+    colouring, trace = run(graph, 0)
+    assert trace.stabilizer_orders[-1] == 64
+    # c_1 now marks leaf 7, which the final stabilizer swaps with a twin,
+    # so that group is no subgroup of the stabilizer of c_1
+    step = trace.steps[0]
+    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((7, numeric(9)),))
+    tampered = dataclasses.replace(trace, steps=(bad_step,) + trace.steps[1:])
+    assert "stabilizer-monotone" in failing_names(graph, tampered, colouring)
 
 
 def test_detects_forged_fixing_set(tree_run):

@@ -32,7 +32,7 @@ from asymcolour import (
     sphere,
     truncated_tree,
 )
-from asymcolour import audit, colouring, oracle
+from asymcolour import audit, colouring, graphs, oracle
 from asymcolour.colouring import induced_keys
 from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
 
@@ -159,7 +159,7 @@ class TestExtendColouring:
         g = complete_graph(2)
         c0 = initial_colouring(g, 0)
         stab = coloured_automorphisms(g, c0)
-        c1, step = extend_colouring(g, 0, c0, stab)
+        c1, step = extend_colouring(g, sphere(g, 0, 0), sphere(g, 0, 1), c0, stab)
         assert c1.colours == (ROOT, numeric(1))
         assert step.inner[0].fixing_blocks == ()
 
@@ -167,7 +167,7 @@ class TestExtendColouring:
         g = path_graph(3)
         c0 = initial_colouring(g, 0)
         stab = coloured_automorphisms(g, c0)
-        c1, _ = extend_colouring(g, 0, c0, stab)
+        c1, _ = extend_colouring(g, sphere(g, 0, 0), sphere(g, 0, 1), c0, stab)
         assert c1[1] == numeric(1)
         assert c1[2] == FAR
 
@@ -176,7 +176,7 @@ class TestExtendColouring:
         full = automorphism_group(g)
         c, _ = run(g, 0, 1)
         stab = coloured_automorphisms(g, c)
-        c2, step = extend_colouring(g, 0, c, stab)
+        c2, step = extend_colouring(g, sphere(g, 0, 1), sphere(g, 0, 2), c, stab)
         # each sibling pair is split: one keeps numeric 1, one goes barred 1
         for pair in ((4, 5), (6, 7), (8, 9)):
             got = sorted((c2[pair[0]], c2[pair[1]]))
@@ -190,13 +190,13 @@ class TestExtendColouring:
         c, _ = run(g, 0)
         stab = coloured_automorphisms(g, c)
         with pytest.raises(ValueError):
-            extend_colouring(g, 0, c, stab)
+            extend_colouring(g, sphere(g, 0, 1), sphere(g, 0, 2), c, stab)
 
     def test_requires_radius(self):
         g = complete_graph(2)
         c = parse_colouring("0\t0\n1\tinf\n")
         with pytest.raises(ValueError):
-            extend_colouring(g, 0, c, coloured_automorphisms(g, c))
+            extend_colouring(g, sphere(g, 0, 0), sphere(g, 0, 1), c, coloured_automorphisms(g, c))
 
 
 class TestRun:
@@ -262,10 +262,24 @@ class TestRun:
         c = initial_colouring(g, root)
         for _ in range(eccentricity(g, root)):
             stab = coloured_automorphisms(g, c)
-            c, _ = extend_colouring(g, root, c, stab)
+            c, _ = extend_colouring(g, sphere(g, root, c.radius), sphere(g, root, c.radius + 1), c, stab)
             for v in range(g.n):
                 assert (c[v] == ROOT) == (v == root)
                 assert (c[v] == FAR) == (d[v] > c.radius)
+
+    def test_run_makes_one_bfs(self, monkeypatch):
+        # each step gets its two spheres from the one BFS of run
+        calls = []
+        bfs = graphs.distances
+
+        def counted(graph, root):
+            calls.append(root)
+            return bfs(graph, root)
+
+        for module in (graphs, colouring):
+            monkeypatch.setattr(module, "distances", counted)
+        run(path_graph(1500), 0)
+        assert len(calls) == 1
 
     def test_elementary_bound_mode(self):
         g = truncated_tree(3, 2)

@@ -30,7 +30,7 @@ from asymcolour import (
 from asymcolour.errors import DomainNotInvariantError, GroupCapError, NotAPartitionActionError
 from asymcolour.symmetry import PermGroup, coloured_automorphisms, coset_search, equitable_classes
 
-from .conftest import brute_automorphisms, connected_graphs, vf2_automorphisms
+from .conftest import brute_automorphisms, connected_graphs, deadline, vf2_automorphisms
 
 perm5 = st.permutations(list(range(5))).map(tuple)
 
@@ -297,6 +297,13 @@ class TestCosetSearch:
         group = coset_search(path_graph(n), [min(v, n - 1 - v) for v in range(n)])
         assert group.order == 2
         assert group.generators == (tuple(reversed(range(n))),)
+
+    def test_all_equal_keys_on_a_deep_tree(self):
+        # refining the keys to 1-WL classes separates the levels and the
+        # subtrees, so no level enumerates permutations of later children
+        g = truncated_tree(4, 3)
+        with deadline(5):
+            assert coset_search(g, [0] * g.n).order == ahu_tree_order(g, 0)
 
     def test_distinct_keys_give_the_trivial_group(self):
         group = coset_search(complete_graph(5), range(5))
