@@ -3,15 +3,18 @@
 Given the graph and the trace of a run, every invariant the construction
 promises is rechecked from scratch, in one pass over the spheres: the
 colourings and the inner colouring states are replayed from the recorded
-deltas, each bound is tested numerically, and every group is recomputed
-by the audit's own route. That route is
-:func:`~asymcolour.symmetry.coset_search`, Sims' backtrack over vertex
-images that keeps one automorphism per coset, pruned by the 1-WL classes
-of the vertex keys and by adjacency. It shares the equitable refinement
-with the construction, which the tests check against round-based 1-WL,
-but none of its search, and it lists no elements. The stabilizer of
-``c_k`` is keyed by each vertex's colour and distance from the root, and
-each running stabilizer also by the vertex's induced block colours.
+deltas, each bound is tested numerically, and every group is searched by
+the audit's own route, or shown equal to ``c_{k-1}``'s by its
+generators. That route is :func:`~asymcolour.symmetry.coset_search`,
+Sims' backtrack over vertex images that keeps one automorphism per coset,
+pruned by the 1-WL classes of the vertex keys and by adjacency. It shares
+the equitable refinement with the construction, which the tests check
+against round-based 1-WL, but none of its search, and it lists no
+elements. The stabilizer of ``c_k`` is keyed by each vertex's colour and
+distance from the root, and each running stabilizer also by the vertex's
+induced block colours. When the keys of ``c_k`` refine those of
+``c_{k-1}`` and every generator of ``c_{k-1}``'s group preserves them,
+the two groups are equal and the group is kept (:func:`_stabilizer`).
 Orders, orbits, monotonicity and the fixed blocks are read from
 generators; the embedded final stabilizer, which the construction lists
 as products of transversals, is compared with the closure of the
@@ -62,9 +65,10 @@ class CheckResult:
 
 def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[CheckResult]:
     """Recheck every per-step invariant of a finished run in one pass over
-    k = 0..K, which replays ``c_k`` in place and searches its stabilizer
-    once for all of k's checks. The one element list built is the closure
-    compared with the embedded final stabilizer."""
+    k = 0..K, which replays ``c_k`` in place and takes its stabilizer
+    once for all of k's checks, searched or kept from k-1. The one element
+    list built is the closure compared with the embedded final
+    stabilizer."""
     checks: list[CheckResult] = []
     root = trace.root
     # a single-vertex graph has max degree 0; its bounds degenerate to the
@@ -79,7 +83,13 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
 
     colours = list(initial_colouring(graph, root).colours)
     ball: list[int] = []
+    # the vertices failing root-colour-unique and far-matches-distance;
+    # from k to k+1 only the recoloured vertices and sphere k+1 can change
+    wrong_root: set[int] = set()
+    wrong_far: set[int] = set()
+    keys = group = None
     for k in range(len(trace.steps) + 1):
+        touched = range(graph.n)
         if k > 0:
             # c_{k-1} is c_k with the old colours of the recoloured sphere
             recoloured = trace.steps[k - 1].final_sphere_colours
@@ -88,18 +98,24 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
             checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
             for v, colour in recoloured:
                 colours[v] = colour
+            touched = [*before, *spheres[k]]
         # an automorphism preserving c_k fixes the uniquely coloured root (see
         # root-colour-unique), so it preserves the distance from the root too
-        keys = list(zip(colours, dist))
-        group = coset_search(graph, keys)
+        previous, keys = keys, list(zip(colours, dist))
+        group = _stabilizer(graph, keys, previous, group)
         if k < len(trace.stabilizer_orders):
             recorded = trace.stabilizer_orders[k]
             detail = f"recomputed order {group.order}, trace says {recorded}"
             checks.append(CheckResult("stabilizer-order-recorded", k, group.order == recorded, detail))
-        ok_root = all((colours[v] == ROOT) == (v == root) for v in range(graph.n))
-        checks.append(CheckResult("root-colour-unique", k, ok_root))
-        ok_far = all((colours[v] == FAR) == (dist[v] > k) for v in range(graph.n))
-        checks.append(CheckResult("far-matches-distance", k, ok_far))
+        for v in touched:
+            wrong_root.discard(v)
+            wrong_far.discard(v)
+            if (colours[v] == ROOT) != (v == root):
+                wrong_root.add(v)
+            if (colours[v] == FAR) != (dist[v] > k):
+                wrong_far.add(v)
+        checks.append(CheckResult("root-colour-unique", k, not wrong_root))
+        checks.append(CheckResult("far-matches-distance", k, not wrong_far))
         ball += spheres[k]
         orbit_sizes = [len(b) for b in orbits(group, ball)]
         checks.append(
@@ -169,7 +185,7 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
 
 def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
     """Recheck step k against ``stabilizer``, the group of c_k that the
-    pass of :func:`audit_run` at k searched, by the vertex keys ``keys``,
+    pass of :func:`audit_run` at k took, by the vertex keys ``keys``,
     (colour, distance from the root), that the running stabilizers extend."""
     checks: list[CheckResult] = []
     k = step.k
@@ -342,6 +358,24 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
         )
     )
     return checks
+
+
+def _stabilizer(graph, keys, previous, group):
+    """``Aut(G, keys)``: ``group``, the audit's group of the keys
+    ``previous`` at k-1 (None at k = 0), when the two are shown equal,
+    else the audit's own :func:`~asymcolour.symmetry.coset_search`.
+
+    If ``keys`` refine ``previous`` (every key occurs with one previous
+    key), an automorphism preserving ``keys`` preserves ``previous``, so
+    ``Aut(G, keys) <= Aut(G, previous) = group``; if also every generator
+    of ``group`` preserves ``keys``, then ``group <= Aut(G, keys)``.
+    """
+    if group is not None:
+        previous_of: dict = {}
+        refines = all(previous_of.setdefault(key, old) == old for key, old in zip(keys, previous))
+        if refines and all(keys[g[v]] == keys[v] for g in group.generators for v in range(graph.n)):
+            return group
+    return coset_search(graph, keys)
 
 
 def _running_stabilizer(graph, stabilizer, keys, partitions, state):

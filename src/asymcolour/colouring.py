@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cache
 from itertools import count
 
 from .errors import GraphFormatError, InternalInvariantError, VertexRangeError
@@ -34,43 +34,51 @@ from .symmetry import (
     pointwise_stabilizer,
 )
 
-_KIND_RANK = {"root": 0, "numeric": 1, "barred": 2, "far": 3}
+_KINDS = ("root", "numeric", "barred", "far")
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Colour:
+class Colour(tuple):
     """One colour of the palette {root} | numeric 1,2,... | barred 1,2,... | far.
 
-    Total order: root < numeric(1) < numeric(2) < ... < barred(1) < ... < far.
+    A colour is the pair ``(rank, value)``, the rank of its kind in
+    root, numeric, barred, far and its value, 0 for root and far.
+    Hashing, equality and the order are the pair's, so they run in C:
+    root < numeric(1) < numeric(2) < ... < barred(1) < ... < far.
     The order extends the numeric minimum used for induced block colours;
     during the inner loop only numeric colours occur on the active sphere,
     so the extension never changes a value the construction depends on.
     """
 
-    kind: str
-    value: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown colour kind {self.kind!r}")
-        if self.kind in ("root", "far") and self.value != 0:
-            raise ValueError(f"{self.kind} colour carries no value")
-        if self.kind in ("numeric", "barred") and self.value < 1:
-            raise ValueError(f"{self.kind} colour needs value >= 1, got {self.value}")
+    def __new__(cls, kind: str, value: int = 0):
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown colour kind {kind!r}")
+        if kind in ("root", "far") and value != 0:
+            raise ValueError(f"{kind} colour carries no value")
+        if kind in ("numeric", "barred") and value < 1:
+            raise ValueError(f"{kind} colour needs value >= 1, got {value}")
+        return tuple.__new__(cls, (_KIND_RANK[kind], value))
 
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.value)
+    def __getnewargs__(self):
+        return (self.kind, self.value)
 
-    def __lt__(self, other: "Colour") -> bool:
-        return self.sort_key() < other.sort_key()
+    @property
+    def kind(self) -> str:
+        return _KINDS[self[0]]
+
+    @property
+    def value(self) -> int:
+        return self[1]
 
     def token(self) -> str:
-        if self.kind == "root":
+        kind = self.kind
+        if kind == "root":
             return "0"
-        if self.kind == "far":
+        if kind == "far":
             return "inf"
-        if self.kind == "barred":
+        if kind == "barred":
             return f"b:{self.value}"
         return str(self.value)
 
@@ -92,10 +100,12 @@ ROOT = Colour("root")
 FAR = Colour("far")
 
 
+@cache
 def numeric(n: int) -> Colour:
     return Colour("numeric", n)
 
 
+@cache
 def barred(b: int) -> Colour:
     return Colour("barred", b)
 

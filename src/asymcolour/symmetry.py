@@ -257,9 +257,12 @@ def _refine(adjacency, lab, cell, end, splitters) -> tuple[int, list]:
         for w in lab[s:end[s]]:
             for u in adjacency[w]:
                 counts[u] = counts.get(u, 0) + 1
+        # a singleton cell cannot split, so its vertices are not bucketed
         touched: dict[int, list[int]] = {}
         for u in counts:
-            touched.setdefault(cell[u], []).append(u)
+            x = cell[u]
+            if end[x] - x > 1:
+                touched.setdefault(x, []).append(u)
         for x in sorted(touched):
             e = end[x]
             members = touched[x]
@@ -275,7 +278,7 @@ def _refine(adjacency, lab, cell, end, splitters) -> tuple[int, list]:
             added += len(shape) - 1
             # a queued cell stays queued as its first fragment; otherwise
             # every fragment but a largest one is queued
-            unqueued = None if x in queued else max(shape, key=lambda f: f[1])[0]
+            unqueued = None if x in queued else max(shape, key=itemgetter(1))[0]
             pos = x
             for count, size in shape:
                 fragment = by_count[count]
@@ -303,9 +306,11 @@ def _individualise(lab, cell, end, v) -> int:
     return e - 1
 
 
-def _target_cell(lab, end) -> int:
-    """Start of the first cell with more than one vertex."""
-    s = 0
+def _target_cell(lab, end, s: int) -> int:
+    """Start of the first cell with more than one vertex, scanning from
+    the cell start ``s``. A child node scans from its parent's target
+    cell: the cells before it were singletons at the parent, and
+    refinement only splits cells, so they still are."""
     while end[s] - s == 1:
         s = end[s]
     return s
@@ -438,8 +443,9 @@ def _search(graph: Graph, colours: list[int]) -> SGSGroup:
     path = []  # per level: the node's partition and its target cell
     splits = []  # per level: the splits made after individualising
     base = []
+    t = 0
     while cells < n:
-        t = _target_cell(lab, end)
+        t = _target_cell(lab, end, t)
         path.append((lab[:], cell[:], end[:], cells, t))
         base.append(lab[t])
         s = _individualise(lab, cell, end, lab[t])
@@ -491,10 +497,10 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
     """
     n = graph.n
     adjacency = graph.adjacency
-    lab, cell, end, cells, _ = path[level]
-    stack = [(lab, cell, end, cells, level, [w])]
+    lab, cell, end, cells, t = path[level]
+    stack = [(lab, cell, end, cells, t, level, [w])]
     while stack:
-        lab, cell, end, cells, depth, candidates = stack[-1]
+        lab, cell, end, cells, t, depth, candidates = stack[-1]
         if not candidates:
             stack.pop()
             continue
@@ -506,8 +512,8 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
             continue
         ccells = cells + 1 + added
         if ccells < n:
-            t = _target_cell(clab, cend)
-            stack.append((clab, ccell, cend, ccells, depth + 1, clab[t:cend[t]][::-1]))
+            ct = _target_cell(clab, cend, t)
+            stack.append((clab, ccell, cend, ccells, ct, depth + 1, clab[ct:cend[ct]][::-1]))
             continue
         image = [0] * n
         for x, y in zip(leaf, clab):

@@ -7,14 +7,17 @@ import pytest
 
 from asymcolour import (
     Colouring,
+    ROOT,
     barred,
     cycle_graph,
     numeric,
+    orbits,
     path_graph,
     run,
     truncated_tree,
 )
 from asymcolour import audit
+from asymcolour.symmetry import coset_search
 
 from .conftest import deadline
 
@@ -73,6 +76,78 @@ def test_wide_tree_audit_finishes():
     assert audit.all_passed(checks)
 
 
+@pytest.mark.parametrize(
+    "graph,searches",
+    [
+        # every group of a path rooted at an end is trivial, so only c_0's
+        # is searched (searched once per k, it was 200)
+        (path_graph(200), 1),
+        # only step 0 shrinks the group: 2, 1, 1, ...
+        (cycle_graph(12), 2),
+        # every step shrinks the group (31104, 2592, 1), so each c_k's is
+        # searched, and so are the two running stabilizers of step 1 that
+        # the group of c_1 does not already preserve
+        (truncated_tree(4, 2), 5),
+    ],
+    ids=lambda x: getattr(x, "family_tag", x),
+)
+def test_audit_searches_only_the_groups_a_step_changed(monkeypatch, graph, searches):
+    colouring, trace = run(graph, 0)
+    calls = []
+
+    def counting(graph, keys):
+        calls.append(keys)
+        return coset_search(graph, keys)
+
+    monkeypatch.setattr(audit, "coset_search", counting)
+    assert audit.all_passed(audit.audit_run(graph, trace, colouring))
+    assert len(calls) == searches
+
+
+def test_each_kept_group_is_the_searched_group(monkeypatch, corpus):
+    # at every k the audit's group of c_k, kept or searched, has the order
+    # and the orbits of a fresh search of (c_k, distance)
+    graphs = [g for g in corpus if g.n <= 6]
+    assert len(graphs) == 143
+    stabilizer = audit._stabilizer
+    compared = []
+
+    def checked(graph, keys, previous, group):
+        found = stabilizer(graph, keys, previous, group)
+        fresh = coset_search(graph, keys)
+        assert found.order == fresh.order
+        assert orbits(found, range(graph.n)) == orbits(fresh, range(graph.n))
+        compared.append(found is group)
+        return found
+
+    monkeypatch.setattr(audit, "_stabilizer", checked)
+    for graph in graphs:
+        for root in range(graph.n):
+            colouring, trace = run(graph, root)
+            before = len(compared)
+            assert audit.all_passed(audit.audit_run(graph, trace, colouring))
+            assert len(compared) - before == len(trace.steps) + 1
+    assert any(compared) and not all(compared)
+
+
+def test_a_step_that_merges_colour_classes_is_searched_again():
+    # path 0-1-2-3-4 from its middle: c_1 tells 1 from 3, so the group of
+    # c_1 is trivial; a step that recolours 3 like 1 gives a c_2 that the
+    # reflection preserves. The trivial group's generators preserve any
+    # keys, so only the refinement test sends c_2 to a new search.
+    graph = path_graph(5)
+    colouring, trace = run(graph, 2)
+    assert trace.stabilizer_orders == (2, 1, 1)
+    step = trace.steps[1]
+    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((3, numeric(1)),))
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    (order,) = [
+        c for c in audit.audit_run(graph, tampered, colouring) if c.name == "stabilizer-order-recorded" and c.step == 2
+    ]
+    assert not order.passed
+    assert order.detail == "recomputed order 2, trace says 1"
+
+
 def test_detects_result_tampering(tree_run):
     graph, colouring, trace = tree_run
     colours = list(colouring.colours)
@@ -121,6 +196,29 @@ def test_detects_a_stabilizer_that_moves_an_earlier_colour():
     bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((7, numeric(9)),))
     tampered = dataclasses.replace(trace, steps=(bad_step,) + trace.steps[1:])
     assert "stabilizer-monotone" in failing_names(graph, tampered, colouring)
+
+
+def test_detects_a_sphere_vertex_left_far(tree_run):
+    graph, colouring, trace = tree_run
+    step = trace.steps[1]
+    # the step leaves vertex 4 of sphere 2 far-coloured, and nothing later
+    # colours it, so every radius from 2 on is wrong about it
+    bad_step = dataclasses.replace(
+        step, final_sphere_colours=tuple((v, c) for v, c in step.final_sphere_colours if v != 4)
+    )
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    checks = audit.audit_run(graph, tampered, colouring)
+    assert [c.step for c in checks if c.name == "far-matches-distance" and not c.passed] == [2]
+
+
+def test_detects_a_second_root_colour(tree_run):
+    graph, colouring, trace = tree_run
+    # step 1 also recolours vertex 2, of sphere 1, with the root colour
+    step = trace.steps[1]
+    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((2, ROOT),))
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    checks = audit.audit_run(graph, tampered, colouring)
+    assert [c.step for c in checks if c.name == "root-colour-unique" and not c.passed] == [2]
 
 
 def test_detects_forged_fixing_set(tree_run):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import pytest
@@ -42,18 +44,50 @@ from .conftest import connected_graphs
 class TestColour:
     def test_total_order(self):
         assert ROOT < numeric(1) < numeric(2) < numeric(17) < barred(1) < barred(2) < FAR
+        assert ROOT < numeric(1) < numeric(9) < barred(1) < FAR
+        assert sorted([FAR, barred(1), numeric(9), ROOT, numeric(1)]) == [ROOT, numeric(1), numeric(9), barred(1), FAR]
+        assert min(barred(1), numeric(3)) == numeric(3)
+
+    def test_kind_and_value(self):
+        assert [(c.kind, c.value) for c in (ROOT, numeric(4), barred(2), FAR)] == [
+            ("root", 0),
+            ("numeric", 4),
+            ("barred", 2),
+            ("far", 0),
+        ]
+
+    def test_equal_colours_hash_equally(self):
+        for kind, value in (("root", 0), ("numeric", 3), ("barred", 2), ("far", 0)):
+            built, interned = Colour(kind, value), Colour.from_token(Colour(kind, value).token())
+            assert built == interned and hash(built) == hash(interned)
+        assert len({Colour("numeric", 3), numeric(3), Colour("barred", 3)}) == 2
+        assert numeric(3) != barred(3)
+
+    def test_interned(self):
+        assert numeric(3) is numeric(3)
+        assert barred(2) is barred(2)
+        assert Colour.from_token("3") is numeric(3)
+        assert Colour.from_token("0") is ROOT and Colour.from_token("inf") is FAR
 
     def test_tokens_round_trip(self):
-        for colour in (ROOT, FAR, numeric(3), barred(2)):
+        for colour in (ROOT, FAR, numeric(1), numeric(3), barred(1), barred(2)):
             assert Colour.from_token(colour.token()) == colour
 
+    def test_copies_and_pickles(self):
+        for colour in (ROOT, FAR, numeric(3), barred(2)):
+            for copied in (copy.deepcopy(colour), pickle.loads(pickle.dumps(colour))):
+                assert copied == colour and type(copied) is Colour
+
     def test_invalid(self):
+        for kind, value in (("numeric", 0), ("barred", 0), ("barred", -1), ("mauve", 1), ("far", 2), ("root", 1)):
+            with pytest.raises(ValueError):
+                Colour(kind, value)
         with pytest.raises(ValueError):
-            Colour("numeric", 0)
+            numeric(0)
         with pytest.raises(ValueError):
-            Colour("mauve", 1)
+            barred(-2)
         with pytest.raises(ValueError):
-            Colour("far", 2)
+            Colour.from_token("b:0")
 
     def test_ceil_sqrt(self):
         assert [ceil_sqrt(d) for d in (1, 2, 3, 4, 5, 9, 10)] == [1, 2, 2, 2, 3, 3, 4]

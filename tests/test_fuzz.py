@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcolour import parse_colouring, parse_graph
-from asymcolour.cli import main
+from asymcolour.cli import ORACLE_QUANTITIES, main
 
 TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["b:1", "b:0", "inf", "#", "x"]))
 LINES = st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=8)
@@ -66,3 +66,31 @@ def test_verify_exits_with_a_documented_code(graph_text, colouring_text):
     assert code in (0, 1, 4)
     assert len(err.getvalue().splitlines()) <= 1
     assert (code == 1) == bool(err.getvalue())
+
+
+def malformed(text):
+    try:
+        parse_graph(text)
+    except ValueError:
+        return True
+    return False
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(LINES.map(as_text).filter(malformed), st.sampled_from(ORACLE_QUANTITIES))
+def test_colour_and_oracle_reject_a_malformed_graph_in_one_line(graph_text, quantity):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = Path(tmp) / "g.adj"
+        graph_path.write_text(graph_text, encoding="utf-8")
+        for argv in (["colour", "--input", str(graph_path)], ["oracle", str(graph_path), quantity]):
+            code, out, err = run_main(argv)
+            assert code == 1, argv
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("asym: "), err

@@ -12,12 +12,14 @@ from asymcolour import (
     block_stabilizer,
     build_graph,
     chain_length_bound,
+    complete_bipartite_graph,
     complete_graph,
     compose,
     cycle_graph,
     distances,
     format_group,
     format_permutation,
+    grid_graph,
     identity_perm,
     invert,
     longest_chain_bruteforce,
@@ -28,11 +30,22 @@ from asymcolour import (
     truncated_tree,
 )
 from asymcolour.errors import DomainNotInvariantError, GroupCapError, NotAPartitionActionError
+from asymcolour import symmetry
 from asymcolour.symmetry import PermGroup, coloured_automorphisms, coset_search, equitable_classes
 
-from .conftest import brute_automorphisms, connected_graphs, deadline, vf2_automorphisms
+from .conftest import brute_automorphisms, connected_graphs, deadline, permutations_of, vf2_automorphisms
 
 perm5 = st.permutations(list(range(5))).map(tuple)
+
+
+def relabelled(g):
+    return permutations_of(g.n).map(lambda p: build_graph(g.n, [(p[u], p[v]) for u, v in g.edges()]))
+
+
+# random labellings of graphs with large groups, whose searches go deep
+SYMMETRIC_GRAPHS = st.sampled_from(
+    [truncated_tree(3, 2), truncated_tree(2, 3), cycle_graph(8), complete_bipartite_graph(3, 4), grid_graph(3, 3)]
+).flatmap(relabelled)
 
 
 class TestPermOps:
@@ -241,6 +254,27 @@ class TestColouredAutomorphisms:
         nested = coloured_automorphisms(g, first).stabilizer(second)
         both = brute_automorphisms(g, list(zip(first, second)))
         assert nested.enumerate().elements == tuple(both)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(connected_graphs(max_n=8), SYMMETRIC_GRAPHS), st.data())
+    def test_target_cell_resumed_from_the_parent_is_the_first_from_cell_0(self, g, data):
+        # every node the search visits scans for its target cell, so the
+        # resumed scan is compared with a scan from cell 0 at each of them
+        colours = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+        further = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+        scan = symmetry._target_cell
+        scans = []
+
+        def checked(lab, end, start):
+            found = scan(lab, end, start)
+            scans.append((found, scan(lab, end, 0)))
+            return found
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetry, "_target_cell", checked)
+            coloured_automorphisms(g)
+            coloured_automorphisms(g, colours).stabilizer(further)
+        assert all(found == first for found, first in scans)
 
     TREE_ORDERS = [(3, 2, 48), (4, 2, 31104), (5, 2, 955_514_880), (4, 3, 67_706_637_778_944)]
 
