@@ -4,7 +4,7 @@ Given the graph and the trace of a run, every invariant the construction
 promises is rechecked from scratch, in one pass over the spheres: the
 colourings and the inner colouring states are replayed from the recorded
 deltas, each bound is tested numerically, and every group is searched by
-the audit's own route, or shown equal to ``c_{k-1}``'s by its
+the audit's own route, or shown equal to the group before it by its
 generators. That route is :func:`~asymcolour.symmetry.coset_search`,
 Sims' backtrack over vertex images that keeps one automorphism per coset,
 pruned by the 1-WL classes of the vertex keys and by adjacency. It shares
@@ -12,15 +12,17 @@ the equitable refinement with the construction, which the tests check
 against round-based 1-WL, but none of its search, and it lists no
 elements. The stabilizer of ``c_k`` is keyed by each vertex's colour and
 distance from the root, and each running stabilizer also by the vertex's
-induced block colours. When the keys of ``c_k`` refine those of
-``c_{k-1}`` and every generator of ``c_{k-1}``'s group preserves them,
-the two groups are equal and the group is kept (:func:`_stabilizer`).
-Orders, orbits, monotonicity and the fixed blocks are read from
-generators; the embedded final stabilizer, which the construction lists
-as products of transversals, is compared with the closure of the
-recomputed generators. The audit shares none of the construction's
-control flow either, so a bookkeeping bug in one of the two shows up as a
-failed check.
+induced block colours. Every group is taken by one rule
+(:func:`_stabilizer`): when its keys refine the keys of the group before
+it (``c_{k-1}``'s, or the previous inner index's running stabilizer,
+which starts from ``c_k``'s) and every generator of that group preserves
+them, the two groups are equal and that group is kept; else it is
+searched. Orders, orbits, monotonicity, the block actions and the fixed
+blocks are read from generators; the embedded final stabilizer, which
+the construction lists as products of transversals, is compared with the
+closure of the recomputed generators. The audit shares none of the
+construction's control flow either, so a bookkeeping bug in one of the
+two shows up as a failed check.
 """
 
 from __future__ import annotations
@@ -41,14 +43,7 @@ from .colouring import (
     numeric,
 )
 from .graphs import Graph, distances
-from .symmetry import (
-    PermGroup,
-    block_index_map,
-    coset_search,
-    fixes_block,
-    orbits,
-    partition_image,
-)
+from .symmetry import PermGroup, coset_search, fixes_block, orbits, permutes_blocks, preserves
 
 
 @dataclass(frozen=True)
@@ -93,12 +88,11 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
         if k > 0:
             # c_{k-1} is c_k with the old colours of the recoloured sphere
             recoloured = trace.steps[k - 1].final_sphere_colours
-            before = {v: colours[v] for v, _ in recoloured}
             ok_restrict = all(dist[v] >= k or colours[v] == colour for v, colour in recoloured)
             checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
             for v, colour in recoloured:
                 colours[v] = colour
-            touched = [*before, *spheres[k]]
+            touched = [v for v, _ in recoloured] + spheres[k]
         # an automorphism preserving c_k fixes the uniquely coloured root (see
         # root-colour-unique), so it preserves the distance from the root too
         previous, keys = keys, list(zip(colours, dist))
@@ -127,12 +121,7 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
             )
         )
         if k > 0:
-            ok_monotone = all(
-                before.get(g[v], colours[g[v]]) == before.get(v, colours[v])
-                for g in group.generators
-                for v in range(graph.n)
-            )
-            checks.append(CheckResult("stabilizer-monotone", k, ok_monotone))
+            checks.append(CheckResult("stabilizer-monotone", k, preserves(group, previous)))
         if k < len(trace.steps):
             checks.extend(_audit_step(graph, trace.steps[k], spheres[k], keys, group, delta))
 
@@ -222,12 +211,8 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
 
     # the running stabilizers are taken by vertex keys, which is sound only
     # for partitions whose blocks every element of the stabilizer permutes
-    permuted = 0
-    for blocks in partitions:
-        index_of = block_index_map(blocks)
-        if any(partition_image(g, blocks, index_of) is None for g in stabilizer.generators):
-            break
-        permuted += 1
+    unpermuted = (i for i, blocks in enumerate(partitions) if not permutes_blocks(stabilizer, blocks))
+    permuted = next(unpermuted, len(partitions))
     checks.append(
         CheckResult(
             "stabilizer-permutes-partitions",
@@ -237,7 +222,10 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
         )
     )
 
-    # replay the inner loop against recomputed running stabilizers
+    # replay the inner loop against recomputed running stabilizers, each
+    # kept from the previous inner index's group or searched; the chain
+    # starts at c_k's keys and group
+    running_keys, running = keys, stabilizer
     state = {v: numeric(1) for v in step.next_sphere}
     recolour_counts = {v: 0 for v in step.next_sphere}
     size_cap = math.ceil(3 * chunk_cap / 2)
@@ -250,11 +238,16 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
                 f"inner {rec.index}",
             )
         )
-        if rec.index < permuted:
-            gamma_tilde = _running_stabilizer(graph, stabilizer, keys, partitions[: rec.index + 1], state)
-            order = gamma_tilde.order
-        else:
+        if rec.index >= permuted:
             gamma_tilde, order = None, "none (the stabilizer does not permute the partitions)"
+        else:
+            # every running key extends the c_k key, so a trivial c_k group
+            # is every running group
+            if not stabilizer.is_trivial():
+                induced = induced_keys(graph.n, partitions[: rec.index + 1], state)
+                extended = [key + block_colours for key, block_colours in zip(keys, induced)]
+                running, running_keys = _stabilizer(graph, extended, running_keys, running), extended
+            gamma_tilde, order = running, running.order
         checks.append(
             CheckResult(
                 "running-stabilizer-order",
@@ -280,12 +273,8 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
             )
         )
 
-        parent_of = block_index_map(blocks_i) if blocks_i else {}
-        halving = True
-        for block in rec.fixing_blocks:
-            parent = partitions[rec.index][parent_of[block[0]]] if blocks_i else None
-            if parent is not None and len(block) > len(parent) / 2:
-                halving = False
+        parent_of = {v: parent for parent in blocks_i for v in parent}
+        halving = not blocks_i or all(len(block) <= len(parent_of[block[0]]) / 2 for block in rec.fixing_blocks)
         checks.append(CheckResult("fixing-halves-parent", k, halving, f"inner {rec.index}"))
 
         before = dict(state)
@@ -362,8 +351,9 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
 
 def _stabilizer(graph, keys, previous, group):
     """``Aut(G, keys)``: ``group``, the audit's group of the keys
-    ``previous`` at k-1 (None at k = 0), when the two are shown equal,
-    else the audit's own :func:`~asymcolour.symmetry.coset_search`.
+    ``previous`` (those of c_{k-1}, or of the previous inner index; None
+    at k = 0), when the two are shown equal, else the audit's own
+    :func:`~asymcolour.symmetry.coset_search`.
 
     If ``keys`` refine ``previous`` (every key occurs with one previous
     key), an automorphism preserving ``keys`` preserves ``previous``, so
@@ -371,23 +361,9 @@ def _stabilizer(graph, keys, previous, group):
     of ``group`` preserves ``keys``, then ``group <= Aut(G, keys)``.
     """
     if group is not None:
-        previous_of: dict = {}
-        refines = all(previous_of.setdefault(key, old) == old for key, old in zip(keys, previous))
-        if refines and all(keys[g[v]] == keys[v] for g in group.generators for v in range(graph.n)):
+        refines = len(set(zip(keys, previous))) == len(set(keys))
+        if refines and preserves(group, keys):
             return group
-    return coset_search(graph, keys)
-
-
-def _running_stabilizer(graph, stabilizer, keys, partitions, state):
-    """The elements of ``stabilizer`` preserving the induced block colours
-    of every partition, as the automorphisms preserving ``keys`` extended
-    by :func:`~asymcolour.colouring.induced_keys`; the stabilizer itself
-    when every generator already preserves them."""
-    if stabilizer.is_trivial():
-        return stabilizer
-    keys = [key + induced for key, induced in zip(keys, induced_keys(graph.n, partitions, state))]
-    if all(keys[g[v]] == keys[v] for g in stabilizer.generators for v in state):
-        return stabilizer
     return coset_search(graph, keys)
 
 

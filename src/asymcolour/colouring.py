@@ -25,12 +25,11 @@ from .graphs import Graph, distances
 from .symmetry import (
     DEFAULT_CAP,
     SGSGroup,
-    block_index_map,
     coloured_automorphisms,
     fixes_block,
     minimal_fixing_set,
     orbits,
-    partition_image,
+    permutes_blocks,
     pointwise_stabilizer,
 )
 
@@ -394,8 +393,7 @@ def extend_colouring(
         # the subgroup preserving the induced keys; that is sound because
         # every generator permutes the blocks of each partition, and
         # partition i is first used at index i, so it is checked once, here
-        index_of = block_index_map(partitions[i])
-        if any(partition_image(p, partitions[i], index_of) is None for p in stabilizer.generators):
+        if not permutes_blocks(stabilizer, partitions[i]):
             raise InternalInvariantError("stabilizer element does not permute a refinement partition")
         gamma_tilde = stabilizer.stabilizer(induced_keys(graph.n, partitions[: i + 1], state))
         acting_orbit = orbit_list[i]

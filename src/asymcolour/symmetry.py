@@ -27,7 +27,8 @@ closure of its own generators; the tests filter lists with
 :meth:`PermGroup.stabilizer`.
 
 Both group kinds carry ``generators``, and :func:`orbits`,
-:func:`fixes_block` and :func:`minimal_fixing_set` read only those.
+:func:`fixes_block`, :func:`preserves`, :func:`permutes_blocks` and
+:func:`minimal_fixing_set` read only those.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
 
@@ -370,10 +371,9 @@ class SGSGroup:
         itself, and a subgroup of the trivial group is trivial; otherwise
         it is searched as ``Aut(G, c)`` with each colour split by ``keys``.
         """
-        domain = range(self.degree)
-        if all(keys[g[v]] == keys[v] for g in self.generators for v in domain):
+        if preserves(self, keys):
             return self
-        return _search(self.graph, _class_ids(zip(self.colours, (keys[v] for v in domain))))
+        return _search(self.graph, _class_ids(zip(self.colours, (keys[v] for v in range(self.degree)))))
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> PermGroup:
         """The sorted element list, as products of transversals (Sims 1970).
@@ -709,6 +709,26 @@ def fixes_block(group, block) -> bool:
     return all(p[v] in bset for p in group.generators for v in block)
 
 
+def preserves(group, keys) -> bool:
+    """Whether every element maps each vertex to one with the same key:
+    true exactly when every generator does."""
+    return all(keys[u] == keys[v] for g in group.generators for v, u in enumerate(g))
+
+
+def permutes_blocks(group, blocks) -> bool:
+    """Whether every element maps each block onto a block of the
+    partition: true exactly when every generator does. A permutation that
+    maps each block into a block maps the blocks' union onto itself, so
+    every block receives the image of one block, and all of it."""
+    block_of = {v: b for b, block in enumerate(blocks) for v in block}
+    for g in group.generators:
+        for block in blocks:
+            target = block_of.get(g[block[0]])
+            if target is None or any(block_of.get(g[v]) != target for v in block):
+                return False
+    return True
+
+
 def pointwise_stabilizer(group, targets):
     keys = [-1] * group.degree
     for v in targets:
@@ -783,25 +803,6 @@ def longest_chain_bruteforce(n: int) -> int:
     return longest(frozenset(full))
 
 
-def partition_image(perm: Perm, blocks, index_of: dict[int, int]) -> list[int] | None:
-    """Where the permutation sends each block, or None if some image is
-    not itself a block of the partition."""
-    result = []
-    for b, block in enumerate(blocks):
-        target = index_of.get(perm[block[0]])
-        if target is None or len(blocks[target]) != len(block):
-            return None
-        tset = set(blocks[target])
-        if any(perm[v] not in tset for v in block):
-            return None
-        result.append(target)
-    return result
-
-
-def block_index_map(blocks) -> dict[int, int]:
-    return {v: i for i, block in enumerate(blocks) for v in block}
-
-
 def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[tuple[int, ...], ...]:
     """A small, inclusion-minimal list of blocks whose setwise fixing
     forces every block of the partition to be fixed setwise.
@@ -823,10 +824,8 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     internal-consistency checks.
     """
     blocks = tuple(tuple(sorted(b)) for b in blocks)
-    index_of = block_index_map(blocks)
-    for p in group.generators:
-        if partition_image(p, blocks, index_of) is None:
-            raise NotAPartitionActionError("group does not permute the blocks of the partition")
+    if not permutes_blocks(group, blocks):
+        raise NotAPartitionActionError("group does not permute the blocks of the partition")
 
     target = block_stabilizer(group, blocks)
 

@@ -10,6 +10,7 @@ from asymcolour import (
     ROOT,
     barred,
     cycle_graph,
+    distances,
     numeric,
     orbits,
     path_graph,
@@ -85,9 +86,9 @@ def test_wide_tree_audit_finishes():
         # only step 0 shrinks the group: 2, 1, 1, ...
         (cycle_graph(12), 2),
         # every step shrinks the group (31104, 2592, 1), so each c_k's is
-        # searched, and so are the two running stabilizers of step 1 that
-        # the group of c_1 does not already preserve
-        (truncated_tree(4, 2), 5),
+        # searched, and so is step 1's running stabilizer at inner index 1;
+        # the one at index 2 equals it (order 1,296) and is kept
+        (truncated_tree(4, 2), 4),
     ],
     ids=lambda x: getattr(x, "family_tag", x),
 )
@@ -105,8 +106,9 @@ def test_audit_searches_only_the_groups_a_step_changed(monkeypatch, graph, searc
 
 
 def test_each_kept_group_is_the_searched_group(monkeypatch, corpus):
-    # at every k the audit's group of c_k, kept or searched, has the order
-    # and the orbits of a fresh search of (c_k, distance)
+    # every group the audit takes, kept or searched, has the order and the
+    # orbits of a fresh search of its keys: c_k's at every k, and each
+    # running stabilizer of a step whose c_k group is not trivial
     graphs = [g for g in corpus if g.n <= 6]
     assert len(graphs) == 143
     stabilizer = audit._stabilizer
@@ -126,7 +128,8 @@ def test_each_kept_group_is_the_searched_group(monkeypatch, corpus):
             colouring, trace = run(graph, root)
             before = len(compared)
             assert audit.all_passed(audit.audit_run(graph, trace, colouring))
-            assert len(compared) - before == len(trace.steps) + 1
+            running = sum(len(step.inner) for step, order in zip(trace.steps, trace.stabilizer_orders) if order > 1)
+            assert len(compared) - before == len(trace.steps) + 1 + running
     assert any(compared) and not all(compared)
 
 
@@ -146,6 +149,53 @@ def test_a_step_that_merges_colour_classes_is_searched_again():
     ]
     assert not order.passed
     assert order.detail == "recomputed order 2, trace says 1"
+
+
+def test_a_recolouring_that_changes_an_earlier_block_colour_is_searched_again(monkeypatch):
+    # tree(4,2) from its centre, step 1: inner index 0 recolours (5,6,7),
+    # the children of 1, so partition 1 tells them from (8,9,10), the
+    # children of 2, and the running group halves to 1,296. Recolouring
+    # (8,9,10) at index 1 as well changes that block's induced colour in
+    # partition 1 and undoes the distinction. The running keys at index 2
+    # then merge two classes of index 1's keys, yet the generators of index
+    # 1's running group preserve them: only the refinement test in
+    # _stabilizer sends index 2's group to a new search.
+    graph = truncated_tree(4, 2)
+    colouring, trace = run(graph, 0)
+    step = trace.steps[1]
+    assert [rec.fixing_blocks for rec in step.inner] == [((5, 6, 7),), (), ()]
+    bad_rec = dataclasses.replace(step.inner[1], fixing_blocks=((8, 9, 10),))
+    bad_step = dataclasses.replace(step, inner=(step.inner[0], bad_rec, step.inner[2]))
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    stabilizer = audit._stabilizer
+    taken = []
+
+    def recorded(graph, keys, previous, group):
+        found = stabilizer(graph, keys, previous, group)
+        taken.append((keys, found))
+        return found
+
+    monkeypatch.setattr(audit, "_stabilizer", recorded)
+    checks = audit.audit_run(graph, tampered, colouring)
+    unstable = [(c.step, c.detail) for c in checks if c.name == "induced-colours-stable" and not c.passed]
+    assert unstable == [(1, "inner 1")]
+
+    # the running keys at index 2, built from scratch: c_1's colour, the
+    # distance from the root, and the least colour of each block that holds
+    # the vertex in partitions 0..2, where 5..10 now have colour 2
+    c_1, _ = run(graph, 0, 1)
+    dist = distances(graph, 0)
+    state = {v: numeric(2 if v <= 10 else 1) for v in step.next_sphere}
+    keys = [(c_1[v], dist[v]) for v in range(graph.n)]
+    for blocks in step.partitions[:3]:
+        for block in blocks:
+            for v in block:
+                keys[v] += (min(state[u] for u in block),)
+    (found,) = [group for running_keys, group in taken if running_keys == keys]
+    fresh = coset_search(graph, keys)
+    assert fresh.order == trace.stabilizer_orders[1] == 2592
+    assert found.order == fresh.order
+    assert orbits(found, range(graph.n)) == orbits(fresh, range(graph.n))
 
 
 def test_detects_result_tampering(tree_run):

@@ -331,20 +331,20 @@ class TestRun:
         # index i uses partitions 0..i; each is checked against the step's
         # generators only at the first index that uses it
         checked = []
-        partition_image = colouring.partition_image
+        permutes_blocks = colouring.permutes_blocks
 
-        def counted(perm, blocks, index_of):
-            checked.append((perm, blocks))
-            return partition_image(perm, blocks, index_of)
+        def counted(group, blocks):
+            checked.append((group.generators, blocks))
+            return permutes_blocks(group, blocks)
 
-        monkeypatch.setattr(colouring, "partition_image", counted)
+        monkeypatch.setattr(colouring, "permutes_blocks", counted)
         _, trace = run(truncated_tree(4, 2), 0)
         assert checked
         assert len(checked) == len(set(checked))
         assert max(len(step.inner) for step in trace.steps) > 1
 
     def test_partition_not_permuted_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(colouring, "partition_image", lambda perm, blocks, index_of: None)
+        monkeypatch.setattr(colouring, "permutes_blocks", lambda group, blocks: False)
         with pytest.raises(InternalInvariantError, match="stabilizer element does not permute a refinement partition"):
             run(truncated_tree(3, 2), 0)
 

@@ -31,7 +31,14 @@ from asymcolour import (
 )
 from asymcolour.errors import DomainNotInvariantError, GroupCapError, NotAPartitionActionError
 from asymcolour import symmetry
-from asymcolour.symmetry import PermGroup, coloured_automorphisms, coset_search, equitable_classes
+from asymcolour.symmetry import (
+    PermGroup,
+    coloured_automorphisms,
+    coset_search,
+    equitable_classes,
+    permutes_blocks,
+    preserves,
+)
 
 from .conftest import brute_automorphisms, connected_graphs, deadline, permutations_of, vf2_automorphisms
 
@@ -417,6 +424,51 @@ class TestOrbitsAndStabilizers:
         group = automorphism_group(cycle_graph(5))
         assert group.stabilizer([7] * 5) == group
         assert group.stabilizer(list(range(5))).is_trivial()
+
+
+class TestGeneratorQuestions:
+    """``preserves`` and ``permutes_blocks`` read only generators; each
+    answer must be that of a test over every element of the group."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(connected_graphs(max_n=6), st.data())
+    def test_match_a_test_over_every_element(self, g, data):
+        group = coloured_automorphisms(g)
+        elements = group.enumerate()
+        # keys and blocks read off the orbits are always kept; random ones
+        # mostly are not
+        orbit_of = {v: i for i, orbit in enumerate(orbits(group, range(g.n))) for v in orbit}
+        if data.draw(st.booleans()):
+            key_of = data.draw(st.lists(st.integers(0, 2), min_size=len(orbit_of), max_size=len(orbit_of)))
+            label_of = data.draw(st.lists(st.integers(-1, 2), min_size=len(orbit_of), max_size=len(orbit_of)))
+            keys = [key_of[orbit_of[v]] for v in range(g.n)]
+            labels = [label_of[orbit_of[v]] for v in range(g.n)]
+        else:
+            keys = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+            labels = data.draw(st.lists(st.integers(-1, g.n - 1), min_size=g.n, max_size=g.n))
+        # label -1 leaves the vertex outside the partition
+        blocks = [tuple(v for v in range(g.n) if labels[v] == b) for b in sorted(set(labels) - {-1})]
+        block_sets = {frozenset(block) for block in blocks}
+        keeps_keys = all(keys[p[v]] == keys[v] for p in elements for v in range(g.n))
+        keeps_blocks = all(frozenset(p[v] for v in block) in block_sets for p in elements for block in blocks)
+        for kind in (group, elements):
+            assert preserves(kind, keys) == keeps_keys
+            assert permutes_blocks(kind, blocks) == keeps_blocks
+
+    def test_a_block_split_across_two_blocks(self):
+        swap = PermGroup.from_generators(4, [(1, 0, 2, 3)])
+        assert not permutes_blocks(swap, [(0, 2), (1, 3)])
+        assert permutes_blocks(swap, [(0, 1), (2, 3)])
+
+    def test_a_block_mapped_into_a_block_of_another_size(self):
+        swap = PermGroup.from_generators(3, [(1, 0, 2)])
+        assert not permutes_blocks(swap, [(0,), (1, 2)])
+        assert permutes_blocks(swap, [(0,), (1,), (2,)])
+
+    def test_a_block_mapped_outside_the_partition(self):
+        swap = PermGroup.from_generators(3, [(1, 0, 2)])
+        assert not permutes_blocks(swap, [(0,), (2,)])
+        assert permutes_blocks(swap, [(2,)])
 
 
 class TestChainLength:
