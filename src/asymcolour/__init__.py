@@ -20,7 +20,6 @@ from .colouring import (
     ceil_sqrt,
     colour_bound,
     extend_colouring,
-    induced_colouring,
     initial_colouring,
     neighbourhood_refinement,
     numeric,
@@ -29,6 +28,7 @@ from .colouring import (
     serialize_colouring,
     serialize_trace,
 )
+from .audit import induced_colouring
 from .graphs import (
     FamilySpec,
     Graph,

@@ -12,17 +12,21 @@ the equitable refinement with the construction, which the tests check
 against round-based 1-WL, but none of its search, and it lists no
 elements. The stabilizer of ``c_k`` is keyed by each vertex's colour and
 distance from the root, and each running stabilizer also by the vertex's
-induced block colours. Every group is taken by one rule
+induced block colours (:func:`induced_keys`), the paper's definition
+read literally; the construction takes the same groups as stabilizers
+of the sphere's own colours, so the two agree only if its reasoning
+holds. Every group is taken by one rule
 (:func:`_stabilizer`): when its keys refine the keys of the group before
 it (``c_{k-1}``'s, or the previous inner index's running stabilizer,
 which starts from ``c_k``'s) and every generator of that group preserves
 them, the two groups are equal and that group is kept; else it is
 searched. Orders, orbits, monotonicity, the block actions and the fixed
-blocks are read from generators; the embedded final stabilizer, which
-the construction lists as products of transversals, is compared with the
-closure of the recomputed generators. The audit shares none of the
-construction's control flow either, so a bookkeeping bug in one of the
-two shows up as a failed check.
+blocks are read from generators, and each sphere's orbits once per k;
+the embedded final stabilizer, which the construction lists as products
+of transversals, is compared with the closure of the recomputed
+generators. The audit shares none of the construction's control flow
+either, so a bookkeeping bug in one of the two shows up as a failed
+check.
 """
 
 from __future__ import annotations
@@ -31,19 +35,40 @@ import math
 from dataclasses import dataclass
 
 from .colouring import (
+    Colour,
     Colouring,
     FAR,
     ROOT,
     RefinementTrace,
     ceil_sqrt,
     colour_bound,
-    induced_colouring,
-    induced_keys,
     initial_colouring,
     numeric,
 )
 from .graphs import Graph, distances
 from .symmetry import PermGroup, coset_search, fixes_block, orbits, permutes_blocks, preserves
+
+
+def induced_colouring(colours, partition) -> tuple[Colour, ...]:
+    """Per-block colour: the minimum vertex colour in each block."""
+    return tuple(min(colours[v] for v in block) for block in partition)
+
+
+def induced_keys(n: int, partitions, state) -> list[tuple]:
+    """For each of the vertices 0..n-1, the tuple of the induced colours of
+    its blocks, one per partition that holds it.
+
+    The paper's running stabilizer, the subgroup of the step's stabilizer
+    keeping the induced colouring of every partition 0..i, is the one
+    preserving these keys, because each of its elements permutes the
+    blocks of each partition.
+    """
+    keys: list[tuple] = [()] * n
+    for blocks in partitions:
+        for block, colour in zip(blocks, induced_colouring(state, blocks)):
+            for v in block:
+                keys[v] += (colour,)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -77,7 +102,9 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
     budget = colour_bound(delta)
 
     colours = list(initial_colouring(graph, root).colours)
+    # the vertices of spheres 0..k-1, and the largest orbit on them
     ball: list[int] = []
+    largest = 0
     # the vertices failing root-colour-unique and far-matches-distance;
     # from k to k+1 only the recoloured vertices and sphere k+1 can change
     wrong_root: set[int] = set()
@@ -96,7 +123,7 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
         # an automorphism preserving c_k fixes the uniquely coloured root (see
         # root-colour-unique), so it preserves the distance from the root too
         previous, keys = keys, list(zip(colours, dist))
-        group = _stabilizer(graph, keys, previous, group)
+        before, group = group, _stabilizer(graph, keys, previous, group)
         if k < len(trace.stabilizer_orders):
             recorded = trace.stabilizer_orders[k]
             detail = f"recomputed order {group.order}, trace says {recorded}"
@@ -110,20 +137,25 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
                 wrong_far.add(v)
         checks.append(CheckResult("root-colour-unique", k, not wrong_root))
         checks.append(CheckResult("far-matches-distance", k, not wrong_far))
+        # the group keeps the distance from the root, so the ball's orbits
+        # are its spheres' orbits; a group kept from k-1 keeps its largest
+        if group is not before:
+            largest = max(map(len, orbits(group, ball)), default=0)
+        sphere_orbits = orbits(group, spheres[k])
+        largest = max([largest, *map(len, sphere_orbits)])
         ball += spheres[k]
-        orbit_sizes = [len(b) for b in orbits(group, ball)]
         checks.append(
             CheckResult(
                 "ball-orbits-small",
                 k,
-                max(orbit_sizes, default=0) <= chunk_cap,
-                f"largest orbit {max(orbit_sizes, default=0)} > ceil(sqrt({delta})) = {chunk_cap}",
+                largest <= chunk_cap,
+                f"largest orbit {largest} > ceil(sqrt({delta})) = {chunk_cap}",
             )
         )
         if k > 0:
             checks.append(CheckResult("stabilizer-monotone", k, preserves(group, previous)))
         if k < len(trace.steps):
-            checks.extend(_audit_step(graph, trace.steps[k], spheres[k], keys, group, delta))
+            checks.extend(_audit_step(graph, trace.steps[k], sphere_orbits, keys, group, delta))
 
     checks.append(
         CheckResult(
@@ -172,10 +204,11 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
     return checks
 
 
-def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
+def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
     """Recheck step k against ``stabilizer``, the group of c_k that the
     pass of :func:`audit_run` at k took, by the vertex keys ``keys``,
-    (colour, distance from the root), that the running stabilizers extend."""
+    (colour, distance from the root), that the running stabilizers extend.
+    ``sphere_orbits`` are that group's orbits on sphere k."""
     checks: list[CheckResult] = []
     k = step.k
     chunk_cap = ceil_sqrt(delta)
@@ -184,7 +217,7 @@ def _audit_step(graph, step, sphere_k, keys, stabilizer, delta):
         CheckResult(
             "orbits-match",
             k,
-            orbits(stabilizer, sphere_k) == step.orbit_list,
+            sphere_orbits == step.orbit_list,
             "recorded orbit list differs from recomputed orbits",
         )
     )

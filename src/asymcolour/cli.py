@@ -32,6 +32,7 @@ from pathlib import Path
 
 from . import audit, oracle
 from .colouring import (
+    BOUND_MODES,
     ORBIT_DOMAIN,
     colour_bound,
     parse_colouring,
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     colour.add_argument("--h", type=int, help="grid: height")
     colour.add_argument("--root", type=int, default=0)
     colour.add_argument("--horizon", type=int, default=None, help="number of spheres to colour (default: eccentricity)")
-    colour.add_argument("--bound-mode", choices=("csg", "elementary"), default="csg")
+    colour.add_argument("--bound-mode", choices=BOUND_MODES, default="csg")
     colour.add_argument("--cap", type=int, default=None, help="group element cap (default ASYM_CAP or 10^6)")
     colour.add_argument("--out", help="write the colouring here")
     colour.add_argument("--trace", help="write the construction trace here")

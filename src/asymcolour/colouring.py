@@ -8,9 +8,10 @@ fixed setwise, and finally every class is split into chunks of size at
 most ceil(sqrt(max_degree)) using the barred palette. The stabilizer of
 the result then has only small orbits inside the coloured ball.
 
-Every step appends a trace record with the orbits, partitions, chosen
-fixing sets and colour deltas, so the whole run can be re-audited
-independently (see :mod:`asymcolour.audit`).
+Each inner index works in the stabilizer of the sphere's current colours,
+with no induced block colour. Every step appends a trace record with the
+orbits, partitions, chosen fixing sets and colour deltas, so the whole run
+can be re-audited independently (see :mod:`asymcolour.audit`).
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class Colour(tuple):
     root, numeric, barred, far and its value, 0 for root and far.
     Hashing, equality and the order are the pair's, so they run in C:
     root < numeric(1) < numeric(2) < ... < barred(1) < ... < far.
-    The order extends the numeric minimum used for induced block colours;
-    during the inner loop only numeric colours occur on the active sphere,
-    so the extension never changes a value the construction depends on.
+    The order extends the numeric minimum the audit takes for induced
+    block colours; during the inner loop only numeric colours occur on the
+    active sphere, so the extension never changes an induced colour.
     """
 
     __slots__ = ()
@@ -237,28 +238,6 @@ def neighbourhood_refinement(graph: Graph, next_sphere, orbit_list) -> tuple[tup
     return tuple(result)
 
 
-def induced_colouring(colours, partition) -> tuple[Colour, ...]:
-    """Per-block colour: the minimum vertex colour in each block."""
-    return tuple(min(colours[v] for v in block) for block in partition)
-
-
-def induced_keys(n: int, partitions, state) -> list[tuple]:
-    """For each of the vertices 0..n-1, the tuple of the induced colours of
-    its blocks, one per partition that holds it.
-
-    The running stabilizer is the subgroup preserving these keys: every
-    element of the step's stabilizer permutes the blocks of each
-    partition, so preserving the induced colourings of the partitions
-    means preserving each vertex's tuple.
-    """
-    keys: list[tuple] = [()] * n
-    for blocks in partitions:
-        for block, colour in zip(blocks, induced_colouring(state, blocks)):
-            for v in block:
-                keys[v] += (colour,)
-    return keys
-
-
 @dataclass(frozen=True)
 class InnerStep:
     """Record of one inner refinement index: which classes got offsets."""
@@ -318,6 +297,9 @@ class RefinementTrace:
     final_stabilizer: tuple[tuple[int, ...], ...] | None = None
 
 
+BOUND_MODES = ("csg", "elementary")
+
+
 def _fixing_size_bound(m: int, bound_mode: str) -> float:
     """Cap on the fixing-set length for an acting orbit of size m.
 
@@ -368,11 +350,17 @@ def extend_colouring(
     ``stabilizer`` must be the stabilizer of ``colouring`` in the graph's
     automorphism group, ``coloured_automorphisms(graph, colouring)`` as
     :func:`run` holds it. Every group of the step is the stabilizer of a
-    finer colouring, taken from ``stabilizer`` by coloured search: the
-    running stabilizers, the pointwise stabilizer of each acting orbit,
-    and the block stabilizers of the fixing-set search. Returns the
-    extended colouring (radius k+1, equal to the input on the current
-    ball) and the step's trace record.
+    finer colouring, found by coloured search. Returns the extended
+    colouring (radius k+1, equal to the input on the current ball) and
+    the step's trace record.
+
+    The running stabilizer at index i keeps, by definition, the least
+    colour of every block of partitions 0..i. As ``stabilizer`` permutes
+    those blocks and each block of partition i has one colour, that is
+    the stabilizer of the sphere's colours. The recolouring at index i
+    keeps the least colours of partitions 0..i (the audit's
+    ``induced-colours-stable``), so the running groups only shrink and
+    each is taken from the last.
     """
     k = colouring.radius
     if k is None:
@@ -386,16 +374,18 @@ def extend_colouring(
     orbit_list = orbits(stabilizer, sphere_k)
     partitions = neighbourhood_refinement(graph, next_sphere, orbit_list)
 
-    state: dict[int, Colour] = {v: numeric(1) for v in next_sphere}
+    state = list(colouring.colours)
+    for v in next_sphere:
+        state[v] = numeric(1)
+    gamma_tilde = stabilizer
     inner_records = []
     for i in range(len(orbit_list)):
-        # the running stabilizer, recomputed from scratch at each index, is
-        # the subgroup preserving the induced keys; that is sound because
-        # every generator permutes the blocks of each partition, and
-        # partition i is first used at index i, so it is checked once, here
+        # partition i is first used here, so each is checked once
         if not permutes_blocks(stabilizer, partitions[i]):
             raise InternalInvariantError("stabilizer element does not permute a refinement partition")
-        gamma_tilde = stabilizer.stabilizer(induced_keys(graph.n, partitions[: i + 1], state))
+        if any(state[v] != state[block[0]] for block in partitions[i] for v in block):
+            raise InternalInvariantError(f"a block of partition {i} is not of one colour")
+        gamma_tilde = gamma_tilde.stabilizer(state)
         acting_orbit = orbit_list[i]
         target_blocks = partitions[i + 1]
 
@@ -440,11 +430,6 @@ def extend_colouring(
                 state[v] = colour
         splits.append(ClassSplit(block=block, chunks=chunks, chunk_colours=tuple(chunk_colours)))
 
-    new_colours = list(colouring.colours)
-    for v in next_sphere:
-        new_colours[v] = state[v]
-    extended = Colouring(tuple(new_colours), root=root, radius=k + 1)
-
     trace = StepTrace(
         k=k,
         sphere=sphere_k,
@@ -455,7 +440,7 @@ def extend_colouring(
         splits=tuple(splits),
         final_sphere_colours=tuple((v, state[v]) for v in next_sphere),
     )
-    return extended, trace
+    return Colouring(tuple(state), root=root, radius=k + 1), trace
 
 
 def run(
@@ -476,6 +461,8 @@ def run(
     embedded final stabilizer, which is listed when it has at most
     ``STABILIZER_EMBED_LIMIT`` elements.
     """
+    if bound_mode not in BOUND_MODES:
+        raise ValueError(f"unknown bound mode {bound_mode!r}")
     dist = distances(graph, root)
     spheres: list[list[int]] = [[] for _ in range(max(dist) + 1)]
     for v, d in enumerate(dist):

@@ -5,7 +5,7 @@ import signal
 import pytest
 from hypothesis import strategies as st
 
-from asymcolour import build_graph, symmetry
+from asymcolour import build_graph, colouring, symmetry
 
 
 def brute_automorphisms(graph, colouring=None):
@@ -45,6 +45,18 @@ def break_construction_search(monkeypatch):
         raise AssertionError("the construction's search was called")
 
     monkeypatch.setattr(symmetry, "_search", broken)
+
+
+def fix_one_vertex_per_block(monkeypatch):
+    """Make the construction's fixing-set search return one vertex of each
+    block it chose, so that a recolouring leaves some block of the next
+    partition in two colours."""
+    search = colouring.minimal_fixing_set
+
+    def truncated(group, blocks, size_bound=None):
+        return tuple(block[:1] for block in search(group, blocks, size_bound))
+
+    monkeypatch.setattr(colouring, "minimal_fixing_set", truncated)
 
 
 @contextlib.contextmanager

@@ -22,7 +22,7 @@ from asymcolour import cli, oracle
 from asymcolour.cli import main
 from asymcolour.errors import NotAPartitionActionError
 
-from .conftest import break_construction_search
+from .conftest import break_construction_search, fix_one_vertex_per_block
 
 
 def write_graph(tmp_path, graph, name="graph.adj"):
@@ -150,6 +150,14 @@ class TestColourCommand:
         assert captured.err.splitlines() == [
             "asym: internal error (NotAPartitionActionError): group does not permute the blocks of the partition"
         ]
+
+    def test_block_of_two_colours_exits_3(self, capsys, monkeypatch):
+        fix_one_vertex_per_block(monkeypatch)
+        assert main(["colour", "--family", "tree", "--degree", "4", "--radius", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("asym: internal invariant violated: a block of partition")
 
     def test_text_format(self, capsys):
         code = main(["colour", "--family", "cycle", "--n", "5"])

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -19,9 +20,9 @@ from asymcolour import (
     coloured_automorphisms,
     complete_graph,
     cycle_graph,
+    distances,
     eccentricity,
     extend_colouring,
-    induced_colouring,
     initial_colouring,
     neighbourhood_refinement,
     numeric,
@@ -34,11 +35,60 @@ from asymcolour import (
     sphere,
     truncated_tree,
 )
-from asymcolour import audit, colouring, graphs, oracle
-from asymcolour.colouring import induced_keys
+from asymcolour import audit, colouring, graphs, oracle, symmetry
+from asymcolour.audit import induced_colouring, induced_keys
 from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
+from asymcolour.symmetry import coset_search
 
-from .conftest import connected_graphs
+from .conftest import connected_graphs, deadline, fix_one_vertex_per_block
+
+
+def hypercube(d):
+    """Q_d: the binary words of length d, adjacent when they differ in one place."""
+    n = 1 << d
+    return build_graph(n, [(v, v | 1 << i) for v in range(n) for i in range(d) if not v & 1 << i])
+
+
+def torus(m, d):
+    """C_m^d for m >= 3: the words of length d over Z_m, adjacent when they
+    differ by one in one place."""
+    words = list(itertools.product(range(m), repeat=d))
+    index = {w: v for v, w in enumerate(words)}
+    edges = [(index[w], index[w[:i] + ((w[i] + 1) % m,) + w[i + 1 :]]) for w in words for i in range(d)]
+    return build_graph(len(words), edges)
+
+
+def record_running_groups(monkeypatch):
+    """The list that receives, in run order, the running stabilizer of
+    every inner index: the group each index hands to the fixing-set search."""
+    groups = []
+    search = colouring.minimal_fixing_set
+
+    def recorded(group, blocks, size_bound=None):
+        groups.append(group)
+        return search(group, blocks, size_bound)
+
+    monkeypatch.setattr(colouring, "minimal_fixing_set", recorded)
+    return groups
+
+
+def defined_running_stabilizers(graph, trace):
+    """For each inner index of the trace, in run order, the running
+    stabilizer as the paper defines it, searched by the audit's route: the
+    automorphisms keeping each vertex's c_k colour, its distance from the
+    root and the induced colours of its blocks in partitions 0..i, under
+    the inner state replayed from the trace."""
+    dist = distances(graph, trace.root)
+    colours = list(initial_colouring(graph, trace.root).colours)
+    for step in trace.steps:
+        state = {v: numeric(1) for v in step.next_sphere}
+        for rec in step.inner:
+            induced = induced_keys(graph.n, step.partitions[: rec.index + 1], state)
+            yield coset_search(graph, [(colours[v], dist[v]) + induced[v] for v in range(graph.n)])
+            for v, _, new in rec.recoloured:
+                state[v] = new
+        for v, colour in step.final_sphere_colours:
+            colours[v] = colour
 
 
 class TestColour:
@@ -324,8 +374,13 @@ class TestRun:
         assert t_ele.bound_mode == "elementary"
 
     def test_unknown_bound_mode(self):
+        # rejected before step 0, also where no inner index would read it
         with pytest.raises(ValueError):
             run(complete_graph(3), 0, bound_mode="magic")
+        with pytest.raises(ValueError, match="unknown bound mode 'bogus'"):
+            run(path_graph(3), 0, 0, bound_mode="bogus")
+        with pytest.raises(ValueError, match="unknown bound mode 'bogus'"):
+            run(complete_graph(1), 0, bound_mode="bogus")
 
     def test_each_partition_action_checked_once(self, monkeypatch):
         # index i uses partitions 0..i; each is checked against the step's
@@ -348,6 +403,35 @@ class TestRun:
         with pytest.raises(InternalInvariantError, match="stabilizer element does not permute a refinement partition"):
             run(truncated_tree(3, 2), 0)
 
+    def test_block_of_two_colours_is_an_internal_error(self, monkeypatch):
+        fix_one_vertex_per_block(monkeypatch)
+        with pytest.raises(InternalInvariantError, match="is not of one colour"):
+            run(truncated_tree(4, 2), 0)
+
+    def test_unchanged_state_keeps_the_running_group(self, monkeypatch):
+        # on tree(4,2), step 1's index 1 recolours nothing, so index 2 keeps
+        # index 1's group without a search
+        groups = record_running_groups(monkeypatch)
+        searches = []
+        search = symmetry._search
+
+        def counted(graph, colours):
+            searches.append(colours)
+            return search(graph, colours)
+
+        monkeypatch.setattr(symmetry, "_search", counted)
+        _, trace = run(truncated_tree(4, 2), 0)
+        first = len(trace.steps[0].inner)
+        assert trace.steps[1].inner[1].recoloured == trace.steps[1].inner[2].recoloured == ()
+        assert groups[first + 2] is groups[first + 1]
+        assert len(searches) == 7
+
+    def test_q10_in_seconds(self):
+        graph = hypercube(10)
+        with deadline(10):
+            _, trace = run(graph, 0)
+        assert trace.stabilizer_orders[-1] == 1
+
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=7))
     def test_random_graphs_audit_clean(self, g):
@@ -355,6 +439,43 @@ class TestRun:
         checks = audit.audit_run(g, trace, c)
         failures = [x for x in checks if not x.passed]
         assert not failures, failures
+
+
+class TestRunningStabilizer:
+    """The running stabilizer of every inner index, taken by the
+    construction as the stabilizer of the sphere's colours, has the order
+    and the orbits of the group the paper defines by induced colours."""
+
+    @staticmethod
+    def assert_as_defined(graph, groups, trace):
+        defined = list(defined_running_stabilizers(graph, trace))
+        assert len(groups) == len(defined)
+        for group, expected in zip(groups, defined):
+            assert group.order == expected.order
+            assert orbits(group, range(graph.n)) == orbits(expected, range(graph.n))
+
+    def test_every_root_of_every_small_graph(self, corpus, monkeypatch):
+        groups = record_running_groups(monkeypatch)
+        for graph in corpus:
+            if graph.n > 6:
+                continue
+            for root in range(graph.n):
+                groups.clear()
+                _, trace = run(graph, root)
+                self.assert_as_defined(graph, groups, trace)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: hypercube(4), lambda: hypercube(6), lambda: torus(5, 2), lambda: torus(5, 3)],
+        ids=["Q4", "Q6", "C5^2", "C5^3"],
+    )
+    def test_symmetric_families(self, factory, monkeypatch):
+        graph = factory()
+        groups = record_running_groups(monkeypatch)
+        c, trace = run(graph, 0)
+        self.assert_as_defined(graph, groups, trace)
+        assert trace.stabilizer_orders[-1] == 1
+        assert audit.all_passed(audit.audit_run(graph, trace, c))
 
 
 class TestColouringIO:
