@@ -22,7 +22,7 @@ from functools import cache
 from itertools import count
 
 from .errors import GraphFormatError, InternalInvariantError, VertexRangeError
-from .graphs import Graph, distances
+from .graphs import Graph, distances, parse_int
 from .symmetry import (
     DEFAULT_CAP,
     SGSGroup,
@@ -89,8 +89,8 @@ class Colour(tuple):
         if token == "inf":
             return FAR
         if token.startswith("b:"):
-            return barred(int(token[2:]))
-        return numeric(int(token))
+            return barred(parse_int(token[2:]))
+        return numeric(parse_int(token))
 
     def __repr__(self):
         return f"Colour({self.token()!r})"
@@ -153,7 +153,7 @@ def parse_colouring(text: str) -> Colouring:
         if len(fields) != 2:
             raise GraphFormatError(f"expected 'vertex<TAB>colour', got {line!r}", line=lineno)
         try:
-            v = int(fields[0])
+            v = parse_int(fields[0])
             colour = Colour.from_token(fields[1])
         except ValueError as exc:
             raise GraphFormatError(str(exc), line=lineno) from None

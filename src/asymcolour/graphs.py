@@ -54,10 +54,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count}{tag})"
 
     @property
-    def vertex_count(self) -> int:
-        return self.n
-
-    @property
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
@@ -262,6 +258,14 @@ def eccentricity(graph: Graph, root: int) -> int:
     return max(distances(graph, root))
 
 
+def parse_int(token: str) -> int:
+    """An integer written as ASCII ``-?[0-9]+``, the one form the text
+    formats take; raises ValueError on the other forms ``int`` accepts."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid integer {token!r}")
+    return int(token)
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the adjacency-list text format.
 
@@ -280,14 +284,14 @@ def parse_graph(text: str) -> Graph:
             if len(fields) != 1:
                 raise GraphFormatError("expected a single vertex count", line=lineno)
             try:
-                n = int(fields[0])
+                n = parse_int(fields[0])
             except ValueError:
                 raise GraphFormatError(f"invalid vertex count {fields[0]!r}", line=lineno) from None
             continue
         if len(fields) != 2:
             raise GraphFormatError(f"expected an edge 'u v', got {line!r}", line=lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = parse_int(fields[0]), parse_int(fields[1])
         except ValueError:
             raise GraphFormatError(f"non-integer edge endpoint in {line!r}", line=lineno) from None
         if not (0 <= u < v < n):

@@ -26,9 +26,9 @@ audit checks that embed against :meth:`PermGroup.from_generators`, the
 closure of its own generators; the tests filter lists with
 :meth:`PermGroup.stabilizer`.
 
-Both group kinds carry ``generators``, and :func:`orbits`,
-:func:`fixes_block`, :func:`preserves`, :func:`permutes_blocks` and
-:func:`minimal_fixing_set` read only those.
+Both group kinds carry ``generators``: :func:`orbits`, :func:`fixes_block`,
+:func:`preserves` and :func:`permutes_blocks` read only those, and
+:func:`minimal_fixing_set` reads those of the block stabilizers it takes.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
 
@@ -807,15 +807,15 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     """A small, inclusion-minimal list of blocks whose setwise fixing
     forces every block of the partition to be fixed setwise.
 
-    Greedy phase: while the running stabilizer still moves some block,
-    adjoin the moved block with the smallest minimum vertex. Prune phase:
-    scan the picks in reverse insertion order and drop any pick whose
-    removal keeps the stabilizer equal to the full block stabilizer. The
-    result is returned sorted by minimum vertex.
+    Greedy phase: while the stabilizer of the picks still moves some
+    block, adjoin the first moved block. Prune phase: scan the picks in
+    reverse insertion order and drop any pick whose removal leaves a
+    stabilizer that still fixes every block. The result is returned
+    sorted by minimum vertex.
 
-    The action check and the moved-block test read ``group.generators``,
-    and stabilizers are compared by order, so any group kind with a
-    ``stabilizer`` method serves.
+    Both phases read generators only: the stabilizer of any picks contains
+    the block stabilizer, so equals it when its generators fix every block.
+    The last pick stays, since without it the greedy phase saw a block move.
 
     Each greedy pick strictly shrinks the induced action on the block set,
     so the greedy length is bounded by the longest subgroup chain in the
@@ -827,23 +827,17 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     if not permutes_blocks(group, blocks):
         raise NotAPartitionActionError("group does not permute the blocks of the partition")
 
-    target = block_stabilizer(group, blocks)
-
-    def stabilizer_of(picks):
-        return block_stabilizer(group, [blocks[i] for i in picks])
+    def moved_block(picks):
+        stabilizer = block_stabilizer(group, [blocks[i] for i in picks])
+        return next((b for b, block in enumerate(blocks) if not fixes_block(stabilizer, block)), None)
 
     picks: list[int] = []
-    current = group
-    while current.order != target.order:
-        moved = next((b for b in range(len(blocks)) if b not in picks and not fixes_block(current, blocks[b])), None)
-        if moved is None:
-            raise InternalInvariantError("no moved block found while stabilizers still differ")
+    while (moved := moved_block(picks)) is not None:
         picks.append(moved)
-        current = stabilizer_of(picks)
 
-    for b in reversed(list(picks)):
+    for b in reversed(picks[:-1]):
         trial = [x for x in picks if x != b]
-        if stabilizer_of(trial).order == target.order:
+        if moved_block(trial) is None:
             picks = trial
 
     if picks and len(picks) > chain_length_bound(len(blocks)):

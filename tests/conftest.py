@@ -59,6 +59,32 @@ def fix_one_vertex_per_block(monkeypatch):
     monkeypatch.setattr(colouring, "minimal_fixing_set", truncated)
 
 
+def reference_fixing_set(group, blocks, size_bound=None):
+    """The fixing set found by comparing orders: take the stabilizer of
+    every block, adjoin the first block the stabilizer of the picks moves
+    until the two orders are equal, then drop each pick, last first,
+    whose removal keeps the order. Pass ``group.enumerate()`` to take
+    every stabilizer by filtering the element list with
+    ``PermGroup.stabilizer``."""
+    blocks = tuple(tuple(sorted(b)) for b in blocks)
+
+    def stabilizer_of(picks):
+        return symmetry.block_stabilizer(group, [blocks[i] for i in picks])
+
+    target = stabilizer_of(range(len(blocks))).order
+    picks = []
+    current = group
+    while current.order != target:
+        picks.append(next(b for b in range(len(blocks)) if b not in picks and not symmetry.fixes_block(current, blocks[b])))
+        current = stabilizer_of(picks)
+    for b in reversed(list(picks)):
+        trial = [x for x in picks if x != b]
+        if stabilizer_of(trial).order == target:
+            picks = trial
+    assert size_bound is None or len(picks) <= size_bound
+    return tuple(blocks[b] for b in sorted(picks, key=lambda i: blocks[i][0]))
+
+
 @contextlib.contextmanager
 def deadline(seconds):
     """Fail the test with a message, instead of stalling the suite, if the

@@ -263,6 +263,25 @@ class TestVerifyCommand:
         assert main(["verify", graph_path, str(col)]) == 1
         assert "line 1: vertex -1 is negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "graph_text,colouring_text,line",
+        [
+            ("1_0\n", "0\t0\n", 1),
+            ("2\n0 +1\n", "0\t0\n1\t1\n", 2),
+            ("\u0661\n", "0\t0\n", 1),
+            ("2\n0 1\n", "0\t0\n1\tb:+1\n", 2),
+        ],
+        ids=["underscore", "plus-sign", "arabic-indic-digit", "plus-signed-barred-colour"],
+    )
+    def test_integer_outside_ascii_digits_is_rejected(self, tmp_path, capsys, graph_text, colouring_text, line):
+        graph_path = tmp_path / "g.adj"
+        graph_path.write_text(graph_text, encoding="utf-8")
+        col = tmp_path / "col.txt"
+        col.write_text(colouring_text, encoding="utf-8")
+        assert main(["verify", str(graph_path), str(col)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"asym: line {line}: "), err
+
     def test_run_colouring_beyond_the_cap(self, tmp_path, capsys):
         # |Aut| = 955,514,880: the stabilizer is searched, never listed
         graph_path = write_graph(tmp_path, truncated_tree(5, 2))

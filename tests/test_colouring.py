@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymcolour import (
     Colour,
@@ -24,6 +25,7 @@ from asymcolour import (
     eccentricity,
     extend_colouring,
     initial_colouring,
+    minimal_fixing_set,
     neighbourhood_refinement,
     numeric,
     orbits,
@@ -40,7 +42,7 @@ from asymcolour.audit import induced_colouring, induced_keys
 from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
 from asymcolour.symmetry import coset_search
 
-from .conftest import connected_graphs, deadline, fix_one_vertex_per_block
+from .conftest import connected_graphs, deadline, fix_one_vertex_per_block, reference_fixing_set
 
 
 def hypercube(d):
@@ -58,18 +60,33 @@ def torus(m, d):
     return build_graph(len(words), edges)
 
 
-def record_running_groups(monkeypatch):
-    """The list that receives, in run order, the running stabilizer of
-    every inner index: the group each index hands to the fixing-set search."""
-    groups = []
+def record_fixing_set_calls(monkeypatch):
+    """The list that receives, in run order, the arguments ``(group,
+    blocks, size_bound)`` of every fixing-set search; the group is the
+    running stabilizer of an inner index."""
+    calls = []
     search = colouring.minimal_fixing_set
 
     def recorded(group, blocks, size_bound=None):
-        groups.append(group)
+        calls.append((group, blocks, size_bound))
         return search(group, blocks, size_bound)
 
     monkeypatch.setattr(colouring, "minimal_fixing_set", recorded)
-    return groups
+    return calls
+
+
+def count_searches(monkeypatch):
+    """The list that receives the colour ids of every call of the
+    construction's search, ``symmetry._search``, in call order."""
+    searches = []
+    search = symmetry._search
+
+    def counted(graph, colours):
+        searches.append(colours)
+        return search(graph, colours)
+
+    monkeypatch.setattr(symmetry, "_search", counted)
+    return searches
 
 
 def defined_running_stabilizers(graph, trace):
@@ -411,20 +428,44 @@ class TestRun:
     def test_unchanged_state_keeps_the_running_group(self, monkeypatch):
         # on tree(4,2), step 1's index 1 recolours nothing, so index 2 keeps
         # index 1's group without a search
-        groups = record_running_groups(monkeypatch)
-        searches = []
-        search = symmetry._search
-
-        def counted(graph, colours):
-            searches.append(colours)
-            return search(graph, colours)
-
-        monkeypatch.setattr(symmetry, "_search", counted)
+        calls = record_fixing_set_calls(monkeypatch)
+        searches = count_searches(monkeypatch)
         _, trace = run(truncated_tree(4, 2), 0)
         first = len(trace.steps[0].inner)
         assert trace.steps[1].inner[1].recoloured == trace.steps[1].inner[2].recoloured == ()
-        assert groups[first + 2] is groups[first + 1]
-        assert len(searches) == 7
+        assert calls[first + 2][0] is calls[first + 1][0]
+        assert len(searches) == 6
+
+    def test_tree_9_2_searches(self, monkeypatch):
+        searches = count_searches(monkeypatch)
+        run(truncated_tree(9, 2), 0)
+        assert len(searches) == 16
+
+    def test_fixing_set_of_two_blocks(self):
+        # on tree(9,2), step 1's first acting orbit is {1, 2, 3}: fixing the
+        # leaves of 1 and of 2 fixes those of 3 as well
+        _, trace = run(truncated_tree(9, 2), 0)
+        first = trace.steps[1].inner[0]
+        assert first.acting_orbit == (1, 2, 3)
+        assert first.fixing_blocks == (tuple(range(10, 18)), tuple(range(18, 26)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=6), st.integers(0, 5))
+    def test_fixing_sets_match_the_order_reference(self, graph, root):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_fixing_set_calls(patch)
+            run(graph, root % graph.n)
+        for group, blocks, size_bound in calls:
+            expected = reference_fixing_set(group.enumerate(), blocks, size_bound)
+            assert minimal_fixing_set(group, blocks, size_bound) == expected
+
+    def test_tree_9_2_fixing_sets_match_the_order_reference(self, monkeypatch):
+        calls = record_fixing_set_calls(monkeypatch)
+        run(truncated_tree(9, 2), 0)
+        for group, blocks, size_bound in calls:
+            # far beyond any element cap, so the reference compares the
+            # orders of searched stabilizers
+            assert minimal_fixing_set(group, blocks, size_bound) == reference_fixing_set(group, blocks, size_bound)
 
     def test_q10_in_seconds(self):
         graph = hypercube(10)
@@ -447,22 +488,22 @@ class TestRunningStabilizer:
     and the orbits of the group the paper defines by induced colours."""
 
     @staticmethod
-    def assert_as_defined(graph, groups, trace):
+    def assert_as_defined(graph, calls, trace):
         defined = list(defined_running_stabilizers(graph, trace))
-        assert len(groups) == len(defined)
-        for group, expected in zip(groups, defined):
+        assert len(calls) == len(defined)
+        for (group, _, _), expected in zip(calls, defined):
             assert group.order == expected.order
             assert orbits(group, range(graph.n)) == orbits(expected, range(graph.n))
 
     def test_every_root_of_every_small_graph(self, corpus, monkeypatch):
-        groups = record_running_groups(monkeypatch)
+        calls = record_fixing_set_calls(monkeypatch)
         for graph in corpus:
             if graph.n > 6:
                 continue
             for root in range(graph.n):
-                groups.clear()
+                calls.clear()
                 _, trace = run(graph, root)
-                self.assert_as_defined(graph, groups, trace)
+                self.assert_as_defined(graph, calls, trace)
 
     @pytest.mark.parametrize(
         "factory",
@@ -471,9 +512,9 @@ class TestRunningStabilizer:
     )
     def test_symmetric_families(self, factory, monkeypatch):
         graph = factory()
-        groups = record_running_groups(monkeypatch)
+        calls = record_fixing_set_calls(monkeypatch)
         c, trace = run(graph, 0)
-        self.assert_as_defined(graph, groups, trace)
+        self.assert_as_defined(graph, calls, trace)
         assert trace.stabilizer_orders[-1] == 1
         assert audit.all_passed(audit.audit_run(graph, trace, c))
 

@@ -13,7 +13,7 @@ from asymcolour import parse_colouring, parse_graph
 from asymcolour.cli import ORACLE_QUANTITIES, main
 from asymcolour.graphs import FamilySpec
 
-TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["b:1", "b:0", "inf", "#", "x"]))
+TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["b:1", "b:0", "inf", "#", "x", "1_0", "+1", "\u0661", "b:+1"]))
 LINES = st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=8)
 
 

@@ -29,7 +29,7 @@ from asymcolour import (
     pointwise_stabilizer,
     truncated_tree,
 )
-from asymcolour.errors import DomainNotInvariantError, GroupCapError, NotAPartitionActionError
+from asymcolour.errors import DomainNotInvariantError, GroupCapError, InternalInvariantError, NotAPartitionActionError
 from asymcolour import symmetry
 from asymcolour.symmetry import (
     PermGroup,
@@ -505,6 +505,10 @@ class TestMinimalFixingSet:
     def test_rejects_non_action(self):
         with pytest.raises(NotAPartitionActionError):
             minimal_fixing_set(PermGroup.symmetric(3), [(0, 1), (2,)])
+
+    def test_promised_bound_is_enforced(self):
+        with pytest.raises(InternalInvariantError, match="exceeds promised bound"):
+            minimal_fixing_set(PermGroup.symmetric(3), [(0,), (1,), (2,)], size_bound=1)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(min_n=2, max_n=6))
