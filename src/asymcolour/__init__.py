@@ -65,14 +65,12 @@ from .symmetry import (
     chain_length_bound,
     coloured_automorphisms,
     compose,
-    format_group,
     format_permutation,
     identity_perm,
     invert,
     longest_chain_bruteforce,
     minimal_fixing_set,
     orbits,
-    pointwise_stabilizer,
 )
 
 __version__ = "0.1.0"

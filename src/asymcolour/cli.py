@@ -4,10 +4,11 @@ Subcommands: ``colour`` runs the construction and self-audits, ``verify``
 checks a colouring file for asymmetry, ``oracle`` computes exhaustive
 quantities, ``bound`` prints the closed-form bounds.
 
-Exit codes: 0 success (all checks pass), 1 invalid input or guard
-violation, 2 group cap exceeded, 3 a bug surface, not an input problem:
-an internal invariant violated, a group that does not act as the
-construction promised, or the interpreter's recursion limit reached.
+Exit codes: 0 success (all checks pass), 1 invalid input, a malformed
+command line or a guard violation, 2 group cap exceeded, 3 a bug
+surface, not an input problem: an internal invariant violated, a group
+that does not act as the construction promised, or the interpreter's
+recursion limit reached.
 ``verify`` uses 4 for a well-formed colouring that is not asymmetric, so
 failure kinds stay distinguishable. Subcommands raise, and :func:`main`
 maps each exception to its exit code in one place, with one ``asym:``
@@ -73,8 +74,15 @@ def _cap(args) -> int:
         raise ValueError(f"invalid ASYM_CAP value {env!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input; subparsers share the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="asym", description="Symmetry-breaking colourings with exhaustive verification")
+    parser = _Parser(prog="asym", description="Symmetry-breaking colourings with exhaustive verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     colour = sub.add_parser("colour", help="run the construction and audit the result")
@@ -221,8 +229,6 @@ def cmd_bound(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "colour": cmd_colour,
         "verify": cmd_verify,
@@ -230,6 +236,7 @@ def main(argv=None) -> int:
         "bound": cmd_bound,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except GroupCapError as exc:
         print(f"asym: group cap exceeded: {exc}", file=sys.stderr)

@@ -27,8 +27,9 @@ closure of its own generators; the tests filter lists with
 :meth:`PermGroup.stabilizer`.
 
 Both group kinds carry ``generators``: :func:`orbits`, :func:`fixes_block`,
-:func:`preserves` and :func:`permutes_blocks` read only those, and
-:func:`minimal_fixing_set` reads those of the block stabilizers it takes.
+:func:`preserves` and :func:`permutes_blocks` read only those, so the
+construction's guards search nothing, and :func:`minimal_fixing_set`
+reads those of the block stabilizers it takes.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
 
@@ -75,11 +76,6 @@ def is_permutation(p) -> bool:
 def format_permutation(p: Perm) -> str:
     """One-line image form "p(0) p(1) ... p(n-1)"."""
     return " ".join(str(x) for x in p)
-
-
-def format_group(group: "PermGroup") -> str:
-    """Element-per-line block, elements in sorted order."""
-    return "\n".join(format_permutation(p) for p in group.elements) + "\n"
 
 
 class PermGroup:
@@ -727,13 +723,6 @@ def permutes_blocks(group, blocks) -> bool:
             if target is None or any(block_of.get(g[v]) != target for v in block):
                 return False
     return True
-
-
-def pointwise_stabilizer(group, targets):
-    keys = [-1] * group.degree
-    for v in targets:
-        keys[v] = v
-    return group.stabilizer(keys)
 
 
 def block_stabilizer(group, partition):

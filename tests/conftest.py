@@ -59,6 +59,13 @@ def fix_one_vertex_per_block(monkeypatch):
     monkeypatch.setattr(colouring, "minimal_fixing_set", truncated)
 
 
+def drop_fixing_sets(monkeypatch):
+    """Make the construction's fixing-set search choose no block, so the
+    next inner index's running stabilizer still moves blocks of its
+    partition."""
+    monkeypatch.setattr(colouring, "minimal_fixing_set", lambda group, blocks, size_bound=None: ())
+
+
 def reference_fixing_set(group, blocks, size_bound=None):
     """The fixing set found by comparing orders: take the stabilizer of
     every block, adjoin the first block the stabilizer of the picks moves

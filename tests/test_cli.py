@@ -22,7 +22,7 @@ from asymcolour import cli, oracle
 from asymcolour.cli import main
 from asymcolour.errors import NotAPartitionActionError
 
-from .conftest import break_construction_search, fix_one_vertex_per_block
+from .conftest import break_construction_search, drop_fixing_sets, fix_one_vertex_per_block
 
 
 def write_graph(tmp_path, graph, name="graph.adj"):
@@ -158,6 +158,15 @@ class TestColourCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("asym: internal invariant violated: a block of partition")
+
+    def test_running_stabilizer_moving_a_block_exits_3(self, capsys, monkeypatch):
+        drop_fixing_sets(monkeypatch)
+        assert main(["colour", "--family", "tree", "--degree", "4", "--radius", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "asym: internal invariant violated: running stabilizer moves a block of partition 1"
+        ]
 
     def test_text_format(self, capsys):
         code = main(["colour", "--family", "cycle", "--n", "5"])
@@ -505,6 +514,9 @@ MALFORMED = {
     "colouring-vertex-1e12": (["verify", "{tmp}/c5.adj", "{tmp}/far.txt"], {}, 1),
     "graph-vertex-count-1e12": (["oracle", "{tmp}/huge.adj", "autorder"], {}, 1),
     "missing-graph-file": (["oracle", "{tmp}/nope.adj", "motion"], {}, 1),
+    "usage-bad-int": (["bound", "chain", "abc"], {}, 1),
+    "usage-bad-flag-value": (["colour", "--family", "tree", "--degree", "x"], {}, 1),
+    "usage-missing-arguments": (["oracle"], {}, 1),
 }
 
 

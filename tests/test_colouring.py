@@ -40,9 +40,9 @@ from asymcolour import (
 from asymcolour import audit, colouring, graphs, oracle, symmetry
 from asymcolour.audit import induced_colouring, induced_keys
 from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
-from asymcolour.symmetry import coset_search
+from asymcolour.symmetry import coset_search, fixes_block
 
-from .conftest import connected_graphs, deadline, fix_one_vertex_per_block, reference_fixing_set
+from .conftest import connected_graphs, deadline, drop_fixing_sets, fix_one_vertex_per_block, reference_fixing_set
 
 
 def hypercube(d):
@@ -434,12 +434,19 @@ class TestRun:
         first = len(trace.steps[0].inner)
         assert trace.steps[1].inner[1].recoloured == trace.steps[1].inner[2].recoloured == ()
         assert calls[first + 2][0] is calls[first + 1][0]
-        assert len(searches) == 6
+        assert len(searches) == 5
 
     def test_tree_9_2_searches(self, monkeypatch):
         searches = count_searches(monkeypatch)
         run(truncated_tree(9, 2), 0)
-        assert len(searches) == 16
+        assert len(searches) == 12
+
+    def test_running_stabilizer_moving_a_block_is_an_internal_error(self, monkeypatch):
+        # with no fixing set at step 1's index 0, index 1's running group
+        # still swaps the blocks (5, 6, 7) and (8, 9, 10) of partition 1
+        drop_fixing_sets(monkeypatch)
+        with pytest.raises(InternalInvariantError, match="^running stabilizer moves a block of partition 1$"):
+            run(truncated_tree(4, 2), 0)
 
     def test_fixing_set_of_two_blocks(self):
         # on tree(9,2), step 1's first acting orbit is {1, 2, 3}: fixing the
@@ -485,15 +492,22 @@ class TestRun:
 class TestRunningStabilizer:
     """The running stabilizer of every inner index, taken by the
     construction as the stabilizer of the sphere's colours, has the order
-    and the orbits of the group the paper defines by induced colours."""
+    and the orbits of the group the paper defines by induced colours. Its
+    pointwise stabilizer of the acting orbit, searched by the audit's
+    route, fixes every block of the next partition: the fact behind the
+    fixing-set bound, which the construction derives from generators."""
 
     @staticmethod
     def assert_as_defined(graph, calls, trace):
         defined = list(defined_running_stabilizers(graph, trace))
-        assert len(calls) == len(defined)
-        for (group, _, _), expected in zip(calls, defined):
+        inner = [rec for step in trace.steps for rec in step.inner]
+        assert len(calls) == len(defined) == len(inner)
+        for (group, blocks, _), expected, rec in zip(calls, defined, inner):
             assert group.order == expected.order
             assert orbits(group, range(graph.n)) == orbits(expected, range(graph.n))
+            orbit = set(rec.acting_orbit)
+            pointwise = coset_search(graph, [(group.colours[v], v if v in orbit else -1) for v in range(graph.n)])
+            assert all(fixes_block(pointwise, block) for block in blocks)
 
     def test_every_root_of_every_small_graph(self, corpus, monkeypatch):
         calls = record_fixing_set_calls(monkeypatch)

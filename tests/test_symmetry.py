@@ -17,7 +17,6 @@ from asymcolour import (
     compose,
     cycle_graph,
     distances,
-    format_group,
     format_permutation,
     grid_graph,
     identity_perm,
@@ -26,7 +25,6 @@ from asymcolour import (
     minimal_fixing_set,
     orbits,
     path_graph,
-    pointwise_stabilizer,
     truncated_tree,
 )
 from asymcolour.errors import DomainNotInvariantError, GroupCapError, InternalInvariantError, NotAPartitionActionError
@@ -94,10 +92,6 @@ class TestPermGroup:
         broken = PermGroup(3, (identity_perm(3), (1, 2, 0)))
         with pytest.raises(ValueError):
             broken.validate()
-
-    def test_format_group(self):
-        g = PermGroup.from_elements(2, [(1, 0)])
-        assert format_group(g) == "0 1\n1 0\n"
 
 
 class TestAutomorphismGroup:
@@ -385,27 +379,27 @@ class TestOrbitsAndStabilizers:
     def test_stabilizer_results_are_groups(self):
         group = automorphism_group(cycle_graph(5))
         group.stabilizer((1, 1, 2, 2, 2)).validate()
-        pointwise_stabilizer(group, [0]).validate()
+        block_stabilizer(group, [(0,)]).validate()
 
     def test_pointwise_c4(self):
         group = automorphism_group(cycle_graph(4))
         assert group.order == 8
-        stab = pointwise_stabilizer(group, [0])
+        stab = block_stabilizer(group, [(0,)])
         assert stab.order == 2
         assert (0, 3, 2, 1) in stab
 
     def test_pointwise_empty_targets(self):
         group = automorphism_group(cycle_graph(4))
-        assert pointwise_stabilizer(group, []) == group
+        assert block_stabilizer(group, []) == group
 
     def test_pointwise_c5_two_points(self):
         group = automorphism_group(cycle_graph(5))
-        assert pointwise_stabilizer(group, [0, 1]).is_trivial()
+        assert block_stabilizer(group, [(0,), (1,)]).is_trivial()
 
     def test_pointwise_composes(self):
         group = automorphism_group(cycle_graph(6))
-        both = pointwise_stabilizer(group, [0, 2])
-        nested = pointwise_stabilizer(pointwise_stabilizer(group, [0]), [2])
+        both = block_stabilizer(group, [(0,), (2,)])
+        nested = block_stabilizer(block_stabilizer(group, [(0,)]), [(2,)])
         assert both == nested
 
     def test_block_stabilizer_c4_diagonals(self):
@@ -414,7 +408,7 @@ class TestOrbitsAndStabilizers:
 
     def test_block_stabilizer_singletons(self):
         group = automorphism_group(cycle_graph(4))
-        assert block_stabilizer(group, [(0,), (1,)]) == pointwise_stabilizer(group, [0, 1])
+        assert block_stabilizer(group, [(0,), (1,)]) == group.stabilizer((0, 1, -1, -1))
 
     def test_block_stabilizer_whole_domain(self):
         group = automorphism_group(cycle_graph(4))
