@@ -11,11 +11,15 @@ pruned by the 1-WL classes of the vertex keys and by adjacency. It shares
 the equitable refinement with the construction, which the tests check
 against round-based 1-WL, but none of its search, and it lists no
 elements. The stabilizer of ``c_k`` is keyed by each vertex's colour and
-distance from the root, and each running stabilizer also by the vertex's
-induced block colours (:func:`induced_keys`), the paper's definition
-read literally; the construction takes the same groups as stabilizers
-of the sphere's own colours, so the two agree only if its reasoning
-holds. Every group is taken by one rule
+distance from the root, and each running stabilizer at inner index i
+also by the least colour (:func:`induced_colouring`) of each block that
+holds the vertex in partitions 0..i, the paper's definition read
+literally. Those running keys are kept per step and extended index by
+index: each index appends one partition's block colours, and a replayed
+recolouring rewrites only the keys of the blocks whose least colour it
+changed, so on any trace they equal the definition. The construction
+takes the same groups as stabilizers of the sphere's own colours, so the
+two agree only if its reasoning holds. Every group is taken by one rule
 (:func:`_stabilizer`): when its keys refine the keys of the group before
 it (``c_{k-1}``'s, or the previous inner index's running stabilizer,
 which starts from ``c_k``'s) and every generator of that group preserves
@@ -54,24 +58,7 @@ def induced_colouring(colours, partition) -> tuple[Colour, ...]:
     return tuple(min(colours[v] for v in block) for block in partition)
 
 
-def induced_keys(n: int, partitions, state) -> list[tuple]:
-    """For each of the vertices 0..n-1, the tuple of the induced colours of
-    its blocks, one per partition that holds it.
-
-    The paper's running stabilizer, the subgroup of the step's stabilizer
-    keeping the induced colouring of every partition 0..i, is the one
-    preserving these keys, because each of its elements permutes the
-    blocks of each partition.
-    """
-    keys: list[tuple] = [()] * n
-    for blocks in partitions:
-        for block, colour in zip(blocks, induced_colouring(state, blocks)):
-            for v in block:
-                keys[v] += (colour,)
-    return keys
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckResult:
     name: str
     step: int | None
@@ -262,7 +249,29 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
     state = {v: numeric(1) for v in step.next_sphere}
     recolour_counts = {v: 0 for v in step.next_sphere}
     size_cap = math.ceil(3 * chunk_cap / 2)
+    # least[j][b] is the least colour under state of block b of partition
+    # j, for the partitions reached so far; holders[v] lists the (j, b) of
+    # the blocks holding v, in the order the definition of the running
+    # keys reads them. The running keys hold the least colours of
+    # partitions 0..keyed-1, but for the stale vertices, whose blocks'
+    # least colours changed since the keys were built.
+    least: list[list[Colour]] = []
+    holders: dict[int, list[tuple[int, int]]] = {}
+    keyed = 0
+    stale: set[int] = set()
+
+    def reach(i):
+        """Take in partitions 0..i: read by the keys of a nontrivial group
+        and by a recolouring, so never by a step with neither."""
+        while len(least) <= i:
+            j = len(least)
+            least.append(list(induced_colouring(state, partitions[j])))
+            for b, block in enumerate(partitions[j]):
+                for v in block:
+                    holders.setdefault(v, []).append((j, b))
+
     for rec in step.inner:
+        i = rec.index
         checks.append(
             CheckResult(
                 "acting-orbit-match",
@@ -271,14 +280,29 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
                 f"inner {rec.index}",
             )
         )
-        if rec.index >= permuted:
+        if i >= permuted:
             gamma_tilde, order = None, "none (the stabilizer does not permute the partitions)"
         else:
             # every running key extends the c_k key, so a trivial c_k group
-            # is every running group
+            # is every running group. The keys at i are those at the last
+            # index taken, with the stale vertices rebuilt and partitions
+            # keyed..i appended: each vertex's key is its c_k key and the
+            # least colour of each block holding it in partitions 0..i
             if not stabilizer.is_trivial():
-                induced = induced_keys(graph.n, partitions[: rec.index + 1], state)
-                extended = [key + block_colours for key, block_colours in zip(keys, induced)]
+                reach(i)
+                # an earlier index again, which only a reordered trace has
+                if i + 1 < keyed:
+                    stale.update(holders)
+                    keyed = i + 1
+                extended = running_keys[:]
+                for v in stale:
+                    extended[v] = keys[v] + tuple(least[j][b] for j, b in holders[v] if j < keyed)
+                stale.clear()
+                for j in range(keyed, i + 1):
+                    for block, colour in zip(partitions[j], least[j]):
+                        for v in block:
+                            extended[v] += (colour,)
+                keyed = i + 1
                 running, running_keys = _stabilizer(graph, extended, running_keys, running), extended
             gamma_tilde, order = running, running.order
         checks.append(
@@ -310,12 +334,16 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         halving = not blocks_i or all(len(block) <= len(parent_of[block[0]]) / 2 for block in rec.fixing_blocks)
         checks.append(CheckResult("fixing-halves-parent", k, halving, f"inner {rec.index}"))
 
-        before = dict(state)
+        if rec.fixing_blocks:
+            reach(i)
+        # every offset is positive, so the replay changes exactly the
+        # vertices of the fixing blocks
+        before = {v: state[v] for block in rec.fixing_blocks for v in block}
         for offset, block in enumerate(rec.fixing_blocks, start=1):
             for v in block:
                 state[v] = numeric(state[v].value + offset)
                 recolour_counts[v] += 1
-        replayed = {(v, before[v], state[v]) for v in state if before[v] != state[v]}
+        replayed = {(v, colour, state[v]) for v, colour in before.items()}
         checks.append(
             CheckResult(
                 "recolour-deltas-match",
@@ -325,10 +353,16 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
             )
         )
 
+        # only a block holding a recoloured vertex can change its least colour
         induced_ok = True
-        for j in range(rec.index + 1):
-            if partitions[j] and induced_colouring(before, partitions[j]) != induced_colouring(state, partitions[j]):
-                induced_ok = False
+        for j, b in {held for v in before for held in holders.get(v, ())}:
+            block = partitions[j][b]
+            colour = min(state[u] for u in block)
+            if colour != least[j][b]:
+                least[j][b] = colour
+                induced_ok = induced_ok and j > i
+                if j < keyed:
+                    stale.update(block)
         checks.append(CheckResult("induced-colours-stable", k, induced_ok, f"inner {rec.index}"))
 
     if partitions[-1]:

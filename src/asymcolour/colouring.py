@@ -73,14 +73,15 @@ class Colour(tuple):
         return self[1]
 
     def token(self) -> str:
-        kind = self.kind
+        rank, value = self
+        kind = _KINDS[rank]
         if kind == "root":
             return "0"
         if kind == "far":
             return "inf"
         if kind == "barred":
-            return f"b:{self.value}"
-        return str(self.value)
+            return f"b:{value}"
+        return str(value)
 
     @classmethod
     def from_token(cls, token: str) -> "Colour":
@@ -500,7 +501,7 @@ def run(
 
 
 def _fmt_block(block) -> str:
-    return "{" + ",".join(str(v) for v in block) + "}"
+    return "{" + ",".join(map(str, block)) + "}"
 
 
 def serialize_trace(trace: RefinementTrace) -> str:

@@ -231,10 +231,13 @@ def _initial_partition(colours):
     return lab, cell, end, starts
 
 
-def _refine(adjacency, lab, cell, end, splitters) -> tuple[int, list]:
+def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list]:
     """Split cells by neighbour counts until the partition is equitable.
 
-    Only cells that changed are queued as splitters. When a cell that is
+    ``cells`` is the number of cells the partition has on entry. Once it
+    is discrete no cell can split, so refinement stops there, with the
+    same result as refining on (McKay & Piperno 2014). Only cells that
+    changed are queued as splitters. When a cell that is
     not queued splits, every fragment but a largest one is queued: counts
     into the left-out fragment follow from counts into the others and into
     their former union (Hopcroft 1971; McKay 1981). Fragments are placed
@@ -243,11 +246,12 @@ def _refine(adjacency, lab, cell, end, splitters) -> tuple[int, list]:
     labels. Returns the number of cells added and the list of splits made;
     two search nodes related by an automorphism make the same splits.
     """
+    n = len(lab)
     queue = deque(splitters)
     queued = set(splitters)
     added = 0
     splits = []
-    while queue:
+    while queue and cells + added < n:
         s = queue.popleft()
         queued.discard(s)
         counts: dict[int, int] = {}
@@ -319,15 +323,17 @@ def equitable_classes(graph: Graph, colours) -> list[int]:
     ``result[v]`` is a class id; automorphisms preserving the colouring
     preserve the classes.
     """
-    lab, cell, end, starts = _initial_partition(_class_ids(colours))
-    _refine(graph.adjacency, lab, cell, end, starts)
+    lab, cell, end, starts = _initial_partition(colours)
+    _refine(graph.adjacency, lab, cell, end, starts, len(starts))
     return cell
 
 
 class SGSGroup:
     """``Aut(G, c)`` held by a base and a strong generating set.
 
-    ``colours`` are the colour ids of ``c``. The generators that fix
+    ``colours`` name the colour classes of ``c``, any id per class: the
+    ids :func:`_search` was given, or, from :func:`coset_search`, the
+    starts of the equitable cells it searched by. The generators that fix
     ``base[:j]`` move ``base[j]`` around its whole orbit in the pointwise
     stabilizer of ``base[:j]``, of size ``orbit_lengths[j]``. The order is
     the product of those lengths. Built by :func:`_search` (the base is
@@ -433,7 +439,7 @@ def _search(graph: Graph, colours: list[int]) -> SGSGroup:
     n = graph.n
     adjacency = graph.adjacency
     lab, cell, end, starts = _initial_partition(colours)
-    added, _ = _refine(adjacency, lab, cell, end, starts)
+    added, _ = _refine(adjacency, lab, cell, end, starts, len(starts))
     cells = len(starts) + added
 
     path = []  # per level: the node's partition and its target cell
@@ -445,7 +451,7 @@ def _search(graph: Graph, colours: list[int]) -> SGSGroup:
         path.append((lab[:], cell[:], end[:], cells, t))
         base.append(lab[t])
         s = _individualise(lab, cell, end, lab[t])
-        added, made = _refine(adjacency, lab, cell, end, [s])
+        added, made = _refine(adjacency, lab, cell, end, [s], cells + 1)
         cells += 1 + added
         splits.append(made)
     leaf = lab
@@ -503,7 +509,7 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
         v = candidates.pop()
         clab, ccell, cend = lab[:], cell[:], end[:]
         s = _individualise(clab, ccell, cend, v)
-        added, made = _refine(adjacency, clab, ccell, cend, [s])
+        added, made = _refine(adjacency, clab, ccell, cend, [s], cells + 1)
         if made != splits[depth]:
             continue
         ccells = cells + 1 + added
@@ -601,11 +607,12 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     """The automorphisms preserving the vertex keys, by Sims' backtrack
     that keeps one automorphism per coset (Sims 1970; Butler 1991, ch. 10).
 
-    Keys that are all distinct give the trivial group at once. Otherwise
-    they are refined to their 1-WL classes (:func:`equitable_classes`),
-    which every automorphism preserving the keys preserves; without this
-    pruning (McKay & Piperno 2014) a child-to-child candidate of a wide
-    tree is refuted only after permuting the later children. The levels
+    The keys are refined once to their 1-WL classes, the cells of
+    :func:`_refine` named by their starts, which every automorphism
+    preserving the keys preserves; without this pruning (McKay & Piperno
+    2014) a child-to-child candidate of a wide tree is refuted only after
+    permuting the later children. A discrete partition, which the
+    refinement stops at, gives the trivial group at once. The levels
     are the breadth-first order from a vertex of a smallest class. From
     the deepest level up, each level's candidate images of its point,
     with every earlier point fixed, are tried unless the generators found
@@ -618,17 +625,12 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     candidate are skipped.
     """
     n = graph.n
-    # ids are numbered in order of first appearance: all differ exactly
-    # when the last is n - 1
-    keys = _class_ids(keys[v] for v in range(n))
-    if keys[-1] != n - 1:
-        keys = _class_ids(equitable_classes(graph, keys))
-    if keys[-1] == n - 1:
-        return SGSGroup(graph, keys, (), (), ())
-    sizes = [0] * n
-    for key in keys:
-        sizes[key] += 1
-    search = _Backtrack(graph, keys, min(range(n), key=lambda v: sizes[keys[v]]))
+    lab, cell, end, starts = _initial_partition([keys[v] for v in range(n)])
+    added, _ = _refine(graph.adjacency, lab, cell, end, starts, len(starts))
+    if len(starts) + added == n:
+        return SGSGroup(graph, cell, (), (), ())
+    sizes = [end[s] - s for s in cell]
+    search = _Backtrack(graph, cell, min(range(n), key=sizes.__getitem__))
     order, image, used = search.order, search.image, search.used
     for v in order:
         image[v] = v
@@ -639,7 +641,7 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
         b = order[i]
         image[b] = -1
         used[b] = False
-        if sizes[keys[b]] == 1:
+        if sizes[b] == 1:
             continue
         candidates = search.candidates(i)
         if len(candidates) == 1:
@@ -661,7 +663,7 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
         if len(orbit) > 1:
             levels.append((b, len(orbit)))
     levels.reverse()
-    return SGSGroup(graph, keys, [b for b, _ in levels], generators, [length for _, length in levels])
+    return SGSGroup(graph, cell, [b for b, _ in levels], generators, [length for _, length in levels])
 
 
 def automorphism_sgs(graph: Graph, colouring=None) -> SGSGroup:
@@ -685,13 +687,15 @@ def automorphism_group(graph: Graph, colouring=None, cap: int = DEFAULT_CAP) -> 
 def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
     """Orbit partition of a setwise-invariant domain.
 
-    Blocks are ordered by their minimum element; members sorted.
+    Blocks are ordered by their minimum element; members sorted. A group
+    without generators has singleton orbits.
     """
-    domain = sorted(domain)
     domain_set = set(domain)
+    if not group.generators:
+        return tuple((v,) for v in sorted(domain_set))
     seen: set[int] = set()
     blocks = []
-    for v in domain:
+    for v in sorted(domain_set):
         if v not in seen:
             orbit = _orbit(v, group.generators, domain_set)
             seen |= orbit
@@ -701,6 +705,8 @@ def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
 
 def fixes_block(group, block) -> bool:
     """Whether every element maps the block onto itself."""
+    if not group.generators:
+        return True
     bset = frozenset(block)
     return all(p[v] in bset for p in group.generators for v in block)
 
@@ -716,6 +722,8 @@ def permutes_blocks(group, blocks) -> bool:
     partition: true exactly when every generator does. A permutation that
     maps each block into a block maps the blocks' union onto itself, so
     every block receives the image of one block, and all of it."""
+    if not group.generators:
+        return True
     block_of = {v: b for b, block in enumerate(blocks) for v in block}
     for g in group.generators:
         for block in blocks:
@@ -810,8 +818,11 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     so the greedy length is bounded by the longest subgroup chain in the
     symmetric group on the blocks; `size_bound` (when given) is an
     additional promise from the caller and both bounds are enforced as
-    internal-consistency checks.
+    internal-consistency checks. A group without generators fixes every
+    block, so needs no pick.
     """
+    if not group.generators:
+        return ()
     blocks = tuple(tuple(sorted(b)) for b in blocks)
     if not permutes_blocks(group, blocks):
         raise NotAPartitionActionError("group does not permute the blocks of the partition")

@@ -1,11 +1,13 @@
 import contextlib
 import itertools
 import signal
+from collections import deque
+from operator import itemgetter
 
 import pytest
 from hypothesis import strategies as st
 
-from asymcolour import build_graph, colouring, symmetry
+from asymcolour import build_graph, colouring, induced_colouring, symmetry
 
 
 def brute_automorphisms(graph, colouring=None):
@@ -64,6 +66,72 @@ def drop_fixing_sets(monkeypatch):
     next inner index's running stabilizer still moves blocks of its
     partition."""
     monkeypatch.setattr(colouring, "minimal_fixing_set", lambda group, blocks, size_bound=None: ())
+
+
+def reference_refine(adjacency, lab, cell, end, splitters):
+    """``symmetry._refine`` without its stop at a discrete partition: the
+    queue of splitters is always run to the end. Returns the number of
+    cells added and the list of splits made."""
+    queue = deque(splitters)
+    queued = set(splitters)
+    added = 0
+    splits = []
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        counts: dict[int, int] = {}
+        for w in lab[s:end[s]]:
+            for u in adjacency[w]:
+                counts[u] = counts.get(u, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for u in counts:
+            x = cell[u]
+            if end[x] - x > 1:
+                touched.setdefault(x, []).append(u)
+        for x in sorted(touched):
+            e = end[x]
+            members = touched[x]
+            by_count: dict[int, list[int]] = {}
+            for u in members:
+                by_count.setdefault(counts[u], []).append(u)
+            if len(members) < e - x:
+                by_count[0] = [v for v in lab[x:e] if v not in counts]
+            elif len(by_count) == 1:
+                continue
+            shape = sorted((count, len(fragment)) for count, fragment in by_count.items())
+            splits.append((x, tuple(shape)))
+            added += len(shape) - 1
+            unqueued = None if x in queued else max(shape, key=itemgetter(1))[0]
+            pos = x
+            for count, size in shape:
+                fragment = by_count[count]
+                lab[pos:pos + size] = fragment
+                for v in fragment:
+                    cell[v] = pos
+                end[pos] = pos + size
+                if (pos != x) if unqueued is None else (count != unqueued):
+                    queue.append(pos)
+                    queued.add(pos)
+                pos += size
+    return added, splits
+
+
+def induced_keys(n: int, partitions, state) -> list[tuple]:
+    """For each of the vertices 0..n-1, the tuple of the induced colours of
+    its blocks, one per partition that holds it.
+
+    The paper's running stabilizer, the subgroup of the step's stabilizer
+    keeping the induced colouring of every partition 0..i, is the one
+    preserving these keys, because each of its elements permutes the
+    blocks of each partition. The audit keeps these keys incrementally;
+    this is the definition it is compared with.
+    """
+    keys: list[tuple] = [()] * n
+    for blocks in partitions:
+        for block, colour in zip(blocks, induced_colouring(state, blocks)):
+            for v in block:
+                keys[v] += (colour,)
+    return keys
 
 
 def reference_fixing_set(group, blocks, size_bound=None):

@@ -11,6 +11,7 @@ from asymcolour import (
     barred,
     cycle_graph,
     distances,
+    initial_colouring,
     numeric,
     orbits,
     path_graph,
@@ -20,7 +21,7 @@ from asymcolour import (
 from asymcolour import audit
 from asymcolour.symmetry import coset_search
 
-from .conftest import deadline
+from .conftest import deadline, induced_keys
 
 
 @pytest.fixture()
@@ -196,6 +197,70 @@ def test_a_recolouring_that_changes_an_earlier_block_colour_is_searched_again(mo
     assert fresh.order == trace.stabilizer_orders[1] == 2592
     assert found.order == fresh.order
     assert orbits(found, range(graph.n)) == orbits(fresh, range(graph.n))
+
+
+def one_fixing_block_swapped(trace):
+    """Every copy of the trace in which the fixing set of one inner index
+    is swapped for another single block of the partition it fixes."""
+    for s, step in enumerate(trace.steps):
+        for r, rec in enumerate(step.inner):
+            for block in step.partitions[rec.index + 1]:
+                if rec.fixing_blocks == (block,):
+                    continue
+                swapped = dataclasses.replace(rec, fixing_blocks=(block,))
+                bad_step = dataclasses.replace(step, inner=step.inner[:r] + (swapped,) + step.inner[r + 1 :])
+                yield dataclasses.replace(trace, steps=trace.steps[:s] + (bad_step,) + trace.steps[s + 1 :])
+
+
+def defined_keys(graph, trace):
+    """In audit order, the keys of every group the audit takes: c_k's,
+    (colour, distance from the root), and, at each inner index of a step
+    whose recorded c_k group is not trivial, c_k's keys extended by
+    ``induced_keys`` under the state replayed from the fixing blocks."""
+    dist = distances(graph, trace.root)
+    colours = list(initial_colouring(graph, trace.root).colours)
+    for k in range(len(trace.steps) + 1):
+        if k > 0:
+            for v, colour in trace.steps[k - 1].final_sphere_colours:
+                colours[v] = colour
+        keys = [(colours[v], dist[v]) for v in range(graph.n)]
+        yield keys
+        if k == len(trace.steps) or trace.stabilizer_orders[k] == 1:
+            continue
+        step = trace.steps[k]
+        state = {v: numeric(1) for v in step.next_sphere}
+        for rec in step.inner:
+            induced = induced_keys(graph.n, step.partitions[: rec.index + 1], state)
+            yield [key + block_colours for key, block_colours in zip(keys, induced)]
+            for offset, block in enumerate(rec.fixing_blocks, start=1):
+                for v in block:
+                    state[v] = numeric(state[v].value + offset)
+
+
+def test_running_keys_are_the_defined_keys(monkeypatch, corpus):
+    # the audit extends its running keys index by index; at every inner
+    # index they must be the keys built from scratch, also when a swapped
+    # fixing block changes an earlier partition's least colours
+    graphs = [g for g in corpus if g.n <= 6]
+    stabilizer = audit._stabilizer
+    taken = []
+
+    def recorded(graph, keys, previous, group):
+        taken.append(list(keys))
+        return stabilizer(graph, keys, previous, group)
+
+    monkeypatch.setattr(audit, "_stabilizer", recorded)
+    swapped = unstable = 0
+    for graph in graphs:
+        for root in range(graph.n):
+            colouring, trace = run(graph, root)
+            for checked in (trace, *one_fixing_block_swapped(trace)):
+                swapped += checked is not trace
+                taken.clear()
+                checks = audit.audit_run(graph, checked, colouring)
+                assert taken == list(defined_keys(graph, checked))
+                unstable += any(c.name == "induced-colours-stable" and not c.passed for c in checks)
+    assert swapped > unstable > 0
 
 
 def test_detects_result_tampering(tree_run):

@@ -38,11 +38,18 @@ from asymcolour import (
     truncated_tree,
 )
 from asymcolour import audit, colouring, graphs, oracle, symmetry
-from asymcolour.audit import induced_colouring, induced_keys
+from asymcolour.audit import induced_colouring
 from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
 from asymcolour.symmetry import coset_search, fixes_block
 
-from .conftest import connected_graphs, deadline, drop_fixing_sets, fix_one_vertex_per_block, reference_fixing_set
+from .conftest import (
+    connected_graphs,
+    deadline,
+    drop_fixing_sets,
+    fix_one_vertex_per_block,
+    induced_keys,
+    reference_fixing_set,
+)
 
 
 def hypercube(d):
@@ -479,6 +486,15 @@ class TestRun:
         with deadline(10):
             _, trace = run(graph, 0)
         assert trace.stabilizer_orders[-1] == 1
+
+    def test_q10_audit_in_seconds(self):
+        # rebuilt from scratch at every inner index, the running keys and
+        # the induced-colours-stable colourings took about 12 s (2-vCPU VM)
+        graph = hypercube(10)
+        result, trace = run(graph, 0)
+        with deadline(5):
+            checks = audit.audit_run(graph, trace, result)
+        assert audit.all_passed(checks)
 
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=7))

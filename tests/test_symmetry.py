@@ -31,14 +31,24 @@ from asymcolour.errors import DomainNotInvariantError, GroupCapError, InternalIn
 from asymcolour import symmetry
 from asymcolour.symmetry import (
     PermGroup,
+    SGSGroup,
     coloured_automorphisms,
     coset_search,
     equitable_classes,
+    fixes_block,
     permutes_blocks,
     preserves,
 )
 
-from .conftest import brute_automorphisms, connected_graphs, deadline, permutations_of, vf2_automorphisms
+from .conftest import (
+    brute_automorphisms,
+    connected_graphs,
+    deadline,
+    permutations_of,
+    reference_fixing_set,
+    reference_refine,
+    vf2_automorphisms,
+)
 
 perm5 = st.permutations(list(range(5))).map(tuple)
 
@@ -230,6 +240,28 @@ class TestColouredAutomorphisms:
     def test_refinement_is_colour_refinement(self, g, data):
         colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
         assert same_partition(equitable_classes(g, colours), naive_colour_refinement(g, colours))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(connected_graphs(max_n=8), SYMMETRIC_GRAPHS), st.data())
+    def test_refinement_that_stops_when_discrete_matches_the_full_queue(self, g, data):
+        # on the colour classes, and after individualising each vertex of a
+        # non-singleton cell of the equitable result, as the searches do
+        colours = data.draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
+
+        def refine(lab, cell, end, splitters, cells):
+            full = lab[:], cell[:], end[:]
+            found = symmetry._refine(g.adjacency, lab, cell, end, splitters, cells)
+            assert found == reference_refine(g.adjacency, *full, splitters)
+            assert (lab, cell, end) == full
+            return cells + found[0]
+
+        lab, cell, end, starts = symmetry._initial_partition(colours)
+        cells = refine(lab, cell, end, starts, len(starts))
+        for v in range(g.n):
+            if end[cell[v]] - cell[v] > 1:
+                clab, ccell, cend = lab[:], cell[:], end[:]
+                s = symmetry._individualise(clab, ccell, cend, v)
+                refine(clab, ccell, cend, [s], cells + 1)
 
     def test_orders_match_enumeration_on_relabelled_corpus(self, corpus):
         # a refinement whose splits depend on vertex labels loses
@@ -448,6 +480,27 @@ class TestGeneratorQuestions:
         for kind in (group, elements):
             assert preserves(kind, keys) == keeps_keys
             assert permutes_blocks(kind, blocks) == keeps_blocks
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(max_n=6), st.data())
+    def test_a_group_without_generators_answers_as_its_element_list(self, g, data):
+        labels = data.draw(st.lists(st.integers(-1, g.n - 1), min_size=g.n, max_size=g.n))
+        # label -1 leaves the vertex outside the partition
+        blocks = [tuple(v for v in range(g.n) if labels[v] == b) for b in sorted(set(labels) - {-1})]
+        block_sets = {frozenset(block) for block in blocks}
+        domain = [v for v in range(g.n) if labels[v] != -1]
+        found = coset_search(g, range(g.n))
+        assert isinstance(found, SGSGroup) and not found.generators
+        for group, elements in ((found, found.enumerate()), (PermGroup.trivial(g.n), PermGroup.trivial(g.n))):
+            assert orbits(group, domain) == tuple(sorted({tuple(sorted({p[v] for p in elements})) for v in domain}))
+            assert orbits(group, domain) == tuple((v,) for v in domain)
+            for block in blocks:
+                assert fixes_block(group, block) == all(frozenset(p[v] for v in block) == frozenset(block) for p in elements)
+                assert fixes_block(group, block)
+            keeps_blocks = all(frozenset(p[v] for v in block) in block_sets for p in elements for block in blocks)
+            assert permutes_blocks(group, blocks) == keeps_blocks
+            assert permutes_blocks(group, blocks)
+            assert minimal_fixing_set(group, blocks) == reference_fixing_set(elements, blocks) == ()
 
     def test_a_block_split_across_two_blocks(self):
         swap = PermGroup.from_generators(4, [(1, 0, 2, 3)])
