@@ -17,20 +17,22 @@ holds the vertex in partitions 0..i, the paper's definition read
 literally. Those running keys are kept per step and extended index by
 index: each index appends one partition's block colours, and a replayed
 recolouring rewrites only the keys of the blocks whose least colour it
-changed, so on any trace they equal the definition. The construction
-takes the same groups as stabilizers of the sphere's own colours, so the
-two agree only if its reasoning holds. Every group is taken by one rule
-(:func:`_stabilizer`): when its keys refine the keys of the group before
-it (``c_{k-1}``'s, or the previous inner index's running stabilizer,
-which starts from ``c_k``'s) and every generator of that group preserves
-them, the two groups are equal and that group is kept; else it is
-searched. Orders, orbits, monotonicity, the block actions and the fixed
-blocks are read from generators, and each sphere's orbits once per k;
-the embedded final stabilizer, which the construction lists as products
-of transversals, is compared with the closure of the recomputed
-generators. The audit shares none of the construction's control flow
-either, so a bookkeeping bug in one of the two shows up as a failed
-check.
+changed, so on any trace they equal the definition. Likewise the checks
+on the replayed colours read only the blocks that hold a recoloured
+vertex, since every other block is still all ``numeric(1)``. The
+construction takes the same groups as stabilizers of the sphere's own
+colours, so the two agree only if its reasoning holds. Every group is
+taken by one rule (:func:`_stabilizer`): when its keys refine the keys
+of the group before it (``c_{k-1}``'s, or the previous inner index's
+running stabilizer, which starts from ``c_k``'s) and every generator of
+that group preserves them, the two groups are equal and that group is
+kept; else it is searched. Orders, orbits, monotonicity, the block
+actions and the fixed blocks are read from generators, and each sphere's
+orbits once per k; the embedded final stabilizer, which the construction
+lists as products of transversals, is compared with the closure of the
+recomputed generators. The audit shares none of the construction's
+control flow either, so a bookkeeping bug in one of the two shows up as
+a failed check.
 """
 
 from __future__ import annotations
@@ -259,16 +261,28 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
     holders: dict[int, list[tuple[int, int]]] = {}
     keyed = 0
     stale: set[int] = set()
+    # the vertices the replay has recoloured so far
+    repainted: set[int] = set()
 
     def reach(i):
         """Take in partitions 0..i: read by the keys of a nontrivial group
-        and by a recolouring, so never by a step with neither."""
+        and after a recolouring, so never by a step with neither."""
         while len(least) <= i:
             j = len(least)
             least.append(list(induced_colouring(state, partitions[j])))
             for b, block in enumerate(partitions[j]):
                 for v in block:
                     holders.setdefault(v, []).append((j, b))
+
+    def monochromatic(i):
+        """Whether every block of partition i has one colour. A block that
+        holds no recoloured vertex is still all ``numeric(1)``, so only the
+        blocks that hold one are read."""
+        if not repainted:
+            return True
+        reach(i)
+        read = {b for v in repainted for j, b in holders.get(v, ()) if j == i}
+        return all(len({state[v] for v in partitions[i][b]}) == 1 for b in read)
 
     for rec in step.inner:
         i = rec.index
@@ -315,8 +329,7 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         )
 
         blocks_i = partitions[rec.index]
-        mono = all(len({state[v] for v in block}) == 1 for block in blocks_i)
-        checks.append(CheckResult("blocks-monochromatic", k, mono, f"inner {rec.index}"))
+        checks.append(CheckResult("blocks-monochromatic", k, monochromatic(i), f"inner {rec.index}"))
 
         fixes = gamma_tilde is not None and all(fixes_block(gamma_tilde, block) for block in blocks_i)
         checks.append(CheckResult("running-stabilizer-fixes-blocks", k, fixes, f"inner {rec.index}"))
@@ -330,12 +343,15 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
             )
         )
 
-        parent_of = {v: parent for parent in blocks_i for v in parent}
-        halving = not blocks_i or all(len(block) <= len(parent_of[block[0]]) / 2 for block in rec.fixing_blocks)
-        checks.append(CheckResult("fixing-halves-parent", k, halving, f"inner {rec.index}"))
-
+        halving = True
         if rec.fixing_blocks:
             reach(i)
+            # the block of partition i that holds each fixing block's first vertex
+            firsts = [block[0] for block in rec.fixing_blocks if block]
+            parent_of = {v: partitions[i][b] for v in firsts for j, b in holders.get(v, ()) if j == i}
+            halving = not blocks_i or all(len(block) <= len(parent_of[block[0]]) / 2 for block in rec.fixing_blocks)
+        checks.append(CheckResult("fixing-halves-parent", k, halving, f"inner {rec.index}"))
+
         # every offset is positive, so the replay changes exactly the
         # vertices of the fixing blocks
         before = {v: state[v] for block in rec.fixing_blocks for v in block}
@@ -343,6 +359,7 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
             for v in block:
                 state[v] = numeric(state[v].value + offset)
                 recolour_counts[v] += 1
+                repainted.add(v)
         replayed = {(v, colour, state[v]) for v, colour in before.items()}
         checks.append(
             CheckResult(
@@ -366,8 +383,7 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         checks.append(CheckResult("induced-colours-stable", k, induced_ok, f"inner {rec.index}"))
 
     if partitions[-1]:
-        mono_final = all(len({state[v] for v in block}) == 1 for block in partitions[-1])
-        checks.append(CheckResult("blocks-monochromatic", k, mono_final, "finest partition"))
+        checks.append(CheckResult("blocks-monochromatic", k, monochromatic(len(partitions) - 1), "finest partition"))
 
     limit = 1 + math.log2(delta)
     checks.append(

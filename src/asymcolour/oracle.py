@@ -207,9 +207,9 @@ def _motion(group: SGSGroup, cap: int) -> tuple[int, PermGroup | None]:
     """
     if group.is_trivial():
         raise AsymmetricGraphError("graph has no nontrivial automorphism; motion is undefined")
-    points = range(group.degree)
-    if min(sum(map(ne, g, points)) for g in group.generators) == 2:
+    if min(map(len, group.supports)) == 2:
         return 2, None
+    points = range(group.degree)
     listed = group.enumerate(cap)
     # the sorted elements start with the identity; the rest are nontrivial
     return group.degree - max(sum(map(eq, p, points)) for p in listed.elements[1:]), listed

@@ -8,12 +8,16 @@ product of the basic orbit lengths. Two independent searches build one:
   and refinement (McKay & Piperno 2014), called only from
   :func:`~asymcolour.colouring.run`; every subgroup the construction
   needs is ``Aut(G, c')`` for a finer colouring ``c'``, taken by
-  :meth:`SGSGroup.stabilizer`;
+  :meth:`SGSGroup.stabilizer`, whose search starts from the parent's
+  generators that preserve ``c'``: each seeds the level of the first
+  base point it moves, so only the images they cannot reach are searched;
 - :func:`coset_search`, Sims' backtrack over vertex images that keeps
   one automorphism per coset, pruned by the 1-WL classes of the
   caller's vertex keys and by adjacency, so it shares the construction's
-  refinement but none of its search. The audit keys it by colour and
-  distance from the root; every oracle reads it through
+  refinement but none of its search. It completes each coset
+  representative toward the identity, trying every point's own image
+  first, so its generators move few points. The audit keys it by colour
+  and distance from the root; every oracle reads it through
   :func:`automorphism_sgs`, keyed by the colouring.
 
 :class:`PermGroup` is the explicit element list. The one listing route is
@@ -26,10 +30,11 @@ audit checks that embed against :meth:`PermGroup.from_generators`, the
 closure of its own generators; the tests filter lists with
 :meth:`PermGroup.stabilizer`.
 
-Both group kinds carry ``generators``: :func:`orbits`, :func:`fixes_block`,
-:func:`preserves` and :func:`permutes_blocks` read only those, so the
-construction's guards search nothing, and :func:`minimal_fixing_set`
-reads those of the block stabilizers it takes.
+Both group kinds carry ``generators`` and their ``supports``, the points
+each one moves: :func:`orbits`, :func:`fixes_block`, :func:`preserves`
+and :func:`permutes_blocks` read only the supports, so the construction's
+guards search nothing and cost what the generators move, and
+:func:`minimal_fixing_set` reads those of the block stabilizers it takes.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``.
 """
 
@@ -73,6 +78,11 @@ def is_permutation(p) -> bool:
     return sorted(p) == list(range(len(p)))
 
 
+def _support(p: Perm) -> tuple[int, ...]:
+    """The points a permutation moves, in increasing order."""
+    return tuple(v for v, w in enumerate(p) if v != w)
+
+
 def format_permutation(p: Perm) -> str:
     """One-line image form "p(0) p(1) ... p(n-1)"."""
     return " ".join(str(x) for x in p)
@@ -86,16 +96,18 @@ class PermGroup:
     themselves. Construction by :meth:`from_elements` or
     :meth:`from_generators` enforces the element cap; closure itself is
     only verified by :meth:`validate`, which tests call. The element set
-    behind membership tests is built on the first one.
+    behind membership tests is built on the first one, and the generators'
+    supports on their first read.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_element_set")
+    __slots__ = ("degree", "elements", "generators", "_element_set", "_supports")
 
     def __init__(self, degree: int, elements: tuple[Perm, ...], generators: tuple[Perm, ...] | None = None):
         self.degree = degree
         self.elements = elements
         self.generators = elements if generators is None else generators
         self._element_set = None
+        self._supports = None
 
     @classmethod
     def from_elements(cls, degree: int, elements, cap: int = DEFAULT_CAP) -> "PermGroup":
@@ -146,6 +158,13 @@ class PermGroup:
 
     def __iter__(self):
         return iter(self.elements)
+
+    @property
+    def supports(self) -> tuple[tuple[int, ...], ...]:
+        """The points each generator moves, as for :class:`SGSGroup`."""
+        if self._supports is None:
+            self._supports = tuple(map(_support, self.generators))
+        return self._supports
 
     def _members(self) -> frozenset:
         if self._element_set is None:
@@ -317,17 +336,6 @@ def _target_cell(lab, end, s: int) -> int:
     return s
 
 
-def equitable_classes(graph: Graph, colours) -> list[int]:
-    """The coarsest equitable partition finer than the colouring (1-WL).
-
-    ``result[v]`` is a class id; automorphisms preserving the colouring
-    preserve the classes.
-    """
-    lab, cell, end, starts = _initial_partition(colours)
-    _refine(graph.adjacency, lab, cell, end, starts, len(starts))
-    return cell
-
-
 class SGSGroup:
     """``Aut(G, c)`` held by a base and a strong generating set.
 
@@ -336,20 +344,23 @@ class SGSGroup:
     starts of the equitable cells it searched by. The generators that fix
     ``base[:j]`` move ``base[j]`` around its whole orbit in the pointwise
     stabilizer of ``base[:j]``, of size ``orbit_lengths[j]``. The order is
-    the product of those lengths. Built by :func:`_search` (the base is
-    the individualised vertices) and by :func:`coset_search` (the base is
-    the levels with more than one image). Subgroups are taken by
-    :meth:`stabilizer`; elements are listed only on request, by
-    :meth:`enumerate`, under the element cap.
+    the product of those lengths. ``supports[i]`` lists the points that
+    ``generators[i]`` moves, stored once when the group is made: every
+    question asked of the generators reads only those points. Built by
+    :func:`_search` (the base is the individualised vertices) and by
+    :func:`coset_search` (the base is the levels with more than one
+    image). Subgroups are taken by :meth:`stabilizer`; elements are listed
+    only on request, by :meth:`enumerate`, under the element cap.
     """
 
-    __slots__ = ("graph", "colours", "base", "generators", "orbit_lengths")
+    __slots__ = ("graph", "colours", "base", "generators", "supports", "orbit_lengths")
 
-    def __init__(self, graph: Graph, colours, base, generators, orbit_lengths):
+    def __init__(self, graph: Graph, colours, base, generators, supports, orbit_lengths):
         self.graph = graph
         self.colours = tuple(colours)
         self.base = tuple(base)
         self.generators = tuple(generators)
+        self.supports = tuple(supports)
         self.orbit_lengths = tuple(orbit_lengths)
 
     @property
@@ -369,13 +380,20 @@ class SGSGroup:
     def stabilizer(self, keys) -> "SGSGroup":
         """The subgroup preserving a further vertex colouring ``keys``.
 
-        When every generator preserves ``keys`` the subgroup is the group
-        itself, and a subgroup of the trivial group is trivial; otherwise
-        it is searched as ``Aut(G, c)`` with each colour split by ``keys``.
+        Each generator is tested once. When every one preserves ``keys``
+        the subgroup is the group itself, and a subgroup of the trivial
+        group is trivial; otherwise it is searched as ``Aut(G, c)`` with
+        each colour split by ``keys``, seeded with the generators that
+        preserve ``keys``, which lie in it.
         """
-        if preserves(self, keys):
+        kept = [
+            (g, support)
+            for g, support in zip(self.generators, self.supports)
+            if all(keys[g[v]] == keys[v] for v in support)
+        ]
+        if len(kept) == len(self.generators):
             return self
-        return _search(self.graph, _class_ids(zip(self.colours, (keys[v] for v in range(self.degree)))))
+        return _search(self.graph, _class_ids(zip(self.colours, (keys[v] for v in range(self.degree)))), kept)
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> PermGroup:
         """The sorted element list, as products of transversals (Sims 1970).
@@ -390,15 +408,18 @@ class SGSGroup:
         if order > cap:
             raise GroupCapError(f"group has {order} elements, cap is {cap}", cap=cap)
         base = self.base
-        moved_at = [next(j for j, b in enumerate(base) if g[b] != b) for g in self.generators]
+        # the generators of level j fix base[:j] and move base[j]
+        by_level = _by_level(base, zip(self.generators, self.supports))
+        movers: dict[int, list[Perm]] = {}
         elements = [identity_perm(self.degree)]
         for j in reversed(range(len(base))):
-            generators = [g for g, m in zip(self.generators, moved_at) if m >= j]
+            for g, support in by_level[j]:
+                _adjoin(movers, g, support)
             # representatives[u] maps base[j] to u
             representatives = {base[j]: identity_perm(self.degree)}
             orbit = [base[j]]
             for u in orbit:
-                for g in generators:
+                for g in movers.get(u, ()):
                     if g[u] not in representatives:
                         representatives[g[u]] = compose(g, representatives[u])
                         orbit.append(g[u])
@@ -420,20 +441,25 @@ def coloured_automorphisms(graph: Graph, colouring=None) -> SGSGroup:
     """
     n = graph.n
     colours = [0] * n if colouring is None else [colouring[v] for v in range(n)]
-    return _search(graph, _class_ids(colours))
+    return _search(graph, _class_ids(colours), ())
 
 
-def _search(graph: Graph, colours: list[int]) -> SGSGroup:
+def _search(graph: Graph, colours: list[int], seeds) -> SGSGroup:
     """Individualisation-refinement search for ``Aut(G, colours)``.
 
     The first path individualises the first vertex of the first
     non-singleton cell until the partition is discrete; those vertices
-    are the base. Then, from the deepest level up, each vertex of a
-    level's target cell that the generators found so far cannot reach
-    from the base point is tried: its subtree is searched for a leaf that
-    is an automorphic image of the first leaf, pruning every node whose
-    refinement splits differ from the first path's. Every generator found
-    at level j fixes the base points above j, and the search of each level
+    are the base. ``seeds`` are ``(generator, support)`` pairs already
+    known to lie in the group, such as the generators of a parent group
+    that preserve the finer colouring; each is a candidate generator of
+    the level of the first base point it moves. From the deepest level
+    up, a level first takes each of its seeds that grows the orbit of its
+    base point under the generators found so far. Then each vertex of the
+    level's target cell that the generators cannot reach from the base
+    point is tried: its subtree is searched for a leaf that is an
+    automorphic image of the first leaf, pruning every node whose
+    refinement splits differ from the first path's. Every generator of
+    level j fixes the base points above j, and the search of each level
     is exhaustive, so the orbit lengths are exact (Sims 1970).
     """
     n = graph.n
@@ -456,30 +482,63 @@ def _search(graph: Graph, colours: list[int]) -> SGSGroup:
         splits.append(made)
     leaf = lab
 
+    seeded = _by_level(base, seeds)
     generators: list[Perm] = []
+    supports: list[tuple[int, ...]] = []
+    movers: dict[int, list[Perm]] = {}
     orbit_lengths = [1] * len(base)
     for level in reversed(range(len(base))):
         plab, _, pend, _, t = path[level]
-        orbit = _orbit(base[level], generators)
+        point = base[level]
+        orbit = _orbit(point, movers)
+        for g, support in seeded[level]:
+            if any(g[u] not in orbit for u in support if u in orbit):
+                generators.append(g)
+                supports.append(support)
+                _adjoin(movers, g, support)
+                orbit = _orbit(point, movers)
         for w in plab[t:pend[t]]:
             if w in orbit:
                 continue
             found = _automorphism_below(graph, path, splits, leaf, level, w)
             if found is not None:
+                support = _support(found)
                 generators.append(found)
-                orbit = _orbit(base[level], generators)
+                supports.append(support)
+                _adjoin(movers, found, support)
+                orbit = _orbit(point, movers)
         orbit_lengths[level] = len(orbit)
-    return SGSGroup(graph, colours, base, generators, orbit_lengths)
+    return SGSGroup(graph, colours, base, generators, supports, orbit_lengths)
 
 
-def _orbit(point: int, perms, domain=None) -> set[int]:
-    """The orbit of a point under the group the permutations generate;
-    raises if it leaves ``domain`` (when given)."""
+def _by_level(base, pairs) -> list[list[tuple[Perm, tuple[int, ...]]]]:
+    """The ``(generator, support)`` pairs, each at the level of the first
+    base point its generator moves. Only the identity moves no point of a
+    base, and it is dropped."""
+    position = {b: j for j, b in enumerate(base)}
+    levels: list[list[tuple[Perm, tuple[int, ...]]]] = [[] for _ in base]
+    for g, support in pairs:
+        moved = [position[v] for v in support if v in position]
+        if moved:
+            levels[min(moved)].append((g, support))
+    return levels
+
+
+def _adjoin(movers: dict, g: Perm, support) -> None:
+    """Record ``g`` among the generators moving each point of its support."""
+    for v in support:
+        movers.setdefault(v, []).append(g)
+
+
+def _orbit(point: int, movers, domain=None) -> set[int]:
+    """The orbit of a point under the group of some generators, given as
+    :func:`_adjoin` records them, by the points they move; raises if it
+    leaves ``domain`` (when given)."""
     orbit = {point}
     frontier = [point]
     while frontier:
         u = frontier.pop()
-        for p in perms:
+        for p in movers.get(u, ()):
             w = p[u]
             if w not in orbit:
                 if domain is not None and w not in domain:
@@ -520,9 +579,17 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
         image = [0] * n
         for x, y in zip(leaf, clab):
             image[x] = y
-        if all(graph.neighbours(image[u]) == {image[x] for x in adjacency[u]} for u in range(n)):
+        if _maps_edges_to_edges(graph, image):
             return tuple(image)
     return None
+
+
+def _maps_edges_to_edges(graph: Graph, image) -> bool:
+    """Whether a bijection of the vertices maps every edge onto an edge.
+    The graph is finite, so it then maps its edges onto its edges and its
+    non-edges onto non-edges: it is an automorphism."""
+    adjsets = graph._adjsets
+    return all(image[x] in adjsets[image[u]] for u, near in enumerate(graph.adjacency) for x in near)
 
 
 class _Backtrack:
@@ -531,11 +598,13 @@ class _Backtrack:
     earlier neighbours.
 
     ``image`` and ``used`` hold the partial map; :meth:`first_leaf`
-    completes it from a given depth of the order. Every vertex after the
-    first has an earlier neighbour, so every edge is checked when its
-    later end is assigned; for a bijection of a finite graph to itself,
-    mapping every edge onto an edge already forces non-edges onto
-    non-edges, so a leaf is an automorphism preserving the keys.
+    completes it from a given depth of the order, trying each point's
+    own image first, so a completion moves few points beyond those the
+    given part of the map forces. Every vertex after the first has an
+    earlier neighbour, so every edge is checked when its later end is
+    assigned; for a bijection of a finite graph to itself, mapping every
+    edge onto an edge already forces non-edges onto non-edges, so a leaf
+    is an automorphism preserving the keys.
     """
 
     def __init__(self, graph: Graph, keys, start: int):
@@ -560,16 +629,23 @@ class _Backtrack:
 
     def candidates(self, i: int) -> list[int]:
         """Unused images for ``order[i]`` with its key, adjacent to the
-        images of its earlier neighbours."""
+        images of its earlier neighbours. The point itself, when it is
+        one, comes last, so :meth:`first_leaf`, which pops, tries it
+        first."""
         keys, image, used = self.keys, self.image, self.used
-        key = keys[self.order[i]]
+        v = self.order[i]
+        key = keys[v]
         anchors = self.earlier[i]
         if not anchors:
-            return [w for w in self.members[key] if not used[w]]
-        found = [w for w in self.graph.adjacency[image[anchors[0]]] if not used[w] and keys[w] == key]
-        for u in anchors[1:]:
-            adjacent = self.graph.neighbours(image[u])
-            found = [w for w in found if w in adjacent]
+            found = [w for w in self.members[key] if not used[w]]
+        else:
+            found = [w for w in self.graph.adjacency[image[anchors[0]]] if not used[w] and keys[w] == key]
+            for u in anchors[1:]:
+                adjacent = self.graph.neighbours(image[u])
+                found = [w for w in found if w in adjacent]
+        if v in found:
+            found.remove(v)
+            found.append(v)
         return found
 
     def first_leaf(self, depth: int) -> Perm | None:
@@ -618,17 +694,19 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     with every earlier point fixed, are tried unless the generators found
     so far already reach them; a backtrack search (:class:`_Backtrack`,
     pruned only by the classes and adjacency) stops at the first
-    automorphism that maps the point there. Every generator found at a
-    level fixes the points before it and each level tries every
-    candidate, so the orbit lengths are exact. The base is the points of
-    the levels whose orbit has more than one point. Levels with a single
-    candidate are skipped.
+    automorphism that maps the point there, completed toward the
+    identity, so each generator moves little more than the subgraph the
+    point's image forces to move. Every generator found at a level fixes
+    the points before it and each level tries every candidate, so the
+    orbit lengths are exact. The base is the points of the levels whose
+    orbit has more than one point. Levels with a single candidate are
+    skipped.
     """
     n = graph.n
     lab, cell, end, starts = _initial_partition([keys[v] for v in range(n)])
     added, _ = _refine(graph.adjacency, lab, cell, end, starts, len(starts))
     if len(starts) + added == n:
-        return SGSGroup(graph, cell, (), (), ())
+        return SGSGroup(graph, cell, (), (), (), ())
     sizes = [end[s] - s for s in cell]
     search = _Backtrack(graph, cell, min(range(n), key=sizes.__getitem__))
     order, image, used = search.order, search.image, search.used
@@ -636,6 +714,8 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
         image[v] = v
         used[v] = True
     generators: list[Perm] = []
+    supports: list[tuple[int, ...]] = []
+    movers: dict[int, list[Perm]] = {}
     levels = []  # (point, orbit length), deepest first
     for i in reversed(range(n)):
         b = order[i]
@@ -646,7 +726,7 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
         candidates = search.candidates(i)
         if len(candidates) == 1:
             continue
-        orbit = _orbit(b, generators)
+        orbit = _orbit(b, movers)
         for w in candidates:
             if w in orbit:
                 continue
@@ -658,12 +738,15 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
                     used[image[v]] = False
                     image[v] = -1
             if found is not None:
+                support = _support(found)
                 generators.append(found)
-                orbit = _orbit(b, generators)
+                supports.append(support)
+                _adjoin(movers, found, support)
+                orbit = _orbit(b, movers)
         if len(orbit) > 1:
             levels.append((b, len(orbit)))
     levels.reverse()
-    return SGSGroup(graph, cell, [b for b, _ in levels], generators, [length for _, length in levels])
+    return SGSGroup(graph, cell, [b for b, _ in levels], generators, supports, [length for _, length in levels])
 
 
 def automorphism_sgs(graph: Graph, colouring=None) -> SGSGroup:
@@ -693,11 +776,14 @@ def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
     domain_set = set(domain)
     if not group.generators:
         return tuple((v,) for v in sorted(domain_set))
+    movers: dict[int, list[Perm]] = {}
+    for g, support in zip(group.generators, group.supports):
+        _adjoin(movers, g, support)
     seen: set[int] = set()
     blocks = []
     for v in sorted(domain_set):
         if v not in seen:
-            orbit = _orbit(v, group.generators, domain_set)
+            orbit = _orbit(v, movers, domain_set)
             seen |= orbit
             blocks.append(tuple(sorted(orbit)))
     return tuple(blocks)
@@ -708,27 +794,37 @@ def fixes_block(group, block) -> bool:
     if not group.generators:
         return True
     bset = frozenset(block)
-    return all(p[v] in bset for p in group.generators for v in block)
+    return all(g[v] in bset for g, support in zip(group.generators, group.supports) for v in support if v in bset)
 
 
 def preserves(group, keys) -> bool:
     """Whether every element maps each vertex to one with the same key:
-    true exactly when every generator does."""
-    return all(keys[u] == keys[v] for g in group.generators for v, u in enumerate(g))
+    true exactly when every generator does on the points it moves."""
+    return all(keys[g[v]] == keys[v] for g, support in zip(group.generators, group.supports) for v in support)
 
 
 def permutes_blocks(group, blocks) -> bool:
     """Whether every element maps each block onto a block of the
     partition: true exactly when every generator does. A permutation that
     maps each block into a block maps the blocks' union onto itself, so
-    every block receives the image of one block, and all of it."""
+    every block receives the image of one block, and all of it. Each
+    generator reads the points it moves: one that stays in its block
+    needs nothing more, and a block that one of them leaves is read once,
+    as it must go whole into the block of that point's image."""
     if not group.generators:
         return True
     block_of = {v: b for b, block in enumerate(blocks) for v in block}
-    for g in group.generators:
-        for block in blocks:
-            target = block_of.get(g[block[0]])
-            if target is None or any(block_of.get(g[v]) != target for v in block):
+    for g, support in zip(group.generators, group.supports):
+        read = set()
+        for v in support:
+            b = block_of.get(v)
+            if b is None or b in read:
+                continue
+            target = block_of.get(g[v])
+            if target == b:
+                continue
+            read.add(b)
+            if target is None or any(block_of.get(g[u]) != target for u in blocks[b]):
                 return False
     return True
 

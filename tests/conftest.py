@@ -116,6 +116,17 @@ def reference_refine(adjacency, lab, cell, end, splitters):
     return added, splits
 
 
+def equitable_classes(graph, colours) -> list[int]:
+    """The coarsest equitable partition finer than the colouring (1-WL).
+
+    ``result[v]`` is a class id; automorphisms preserving the colouring
+    preserve the classes.
+    """
+    lab, cell, end, starts = symmetry._initial_partition(colours)
+    symmetry._refine(graph.adjacency, lab, cell, end, starts, len(starts))
+    return cell
+
+
 def induced_keys(n: int, partitions, state) -> list[tuple]:
     """For each of the vertices 0..n-1, the tuple of the induced colours of
     its blocks, one per partition that holds it.

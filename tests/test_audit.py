@@ -347,6 +347,39 @@ def test_detects_forged_fixing_set(tree_run):
     assert "recolour-deltas-match" in names or "sphere-colours-match" in names
 
 
+def tree_4_2_with_first_fixing_set(fixing_blocks):
+    """tree(4,2) from its centre, with the fixing set of step 1's inner
+    index 0, honestly the sibling leaves (5, 6, 7), replaced; the failed
+    checks, as (name, step, detail)."""
+    graph = truncated_tree(4, 2)
+    colouring, trace = run(graph, 0)
+    step = trace.steps[1]
+    assert step.inner[0].fixing_blocks == ((5, 6, 7),)
+    forged = dataclasses.replace(step.inner[0], fixing_blocks=fixing_blocks)
+    bad_step = dataclasses.replace(step, inner=(forged,) + step.inner[1:])
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    return [(c.name, c.step, c.detail) for c in audit.audit_run(graph, tampered, colouring) if not c.passed]
+
+
+def test_detects_a_block_left_in_two_colours():
+    # recolouring leaf 8 without its siblings leaves their block (8, 9, 10)
+    # of partitions 1..3 in two colours at every later index, while the
+    # block (5, 6, 7) recoloured whole keeps one colour
+    failed = tree_4_2_with_first_fixing_set(((5, 6, 7), (8,)))
+    assert [(step, detail) for name, step, detail in failed if name == "blocks-monochromatic"] == [
+        (1, "inner 1"),
+        (1, "inner 2"),
+        (1, "finest partition"),
+    ]
+    assert "fixing-halves-parent" not in {name for name, _, _ in failed}
+
+
+def test_detects_a_fixing_block_over_half_its_parent():
+    # 7 of the 12 vertices of sphere 2, the one block of partition 0
+    failed = tree_4_2_with_first_fixing_set((tuple(range(5, 12)),))
+    assert [(step, detail) for name, step, detail in failed if name == "fixing-halves-parent"] == [(1, "inner 0")]
+
+
 def test_detects_unsplit_class():
     graph = cycle_graph(5)
     colouring, trace = run(graph, 0)

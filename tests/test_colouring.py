@@ -88,12 +88,26 @@ def count_searches(monkeypatch):
     searches = []
     search = symmetry._search
 
-    def counted(graph, colours):
+    def counted(graph, colours, seeds):
         searches.append(colours)
-        return search(graph, colours)
+        return search(graph, colours, seeds)
 
     monkeypatch.setattr(symmetry, "_search", counted)
     return searches
+
+
+def count_subtree_searches(monkeypatch):
+    """The list that receives the level of every subtree search of the
+    construction's search, ``symmetry._automorphism_below``."""
+    levels = []
+    below = symmetry._automorphism_below
+
+    def counted(graph, path, splits, leaf, level, w):
+        levels.append(level)
+        return below(graph, path, splits, leaf, level, w)
+
+    monkeypatch.setattr(symmetry, "_automorphism_below", counted)
+    return levels
 
 
 def defined_running_stabilizers(graph, trace):
@@ -447,6 +461,14 @@ class TestRun:
         searches = count_searches(monkeypatch)
         run(truncated_tree(9, 2), 0)
         assert len(searches) == 12
+
+    @pytest.mark.parametrize("degree,radius,expected", [(4, 2, 13), (6, 3, 234)])
+    def test_subtree_searches_of_seeded_running_groups(self, monkeypatch, degree, radius, expected):
+        # each running group's search starts from the parent's generators
+        # that keep its colours, so only the images they miss are searched
+        searched = count_subtree_searches(monkeypatch)
+        run(truncated_tree(degree, radius), 0)
+        assert len(searched) == expected
 
     def test_running_stabilizer_moving_a_block_is_an_internal_error(self, monkeypatch):
         # with no fixing set at step 1's index 0, index 1's running group

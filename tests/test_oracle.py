@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymcolour import (
+    DEFAULT_CAP,
     Colouring,
     automorphism_group,
     automorphism_sgs,
@@ -20,6 +24,7 @@ from asymcolour import (
     motion,
     motion_lemma_check,
     numeric,
+    parse_graph,
     path_graph,
     run,
     truncated_tree,
@@ -206,6 +211,21 @@ class TestMotionFromGenerators:
         report = oracle.motion_report(graph)
         assert report.value == min(moved_counts(elements, graph.n))
         assert report.search_space == len(elements) == oracle.automorphism_order(graph)
+
+
+def test_sparse_generators_settle_the_motion_without_a_listing(monkeypatch):
+    # the benchmark corpus at seed 0: three relabelled copies of every
+    # connected graph on at most 7 vertices. A generator moving 2 points
+    # settles the motion; only the other nontrivial groups are listed.
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    inputs = workloads.build_workload("corpus", 0).inputs
+    groups = [automorphism_sgs(parse_graph(i.text)) for i in inputs]
+    listed = [oracle._motion(group, DEFAULT_CAP)[1] is not None for group in groups if not group.is_trivial()]
+    assert (len(inputs), len(listed), sum(listed)) == (2988, 2529, 534)
 
 
 class TestMotionLemma:

@@ -34,7 +34,6 @@ from asymcolour.symmetry import (
     SGSGroup,
     coloured_automorphisms,
     coset_search,
-    equitable_classes,
     fixes_block,
     permutes_blocks,
     preserves,
@@ -44,6 +43,7 @@ from .conftest import (
     brute_automorphisms,
     connected_graphs,
     deadline,
+    equitable_classes,
     permutations_of,
     reference_fixing_set,
     reference_refine,
@@ -61,6 +61,39 @@ def relabelled(g):
 SYMMETRIC_GRAPHS = st.sampled_from(
     [truncated_tree(3, 2), truncated_tree(2, 3), cycle_graph(8), complete_bipartite_graph(3, 4), grid_graph(3, 3)]
 ).flatmap(relabelled)
+
+
+# graphs whose groups are rich in twins, so in sparse generators
+TWIN_GRAPHS = st.sampled_from(
+    [
+        complete_bipartite_graph(1, 6),
+        complete_bipartite_graph(2, 4),
+        complete_bipartite_graph(3, 3),
+        complete_graph(6),
+        truncated_tree(3, 2),
+        truncated_tree(4, 2),
+        truncated_tree(2, 3),
+    ]
+).flatmap(relabelled)
+
+
+def assert_strong_generating_set(group):
+    """The supports are the points each generator moves, and the
+    generators that fix ``base[:j]`` reach exactly ``orbit_lengths[j]``
+    points from ``base[j]``, by a closure written here."""
+    n = group.degree
+    assert group.supports == tuple(tuple(v for v in range(n) if p[v] != v) for p in group.generators)
+    for j, point in enumerate(group.base):
+        level = [p for p in group.generators if all(p[b] == b for b in group.base[:j])]
+        reached = {point}
+        frontier = [point]
+        while frontier:
+            u = frontier.pop()
+            for p in level:
+                if p[u] not in reached:
+                    reached.add(p[u])
+                    frontier.append(p[u])
+        assert len(reached) == group.orbit_lengths[j]
 
 
 class TestPermOps:
@@ -333,6 +366,59 @@ class TestColouredAutomorphisms:
         with pytest.raises(GroupCapError):
             coloured_automorphisms(complete_graph(7)).enumerate(cap=100)
 
+    def test_leaf_test_rejects_one_edge_mapped_to_a_non_edge(self):
+        g = path_graph(4)
+        assert symmetry._maps_edges_to_edges(g, (3, 2, 1, 0))
+        # swapping 0 and 1 keeps the edges 0-1 and 2-3 but maps 1-2 onto 0-2
+        assert not symmetry._maps_edges_to_edges(g, (1, 0, 2, 3))
+        # swapping 1 and 2 of path(5) keeps every degree, not the edge 0-1
+        assert not symmetry._maps_edges_to_edges(path_graph(5), (0, 2, 1, 3, 4))
+
+
+class TestSeededSearch:
+    """``SGSGroup.stabilizer`` seeds its search with the parent's
+    generators that preserve the keys; the subgroup must be the one that a
+    search from nothing and the audit's coset search find."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(TWIN_GRAPHS, st.data())
+    def test_matches_a_fresh_search_and_coset_search(self, g, data):
+        first = data.draw(st.one_of(st.just([0] * g.n), st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)))
+        # individualising a few vertices keeps most parent generators
+        marked = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
+        second = data.draw(
+            st.one_of(
+                st.just([marked.index(v) + 1 if v in marked else 0 for v in range(g.n)]),
+                st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n),
+            )
+        )
+        keys = list(zip(first, second))
+        seeded = coloured_automorphisms(g, first).stabilizer(second)
+        fresh = symmetry._search(g, symmetry._class_ids(keys), ())
+        coset = coset_search(g, keys)
+        assert seeded.order == fresh.order == coset.order
+        assert orbits(seeded, range(g.n)) == orbits(fresh, range(g.n)) == orbits(coset, range(g.n))
+        for group in (seeded, fresh, coset):
+            assert_strong_generating_set(group)
+
+    def test_the_parent_generators_that_keep_the_keys_seed_the_search(self, monkeypatch):
+        g = truncated_tree(4, 2)
+        parent = coloured_automorphisms(g)
+        keys = [v == 5 for v in range(g.n)]
+        search = symmetry._search
+        given_seeds = []
+
+        def recorded(graph, colours, seeds):
+            given_seeds.append(seeds)
+            return search(graph, colours, seeds)
+
+        monkeypatch.setattr(symmetry, "_search", recorded)
+        child = parent.stabilizer(keys)
+        kept = [(p, support) for p, support in zip(parent.generators, parent.supports) if p[5] == 5]
+        assert given_seeds == [kept] and kept
+        # leaf 5 is one of 12 leaves
+        assert child.order == parent.order // 12 == 2592
+
 
 class TestCosetSearch:
     """The audit's search, against brute force, against networkx's VF2,
@@ -375,6 +461,14 @@ class TestCosetSearch:
     def test_distinct_keys_give_the_trivial_group(self):
         group = coset_search(complete_graph(5), range(5))
         assert group.is_trivial() and group.order == 1
+
+    def test_representatives_are_completed_toward_the_identity(self):
+        # completed toward the identity, a generator moves only the subtrees
+        # that mapping its level's point forces to move: about 10 points on
+        # average, not half the tree
+        g = truncated_tree(5, 4)
+        group = coset_search(g, distances(g, 0))
+        assert (g.n, len(group.generators), sum(map(len, group.supports))) == (426, 319, 3215)
 
 
 class TestOrbitsAndStabilizers:
@@ -477,7 +571,7 @@ class TestGeneratorQuestions:
         block_sets = {frozenset(block) for block in blocks}
         keeps_keys = all(keys[p[v]] == keys[v] for p in elements for v in range(g.n))
         keeps_blocks = all(frozenset(p[v] for v in block) in block_sets for p in elements for block in blocks)
-        for kind in (group, elements):
+        for kind in (group, coset_search(g, [0] * g.n), elements):
             assert preserves(kind, keys) == keeps_keys
             assert permutes_blocks(kind, blocks) == keeps_blocks
 
