@@ -6,15 +6,15 @@ colourings and the inner colouring states are replayed from the recorded
 deltas, each bound is tested numerically, and every group is searched by
 the audit's own route, or shown equal to the group before it by its
 generators. That route is :func:`~asymcolour.symmetry.coset_search`,
-Sims' backtrack over vertex images that keeps one automorphism per coset,
-pruned by the 1-WL classes of the vertex keys and by adjacency. It shares
-the equitable refinement with the construction, which the tests check
-against round-based 1-WL, but none of its search, and it lists no
-elements. The stabilizer of ``c_k`` is keyed by each vertex's colour and
-distance from the root, and each running stabilizer at inner index i
-also by the least colour (:func:`induced_colouring`) of each block that
-holds the vertex in partitions 0..i, the paper's definition read
-literally. Those running keys are kept per step and extended index by
+a partition backtrack that keeps one automorphism per coset, refining at
+every node and pruned where the refinement splits differ from its
+source path's. It shares the partition primitives and the equitable
+refinement with the construction, which the tests check against
+round-based 1-WL, but none of its search, and it lists no elements. The
+stabilizer of ``c_k`` is keyed by each vertex's colour and distance from
+the root, and each running stabilizer at inner index i also by the least
+colour (:func:`induced_colouring`) of each block that holds the vertex in
+partitions 0..i, the paper's definition read literally. Those running keys are kept per step and extended index by
 index: each index appends one partition's block colours, and a replayed
 recolouring rewrites only the keys of the blocks whose least colour it
 changed, so on any trace they equal the definition. Likewise the checks
@@ -52,7 +52,7 @@ from .colouring import (
     numeric,
 )
 from .graphs import Graph, distances
-from .symmetry import PermGroup, coset_search, fixes_block, orbits, permutes_blocks, preserves
+from .symmetry import PermGroup, coset_search, moved_block, orbits, permutes_blocks, preserves
 
 
 def induced_colouring(colours, partition) -> tuple[Colour, ...]:
@@ -331,7 +331,7 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         blocks_i = partitions[rec.index]
         checks.append(CheckResult("blocks-monochromatic", k, monochromatic(i), f"inner {rec.index}"))
 
-        fixes = gamma_tilde is not None and all(fixes_block(gamma_tilde, block) for block in blocks_i)
+        fixes = gamma_tilde is not None and moved_block(gamma_tilde, blocks_i) is None
         checks.append(CheckResult("running-stabilizer-fixes-blocks", k, fixes, f"inner {rec.index}"))
 
         checks.append(

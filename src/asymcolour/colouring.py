@@ -27,9 +27,9 @@ from .symmetry import (
     DEFAULT_CAP,
     SGSGroup,
     coloured_automorphisms,
-    fixes_block,
     format_permutation,
     minimal_fixing_set,
+    moved_block,
     orbits,
     permutes_blocks,
 )
@@ -396,7 +396,7 @@ def extend_colouring(
         # orbit. gamma_tilde fixes index i-1's fixing blocks, and so all
         # of partition i: their offsets tell them apart inside parent
         # blocks of one colour, which it fixes by induction
-        if not all(fixes_block(gamma_tilde, block) for block in partitions[i]):
+        if moved_block(gamma_tilde, partitions[i]) is not None:
             raise InternalInvariantError(f"running stabilizer moves a block of partition {i}")
         acting_orbit = orbit_list[i]
         size_bound = _fixing_size_bound(len(acting_orbit), bound_mode)

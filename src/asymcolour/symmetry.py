@@ -11,11 +11,14 @@ product of the basic orbit lengths. Two independent searches build one:
   :meth:`SGSGroup.stabilizer`, whose search starts from the parent's
   generators that preserve ``c'``: each seeds the level of the first
   base point it moves, so only the images they cannot reach are searched;
-- :func:`coset_search`, Sims' backtrack over vertex images that keeps
-  one automorphism per coset, pruned by the 1-WL classes of the
-  caller's vertex keys and by adjacency, so it shares the construction's
-  refinement but none of its search. It completes each coset
-  representative toward the identity, trying every point's own image
+- :func:`coset_search`, a partition backtrack (Leon 1991) that keeps one
+  automorphism per coset: its own breadth-first point order and Sims
+  levels, and at every node an individualisation and a refinement,
+  pruned when the splits differ from its source path's. It shares the
+  construction's partition primitives (:func:`_initial_partition`,
+  :func:`_individualise`, :func:`_refine`) but none of its search. It
+  completes each coset representative toward the identity, fixing every
+  point a cell shares with the source's and trying the source point
   first, so its generators move few points. The audit keys it by colour
   and distance from the root; every oracle reads it through
   :func:`automorphism_sgs`, keyed by the colouring.
@@ -31,7 +34,7 @@ closure of its own generators; the tests filter lists with
 :meth:`PermGroup.stabilizer`.
 
 Both group kinds carry ``generators`` and their ``supports``, the points
-each one moves: :func:`orbits`, :func:`fixes_block`, :func:`preserves`
+each one moves: :func:`orbits`, :func:`moved_block`, :func:`preserves`
 and :func:`permutes_blocks` read only the supports, so the construction's
 guards search nothing and cost what the generators move, and
 :func:`minimal_fixing_set` reads those of the block stabilizers it takes.
@@ -348,9 +351,10 @@ class SGSGroup:
     ``generators[i]`` moves, stored once when the group is made: every
     question asked of the generators reads only those points. Built by
     :func:`_search` (the base is the individualised vertices) and by
-    :func:`coset_search` (the base is the levels with more than one
-    image). Subgroups are taken by :meth:`stabilizer`; elements are listed
-    only on request, by :meth:`enumerate`, under the element cap.
+    :func:`coset_search`, the partition backtrack (the base is the
+    individualised points whose orbit has more than one point). Subgroups
+    are taken by :meth:`stabilizer`; elements are listed only on request,
+    by :meth:`enumerate`, under the element cap.
     """
 
     __slots__ = ("graph", "colours", "base", "generators", "supports", "orbit_lengths")
@@ -592,161 +596,140 @@ def _maps_edges_to_edges(graph: Graph, image) -> bool:
     return all(image[x] in adjsets[image[u]] for u, near in enumerate(graph.adjacency) for x in near)
 
 
-class _Backtrack:
-    """Backtracking over vertex images in breadth-first order from
-    ``start``, pruned only by the vertex ``keys`` and by adjacency with
-    earlier neighbours.
-
-    ``image`` and ``used`` hold the partial map; :meth:`first_leaf`
-    completes it from a given depth of the order, trying each point's
-    own image first, so a completion moves few points beyond those the
-    given part of the map forces. Every vertex after the first has an
-    earlier neighbour, so every edge is checked when its later end is
-    assigned; for a bijection of a finite graph to itself, mapping every
-    edge onto an edge already forces non-edges onto non-edges, so a leaf
-    is an automorphism preserving the keys.
-    """
-
-    def __init__(self, graph: Graph, keys, start: int):
-        n = graph.n
-        self.graph = graph
-        self.keys = keys
-        order = [start]
-        position = [-1] * n
-        position[start] = 0
-        for u in order:
-            for v in graph.adjacency[u]:
-                if position[v] < 0:
-                    position[v] = len(order)
-                    order.append(v)
-        self.order = order
-        self.earlier = [[u for u in graph.adjacency[v] if position[u] < i] for i, v in enumerate(order)]
-        self.members: dict = {}
-        for v in range(n):
-            self.members.setdefault(keys[v], []).append(v)
-        self.image = [-1] * n
-        self.used = [False] * n
-
-    def candidates(self, i: int) -> list[int]:
-        """Unused images for ``order[i]`` with its key, adjacent to the
-        images of its earlier neighbours. The point itself, when it is
-        one, comes last, so :meth:`first_leaf`, which pops, tries it
-        first."""
-        keys, image, used = self.keys, self.image, self.used
-        v = self.order[i]
-        key = keys[v]
-        anchors = self.earlier[i]
-        if not anchors:
-            found = [w for w in self.members[key] if not used[w]]
-        else:
-            found = [w for w in self.graph.adjacency[image[anchors[0]]] if not used[w] and keys[w] == key]
-            for u in anchors[1:]:
-                adjacent = self.graph.neighbours(image[u])
-                found = [w for w in found if w in adjacent]
-        if v in found:
-            found.remove(v)
-            found.append(v)
-        return found
-
-    def first_leaf(self, depth: int) -> Perm | None:
-        """A completion of the partial map on ``order[:depth]``, or None
-        if there is none. Iterative, so the depth is not bounded by the
-        interpreter's recursion limit; on return the map is left as the
-        completion was found or, with None, as it was given."""
-        order, image, used, candidates = self.order, self.image, self.used, self.candidates
-        n = len(order)
-        if depth == n:
-            return tuple(image)
-        stack = [candidates(depth)]
-        i = depth
-        while True:
-            v = order[i]
-            if image[v] >= 0:
-                used[image[v]] = False
-                image[v] = -1
-            if not stack[-1]:
-                stack.pop()
-                if i == depth:
-                    return None
-                i -= 1
-                continue
-            w = stack[-1].pop()
-            image[v] = w
-            used[w] = True
-            if i + 1 == n:
-                return tuple(image)
-            i += 1
-            stack.append(candidates(i))
-
-
 def coset_search(graph: Graph, keys) -> SGSGroup:
-    """The automorphisms preserving the vertex keys, by Sims' backtrack
-    that keeps one automorphism per coset (Sims 1970; Butler 1991, ch. 10).
+    """The automorphisms preserving the vertex keys, by a partition
+    backtrack that keeps one automorphism per coset (Sims 1970; Leon 1991).
 
-    The keys are refined once to their 1-WL classes, the cells of
-    :func:`_refine` named by their starts, which every automorphism
-    preserving the keys preserves; without this pruning (McKay & Piperno
-    2014) a child-to-child candidate of a wide tree is refuted only after
-    permuting the later children. A discrete partition, which the
-    refinement stops at, gives the trivial group at once. The levels
-    are the breadth-first order from a vertex of a smallest class. From
-    the deepest level up, each level's candidate images of its point,
-    with every earlier point fixed, are tried unless the generators found
-    so far already reach them; a backtrack search (:class:`_Backtrack`,
-    pruned only by the classes and adjacency) stops at the first
-    automorphism that maps the point there, completed toward the
-    identity, so each generator moves little more than the subgraph the
-    point's image forces to move. Every generator found at a level fixes
-    the points before it and each level tries every candidate, so the
-    orbit lengths are exact. The base is the points of the levels whose
-    orbit has more than one point. Levels with a single candidate are
-    skipped.
+    The keys are refined to their 1-WL classes, the cells of
+    :func:`_refine` named by their starts; a discrete partition gives the
+    trivial group at once. The points are taken in breadth-first order
+    from a vertex of a smallest class. The source path individualises and
+    refines each point that is not yet a singleton, down to a discrete
+    leaf; those points are the levels. The others need none: an
+    automorphism fixing the points before such a point fixes it too, as
+    it keeps the partition it is a singleton of. From the deepest level
+    up, each point of the level's cell that the generators found so far
+    do not reach from the level's point is tried as its image, with the
+    earlier points fixed (:func:`_coset_representative`). Every generator
+    found at a level fixes the points before it and each level tries its
+    whole cell, so the orbit lengths are exact. The base is the levels
+    whose orbit has more than one point.
     """
     n = graph.n
+    adjacency = graph.adjacency
     lab, cell, end, starts = _initial_partition([keys[v] for v in range(n)])
-    added, _ = _refine(graph.adjacency, lab, cell, end, starts, len(starts))
-    if len(starts) + added == n:
+    added, _ = _refine(adjacency, lab, cell, end, starts, len(starts))
+    cells = len(starts) + added
+    if cells == n:
         return SGSGroup(graph, cell, (), (), (), ())
-    sizes = [end[s] - s for s in cell]
-    search = _Backtrack(graph, cell, min(range(n), key=sizes.__getitem__))
-    order, image, used = search.order, search.image, search.used
+    order = [min(range(n), key=lambda v: end[cell[v]] - cell[v])]
+    seen = set(order)
+    for u in order:
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    points = []
+    path = []  # per level: the partition before its point is individualised
+    splits = []  # per level: the splits made after individualising it
     for v in order:
-        image[v] = v
-        used[v] = True
+        if end[cell[v]] - cell[v] > 1:
+            points.append(v)
+            path.append((lab[:], cell[:], end[:], cells))
+            s = _individualise(lab, cell, end, v)
+            added, made = _refine(adjacency, lab, cell, end, [s], cells + 1)
+            cells += 1 + added
+            splits.append(made)
+    path.append((lab, cell, end, cells))
     generators: list[Perm] = []
     supports: list[tuple[int, ...]] = []
     movers: dict[int, list[Perm]] = {}
     levels = []  # (point, orbit length), deepest first
-    for i in reversed(range(n)):
-        b = order[i]
-        image[b] = -1
-        used[b] = False
-        if sizes[b] == 1:
-            continue
-        candidates = search.candidates(i)
-        if len(candidates) == 1:
-            continue
+    for j in reversed(range(len(points))):
+        b = points[j]
+        plab, pcell, pend, _ = path[j]
+        s = pcell[b]
         orbit = _orbit(b, movers)
-        for w in candidates:
+        for w in sorted(plab[s:pend[s]]):
             if w in orbit:
                 continue
-            image[b] = w
-            used[w] = True
-            found = search.first_leaf(i + 1)
-            for v in order[i:]:
-                if image[v] >= 0:
-                    used[image[v]] = False
-                    image[v] = -1
+            found = _coset_representative(graph, points, path, splits, j, w)
             if found is not None:
-                support = _support(found)
-                generators.append(found)
+                g, support = found
+                generators.append(g)
                 supports.append(support)
-                _adjoin(movers, found, support)
+                _adjoin(movers, g, support)
                 orbit = _orbit(b, movers)
         if len(orbit) > 1:
             levels.append((b, len(orbit)))
     levels.reverse()
-    return SGSGroup(graph, cell, [b for b, _ in levels], generators, supports, [length for _, length in levels])
+    return SGSGroup(graph, path[0][1], [b for b, _ in levels], generators, supports, [length for _, length in levels])
+
+
+def _coset_representative(graph: Graph, points, path, splits, level: int, w: int):
+    """An automorphism fixing ``points[:level]`` and mapping
+    ``points[level]`` to ``w``, with its support, or None if there is none.
+
+    Depth-first over image points. A node individualises one in the cell
+    at its source point's position and refines; it is pruned when its
+    splits differ from the source path's at that depth, as no automorphism
+    maps the source's node there. A node that survives tests one map onto
+    it from the source's partition at that depth, :func:`_toward_identity`,
+    and returns it if it sends every edge at the points it moves onto an
+    edge: a bijection of a finite graph that maps its edges onto edges is
+    an automorphism. At a discrete node that map is the leaf; at any other
+    the search descends, trying the source point first when it lies in the
+    image cell.
+    """
+    adjacency, adjsets = graph.adjacency, graph._adjsets
+    lab, cell, end, cells = path[level]
+    stack = [(lab, cell, end, cells, level, [w])]
+    while stack:
+        lab, cell, end, cells, depth, candidates = stack[-1]
+        if not candidates:
+            stack.pop()
+            continue
+        clab, ccell, cend = lab[:], cell[:], end[:]
+        s = _individualise(clab, ccell, cend, candidates.pop())
+        added, made = _refine(adjacency, clab, ccell, cend, [s], cells + 1)
+        if made != splits[depth]:
+            continue
+        slab, scell, send, _ = path[depth + 1]
+        image, moved = _toward_identity(slab, clab, scell, send)
+        if all(image[u] in adjsets[image[x]] for x in moved for u in adjacency[x]):
+            return tuple(image), tuple(sorted(moved))
+        if depth + 1 < len(points):
+            point = points[depth + 1]
+            t = scell[point]
+            following = [v for v in clab[t:cend[t]] if v != point]
+            if len(following) < cend[t] - t:
+                following.append(point)
+            stack.append((clab, ccell, cend, cells + 1 + added, depth + 1, following))
+    return None
+
+
+def _toward_identity(source, target, cell, end) -> tuple[list[int], list[int]]:
+    """The bijection mapping each cell of ``source`` onto the cell at the
+    same position of ``target`` (two ``lab`` arrays with the same cells,
+    given by ``cell`` and ``end`` of ``source``) that fixes every point the
+    two cells share and maps the rest in position order; returns its
+    image array and the points it moves. A cell of one point maps to the
+    other's point, so on discrete partitions it is the leaf map."""
+    image = list(range(len(source)))
+    moved = []
+    done = set()
+    for x, y in zip(source, target):
+        if x != y and cell[x] not in done:
+            s = cell[x]
+            done.add(s)
+            here, there = source[s:end[s]], target[s:end[s]]
+            shared = set(here).intersection(there)
+            leaving = [u for u in here if u not in shared]
+            arriving = [u for u in there if u not in shared]
+            for u, v in zip(leaving, arriving):
+                image[u] = v
+            moved += leaving
+    return image, moved
 
 
 def automorphism_sgs(graph: Graph, colouring=None) -> SGSGroup:
@@ -789,12 +772,24 @@ def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def fixes_block(group, block) -> bool:
-    """Whether every element maps the block onto itself."""
+def moved_block(group, blocks) -> int | None:
+    """The index of the first of some disjoint blocks that an element does
+    not map onto itself, or None when every element fixes every block. An
+    element fixes them all exactly when every generator does, so one pass
+    over the supports answers: a generator moves the block of a point it
+    moves out of that block."""
     if not group.generators:
-        return True
-    bset = frozenset(block)
-    return all(g[v] in bset for g, support in zip(group.generators, group.supports) for v in support if v in bset)
+        return None
+    block_of = {v: b for b, block in enumerate(blocks) for v in block}
+    return min(
+        (
+            block_of[v]
+            for g, support in zip(group.generators, group.supports)
+            for v in support
+            if v in block_of and block_of.get(g[v]) != block_of[v]
+        ),
+        default=None,
+    )
 
 
 def preserves(group, keys) -> bool:
@@ -923,17 +918,16 @@ def minimal_fixing_set(group, blocks, size_bound: float | None = None) -> tuple[
     if not permutes_blocks(group, blocks):
         raise NotAPartitionActionError("group does not permute the blocks of the partition")
 
-    def moved_block(picks):
-        stabilizer = block_stabilizer(group, [blocks[i] for i in picks])
-        return next((b for b, block in enumerate(blocks) if not fixes_block(stabilizer, block)), None)
+    def first_moved(picks):
+        return moved_block(block_stabilizer(group, [blocks[i] for i in picks]), blocks)
 
     picks: list[int] = []
-    while (moved := moved_block(picks)) is not None:
+    while (moved := first_moved(picks)) is not None:
         picks.append(moved)
 
     for b in reversed(picks[:-1]):
         trial = [x for x in picks if x != b]
-        if moved_block(trial) is None:
+        if first_moved(trial) is None:
             picks = trial
 
     if picks and len(picks) > chain_length_bound(len(blocks)):

@@ -39,14 +39,33 @@ def vf2_automorphisms(graph, keys=None):
     return sorted(tuple(m[v] for v in range(graph.n)) for m in matcher.isomorphisms_iter())
 
 
+def paley(q):
+    """The Paley graph of a prime q = 1 mod 4: the residues mod q, adjacent
+    when their difference is a nonzero square. Strongly regular, so 1-WL
+    splits nothing; its automorphisms are the maps x -> a*x + b with a a
+    nonzero square, q(q-1)/2 of them."""
+    squares = {x * x % q for x in range(1, q)}
+    return build_graph(q, [(u, v) for u in range(q) for v in range(u + 1, q) if (v - u) % q in squares])
+
+
+def kneser(m, k):
+    """The Kneser graph KG(m, k): the k-subsets of an m-set, adjacent when
+    disjoint. For m > 2k its automorphisms are the m! permutations of the
+    ground set."""
+    subsets = [frozenset(s) for s in itertools.combinations(range(m), k)]
+    pairs = itertools.combinations(range(len(subsets)), 2)
+    return build_graph(len(subsets), [(u, v) for u, v in pairs if not subsets[u] & subsets[v]])
+
+
 def break_construction_search(monkeypatch):
-    """Make the construction's individualisation-refinement search raise,
-    so that only code on another route can still answer."""
+    """Make the construction's individualisation-refinement search and its
+    leaf test raise, so that only code on another route can still answer."""
 
     def broken(*args, **kwargs):
         raise AssertionError("the construction's search was called")
 
-    monkeypatch.setattr(symmetry, "_search", broken)
+    for name in ("_search", "_automorphism_below", "_maps_edges_to_edges", "_target_cell"):
+        monkeypatch.setattr(symmetry, name, broken)
 
 
 def fix_one_vertex_per_block(monkeypatch):
@@ -161,7 +180,9 @@ def reference_fixing_set(group, blocks, size_bound=None):
     picks = []
     current = group
     while current.order != target:
-        picks.append(next(b for b in range(len(blocks)) if b not in picks and not symmetry.fixes_block(current, blocks[b])))
+        picks.append(
+            next(b for b in range(len(blocks)) if b not in picks and symmetry.moved_block(current, [blocks[b]]) is not None)
+        )
         current = stabilizer_of(picks)
     for b in reversed(list(picks)):
         trial = [x for x in picks if x != b]

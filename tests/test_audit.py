@@ -19,9 +19,10 @@ from asymcolour import (
     truncated_tree,
 )
 from asymcolour import audit
+from asymcolour.oracle import is_asymmetric
 from asymcolour.symmetry import coset_search
 
-from .conftest import deadline, induced_keys
+from .conftest import break_construction_search, deadline, induced_keys, kneser, paley
 
 
 @pytest.fixture()
@@ -76,6 +77,26 @@ def test_wide_tree_audit_finishes():
     with deadline(10):
         checks = audit.audit_run(graph, trace, colouring)
     assert audit.all_passed(checks)
+
+
+@pytest.mark.parametrize("graph", [paley(101), kneser(9, 3)], ids=["paley101", "kneser9-3"])
+def test_audit_of_graphs_that_1wl_does_not_split_finishes(graph):
+    # 1-WL splits nothing on them, so a coset search that does not refine
+    # after fixing each point runs for minutes
+    colouring, trace = run(graph, 0)
+    with deadline(10):
+        checks = audit.audit_run(graph, trace, colouring)
+    assert audit.all_passed(checks)
+
+
+def test_audit_answers_without_the_construction_search(corpus, monkeypatch):
+    # the audit and the oracle search by their own route, so they still
+    # answer when every part of the construction's search raises
+    runs = [(graph, *run(graph, 0)) for graph in corpus]
+    break_construction_search(monkeypatch)
+    for graph, colouring, trace in runs:
+        assert audit.all_passed(audit.audit_run(graph, trace, colouring))
+        assert is_asymmetric(graph, colouring) == (trace.stabilizer_orders[-1] == 1)
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from asymcolour import cli, oracle
 from asymcolour.cli import main
 from asymcolour.errors import NotAPartitionActionError
 
-from .conftest import break_construction_search, drop_fixing_sets, fix_one_vertex_per_block
+from .conftest import break_construction_search, deadline, drop_fixing_sets, fix_one_vertex_per_block, paley
 
 
 def write_graph(tmp_path, graph, name="graph.adj"):
@@ -341,6 +341,13 @@ class TestOracleCommand:
         path = write_graph(tmp_path, cycle_graph(5))
         assert main(["oracle", path, "motion"]) == 0
         assert "oracle.value 4" in capsys.readouterr().out
+
+    def test_autorder_of_a_graph_that_1wl_does_not_split(self, tmp_path, capsys):
+        # Paley(101): the maps x -> a*x + b with a a nonzero square mod 101
+        path = write_graph(tmp_path, paley(101))
+        with deadline(10):
+            assert main(["oracle", path, "autorder"]) == 0
+        assert "oracle.value 5050" in capsys.readouterr().out.splitlines()
 
     def test_motion_lists_aut_once(self, tmp_path, capsys, monkeypatch):
         calls = count_listings(monkeypatch)

@@ -40,7 +40,7 @@ from asymcolour import (
 from asymcolour import audit, colouring, graphs, oracle, symmetry
 from asymcolour.audit import induced_colouring
 from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRangeError
-from asymcolour.symmetry import coset_search, fixes_block
+from asymcolour.symmetry import coset_search, moved_block
 
 from .conftest import (
     connected_graphs,
@@ -545,7 +545,7 @@ class TestRunningStabilizer:
             assert orbits(group, range(graph.n)) == orbits(expected, range(graph.n))
             orbit = set(rec.acting_orbit)
             pointwise = coset_search(graph, [(group.colours[v], v if v in orbit else -1) for v in range(graph.n)])
-            assert all(fixes_block(pointwise, block) for block in blocks)
+            assert all(moved_block(pointwise, [block]) is None for block in blocks)
 
     def test_every_root_of_every_small_graph(self, corpus, monkeypatch):
         calls = record_fixing_set_calls(monkeypatch)

@@ -34,7 +34,7 @@ from asymcolour.symmetry import (
     SGSGroup,
     coloured_automorphisms,
     coset_search,
-    fixes_block,
+    moved_block,
     permutes_blocks,
     preserves,
 )
@@ -44,6 +44,8 @@ from .conftest import (
     connected_graphs,
     deadline,
     equitable_classes,
+    kneser,
+    paley,
     permutations_of,
     reference_fixing_set,
     reference_refine,
@@ -463,12 +465,31 @@ class TestCosetSearch:
         assert group.is_trivial() and group.order == 1
 
     def test_representatives_are_completed_toward_the_identity(self):
-        # completed toward the identity, a generator moves only the subtrees
-        # that mapping its level's point forces to move: about 10 points on
-        # average, not half the tree
+        # completed toward the identity, every generator swaps two sibling
+        # subtrees: 240 generators swap two leaves, 60 two subtrees of 5
+        # points, 15 of 21 and 4 of 85: 2 * (240 + 60*5 + 15*21 + 4*85)
         g = truncated_tree(5, 4)
         group = coset_search(g, distances(g, 0))
-        assert (g.n, len(group.generators), sum(map(len, group.supports))) == (426, 319, 3215)
+        assert (g.n, len(group.generators), sum(map(len, group.supports))) == (426, 319, 2390)
+
+    @pytest.mark.parametrize(
+        "build,args,expected",
+        [pytest.param(paley, (q,), q * (q - 1) // 2, id=f"paley{q}") for q in (13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101)]
+        + [
+            pytest.param(kneser, (7, 2), math.factorial(7), id="kneser7-2"),
+            pytest.param(kneser, (9, 3), math.factorial(9), id="kneser9-3"),
+        ],
+    )
+    def test_graphs_that_1wl_does_not_split(self, build, args, expected):
+        # strongly regular and Kneser graphs: 1-WL splits nothing, so only
+        # refining after each individualisation keeps the search small;
+        # sympy closes the generators, the closed form names the group
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        g = build(*args)
+        with deadline(5):
+            group = coset_search(g, [0] * g.n)
+        closed = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in group.generators])
+        assert group.order == closed.order() == expected
 
 
 class TestOrbitsAndStabilizers:
@@ -589,8 +610,8 @@ class TestGeneratorQuestions:
             assert orbits(group, domain) == tuple(sorted({tuple(sorted({p[v] for p in elements})) for v in domain}))
             assert orbits(group, domain) == tuple((v,) for v in domain)
             for block in blocks:
-                assert fixes_block(group, block) == all(frozenset(p[v] for v in block) == frozenset(block) for p in elements)
-                assert fixes_block(group, block)
+                assert (moved_block(group, [block]) is None) == all(frozenset(p[v] for v in block) == frozenset(block) for p in elements)
+                assert moved_block(group, [block]) is None
             keeps_blocks = all(frozenset(p[v] for v in block) in block_sets for p in elements for block in blocks)
             assert permutes_blocks(group, blocks) == keeps_blocks
             assert permutes_blocks(group, blocks)
@@ -600,6 +621,12 @@ class TestGeneratorQuestions:
         swap = PermGroup.from_generators(4, [(1, 0, 2, 3)])
         assert not permutes_blocks(swap, [(0, 2), (1, 3)])
         assert permutes_blocks(swap, [(0, 1), (2, 3)])
+
+    def test_moved_block_is_the_first_moved(self):
+        group = PermGroup.from_generators(5, [(1, 0, 2, 3, 4), (0, 1, 2, 4, 3)])
+        assert moved_block(group, [(2,), (3,), (0,), (1,)]) == 1
+        assert moved_block(group, [(2,), (0, 1), (4,)]) == 2
+        assert moved_block(group, [(0, 1), (2,), (3, 4)]) is None
 
     def test_a_block_mapped_into_a_block_of_another_size(self):
         swap = PermGroup.from_generators(3, [(1, 0, 2)])
