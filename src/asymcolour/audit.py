@@ -26,7 +26,9 @@ taken by one rule (:func:`_stabilizer`): when its keys refine the keys
 of the group before it (``c_{k-1}``'s, or the previous inner index's
 running stabilizer, which starts from ``c_k``'s) and every generator of
 that group preserves them, the two groups are equal and that group is
-kept; else it is searched. Orders, orbits, monotonicity, the block
+kept; else it is searched, from that group's equitable partition split
+by the keys when they refine its keys, and from scratch when they do not
+(at k = 0, or when a step merges colour classes). Orders, orbits, monotonicity, the block
 actions and the fixed blocks are read from generators, and each sphere's
 orbits once per k; the embedded final stabilizer, which the construction
 lists as products of transversals, is compared with the closure of the
@@ -441,12 +443,12 @@ def _stabilizer(graph, keys, previous, group):
     If ``keys`` refine ``previous`` (every key occurs with one previous
     key), an automorphism preserving ``keys`` preserves ``previous``, so
     ``Aut(G, keys) <= Aut(G, previous) = group``; if also every generator
-    of ``group`` preserves ``keys``, then ``group <= Aut(G, keys)``.
+    of ``group`` preserves ``keys``, then ``group <= Aut(G, keys)``. If
+    not, the search splits ``group``'s partition by ``keys``: every
+    partition equitable and finer than ``keys`` is finer than it.
     """
-    if group is not None:
-        refines = len(set(zip(keys, previous))) == len(set(keys))
-        if refines and preserves(group, keys):
-            return group
+    if group is not None and len(set(zip(keys, previous))) == len(set(keys)):
+        return group if preserves(group, keys) else coset_search(graph, keys, group)
     return coset_search(graph, keys)
 
 

@@ -2,7 +2,13 @@
 
 Every group is ``Aut(G, c)`` for some vertex colouring ``c``, held by a
 base and a strong generating set (:class:`SGSGroup`), so the order is the
-product of the basic orbit lengths. Two independent searches build one:
+product of the basic orbit lengths. Each group keeps the equitable
+partition its search started from, the coarsest one finer than ``c``
+(:func:`_equitable`). The groups come in chains, each ``Aut(G, c')`` for
+a ``c'`` finer than its parent's, so a search in a chain starts from the
+parent's partition split by the new keys and refines only from the cells
+they split (:func:`_split`); only the first group of a chain refines
+from scratch. Two independent searches build one:
 
 - the construction's :func:`coloured_automorphisms`, individualisation
   and refinement (McKay & Piperno 2014), called only from
@@ -15,13 +21,15 @@ product of the basic orbit lengths. Two independent searches build one:
   automorphism per coset: its own breadth-first point order and Sims
   levels, and at every node an individualisation and a refinement,
   pruned when the splits differ from its source path's. It shares the
-  construction's partition primitives (:func:`_initial_partition`,
-  :func:`_individualise`, :func:`_refine`) but none of its search. It
-  completes each coset representative toward the identity, fixing every
-  point a cell shares with the source's and trying the source point
-  first, so its generators move few points. The audit keys it by colour
-  and distance from the root; every oracle reads it through
-  :func:`automorphism_sgs`, keyed by the colouring.
+  construction's partition primitives (:func:`_equitable`,
+  :func:`_split`, :func:`_individualise`, :func:`_refine`) but none of
+  its search. It completes each coset representative toward the
+  identity, fixing every point a cell shares with the source's and
+  trying the source point first, so its generators move few points. The
+  audit keys it by colour and distance from the root, and passes the
+  previous group of its chain when the keys refine that group's; every
+  oracle reads it through :func:`automorphism_sgs`, keyed by the
+  colouring, from scratch.
 
 :class:`PermGroup` is the explicit element list. The one listing route is
 :meth:`SGSGroup.enumerate`, products of transversals, which compares the
@@ -96,11 +104,10 @@ class PermGroup:
 
     Elements are sorted, duplicate-free, and always include the identity.
     ``generators`` is the set it was closed from, or else the elements
-    themselves. Construction by :meth:`from_elements` or
-    :meth:`from_generators` enforces the element cap; closure itself is
-    only verified by :meth:`validate`, which tests call. The element set
-    behind membership tests is built on the first one, and the generators'
-    supports on their first read.
+    themselves. Made by :meth:`SGSGroup.enumerate`, which lists under the
+    element cap, and by :meth:`from_generators`, which closes under it.
+    The element set behind membership tests is built on the first one,
+    and the generators' supports on their first read.
     """
 
     __slots__ = ("degree", "elements", "generators", "_element_set", "_supports")
@@ -111,16 +118,6 @@ class PermGroup:
         self.generators = elements if generators is None else generators
         self._element_set = None
         self._supports = None
-
-    @classmethod
-    def from_elements(cls, degree: int, elements, cap: int = DEFAULT_CAP) -> "PermGroup":
-        elems = sorted({tuple(p) for p in elements} | {identity_perm(degree)})
-        if len(elems) > cap:
-            raise GroupCapError(f"group has {len(elems)} elements, cap is {cap}", cap=cap)
-        for p in elems:
-            if len(p) != degree or not is_permutation(p):
-                raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
-        return cls(degree, tuple(elems))
 
     @classmethod
     def from_generators(cls, degree: int, generators, cap: int = DEFAULT_CAP) -> "PermGroup":
@@ -141,16 +138,6 @@ class PermGroup:
                         raise GroupCapError(f"closure exceeded cap {cap}", cap=cap)
                     frontier.append(q)
         return cls(degree, tuple(sorted(elems)), generators=tuple(gens))
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (identity_perm(degree),))
-
-    @classmethod
-    def symmetric(cls, degree: int, cap: int = DEFAULT_CAP) -> "PermGroup":
-        if math.factorial(degree) > cap:
-            raise GroupCapError(f"Sym({degree}) has {math.factorial(degree)} elements, cap is {cap}", cap=cap)
-        return cls(degree, tuple(sorted(itertools.permutations(range(degree)))))
 
     @property
     def order(self) -> int:
@@ -200,32 +187,6 @@ class PermGroup:
         domain = range(self.degree)
         return self.subgroup(lambda p: all(keys[p[v]] == keys[v] for v in domain))
 
-    def validate(self) -> None:
-        """Check the full group axioms on the element list.
-
-        Quadratic in the order; meant for tests and auditing, not hot paths.
-        """
-        members = self._members()
-        ident = identity_perm(self.degree)
-        if ident not in members:
-            raise ValueError("identity missing")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if tuple(sorted(self.elements)) != self.elements:
-            raise ValueError("elements not sorted")
-        for p in self.elements:
-            if invert(p) not in members:
-                raise ValueError(f"inverse of {p} missing")
-            for q in self.elements:
-                if compose(p, q) not in members:
-                    raise ValueError(f"product of {p} and {q} missing")
-
-
-def _class_ids(keys) -> list[int]:
-    """Number the distinct keys in order of first appearance."""
-    ids: dict = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
-
 
 def _initial_partition(colours):
     """The colour classes as an ordered partition ``(lab, cell, end, starts)``.
@@ -267,6 +228,11 @@ def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list
     order, so the result depends on the structure alone, never on vertex
     labels. Returns the number of cells added and the list of splits made;
     two search nodes related by an automorphism make the same splits.
+
+    A splitter of one vertex, such as an individualised one, gives each
+    neighbour the count 1, so it is not counted: a cell it touches splits
+    into its non-neighbours and its neighbours, as the general code would
+    place and queue them.
     """
     n = len(lab)
     queue = deque(splitters)
@@ -276,6 +242,36 @@ def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list
     while queue and cells + added < n:
         s = queue.popleft()
         queued.discard(s)
+        if end[s] - s == 1:
+            row = adjacency[lab[s]]
+            near: dict[int, list[int]] = {}
+            for u in row:
+                x = cell[u]
+                if end[x] - x > 1:
+                    near.setdefault(x, []).append(u)
+            if not near:
+                continue
+            row = set(row)
+            for x in sorted(near):
+                e = end[x]
+                members = near[x]
+                m = e - len(members)
+                if m == x:
+                    continue
+                lab[x:e] = [v for v in lab[x:e] if v not in row] + members
+                for v in members:
+                    cell[v] = m
+                end[x] = m
+                end[m] = e
+                splits.append((x, ((0, m - x), (1, e - m))))
+                added += 1
+                # a queued cell stays queued as its non-neighbours, so the
+                # neighbours join it; otherwise the smaller fragment is
+                # queued, the neighbours if the two are equal
+                pos = m if x in queued or m - x >= e - m else x
+                queue.append(pos)
+                queued.add(pos)
+            continue
         counts: dict[int, int] = {}
         for w in lab[s:end[s]]:
             for u in adjacency[w]:
@@ -316,6 +312,58 @@ def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list
     return added, splits
 
 
+def _equitable(graph: Graph, keys):
+    """The coarsest equitable partition finer than the vertex keys, as
+    ``(lab, cell, end, cells)``: the key classes of :func:`_initial_partition`
+    refined by :func:`_refine` from every cell."""
+    lab, cell, end, starts = _initial_partition([keys[v] for v in range(graph.n)])
+    added, _ = _refine(graph.adjacency, lab, cell, end, starts, len(starts))
+    return lab, cell, end, len(starts) + added
+
+
+def _split(graph: Graph, partition, keys):
+    """The coarsest equitable partition finer than an equitable
+    ``partition`` and the vertex keys, as :func:`_equitable` gives it, but
+    refined only from the cells the keys split.
+
+    The partition is copied, and each of its cells is split by the keys
+    into fragments in order of first appearance. Every fragment but a
+    largest one is queued: as the partition is equitable, the vertices of
+    any one cell had equal counts into the split cell, so counts into the
+    left-out fragment follow from the others' (Hopcroft 1971). Fragments
+    stay where their cell was, so the cells are those of
+    :func:`_equitable`, not always in its order.
+    """
+    lab, cell, end, cells = partition
+    lab, cell, end = lab[:], cell[:], end[:]
+    n = len(lab)
+    splitters = []
+    s = 0
+    while s < n:
+        e = end[s]
+        if e - s > 1:
+            by_key: dict = {}
+            for v in lab[s:e]:
+                by_key.setdefault(keys[v], []).append(v)
+            if len(by_key) > 1:
+                fragments = list(by_key.values())
+                largest = max(fragments, key=len)
+                pos = s
+                for fragment in fragments:
+                    size = len(fragment)
+                    lab[pos:pos + size] = fragment
+                    for v in fragment:
+                        cell[v] = pos
+                    end[pos] = pos + size
+                    if fragment is not largest:
+                        splitters.append(pos)
+                    pos += size
+                cells += len(fragments) - 1
+        s = e
+    added, _ = _refine(graph.adjacency, lab, cell, end, splitters, cells)
+    return lab, cell, end, cells + added
+
+
 def _individualise(lab, cell, end, v) -> int:
     """Split ``v`` off as a singleton at the end of its cell; returns its start."""
     s = cell[v]
@@ -342,38 +390,36 @@ def _target_cell(lab, end, s: int) -> int:
 class SGSGroup:
     """``Aut(G, c)`` held by a base and a strong generating set.
 
-    ``colours`` name the colour classes of ``c``, any id per class: the
-    ids :func:`_search` was given, or, from :func:`coset_search`, the
-    starts of the equitable cells it searched by. The generators that fix
-    ``base[:j]`` move ``base[j]`` around its whole orbit in the pointwise
-    stabilizer of ``base[:j]``, of size ``orbit_lengths[j]``. The order is
-    the product of those lengths. ``supports[i]`` lists the points that
-    ``generators[i]`` moves, stored once when the group is made: every
-    question asked of the generators reads only those points. Built by
-    :func:`_search` (the base is the individualised vertices) and by
-    :func:`coset_search`, the partition backtrack (the base is the
-    individualised points whose orbit has more than one point). Subgroups
-    are taken by :meth:`stabilizer`; elements are listed only on request,
-    by :meth:`enumerate`, under the element cap.
+    ``partition`` is the equitable partition ``(lab, cell, end, cells)``
+    the search started from, the coarsest one finer than ``c``: a
+    subgroup's search splits it by its further keys instead of refining
+    ``c`` again. The generators that fix ``base[:j]`` move ``base[j]``
+    around its whole orbit in the pointwise stabilizer of ``base[:j]``, of
+    size ``orbit_lengths[j]``. The order is the product of those lengths,
+    taken once. ``supports[i]`` lists the points that ``generators[i]``
+    moves, stored once when the group is made: every question asked of
+    the generators reads only those points. Built by :func:`_search` (the
+    base is the individualised vertices) and by :func:`coset_search`, the
+    partition backtrack (the base is the individualised points whose
+    orbit has more than one point). Subgroups are taken by
+    :meth:`stabilizer`; elements are listed only on request, by
+    :meth:`enumerate`, under the element cap.
     """
 
-    __slots__ = ("graph", "colours", "base", "generators", "supports", "orbit_lengths")
+    __slots__ = ("graph", "partition", "base", "generators", "supports", "orbit_lengths", "order")
 
-    def __init__(self, graph: Graph, colours, base, generators, supports, orbit_lengths):
+    def __init__(self, graph: Graph, partition, base, generators, supports, orbit_lengths):
         self.graph = graph
-        self.colours = tuple(colours)
+        self.partition = partition
         self.base = tuple(base)
         self.generators = tuple(generators)
         self.supports = tuple(supports)
         self.orbit_lengths = tuple(orbit_lengths)
+        self.order = math.prod(self.orbit_lengths)
 
     @property
     def degree(self) -> int:
         return self.graph.n
-
-    @property
-    def order(self) -> int:
-        return math.prod(self.orbit_lengths)
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -386,8 +432,8 @@ class SGSGroup:
 
         Each generator is tested once. When every one preserves ``keys``
         the subgroup is the group itself, and a subgroup of the trivial
-        group is trivial; otherwise it is searched as ``Aut(G, c)`` with
-        each colour split by ``keys``, seeded with the generators that
+        group is trivial; otherwise it is searched from this group's
+        partition split by ``keys``, seeded with the generators that
         preserve ``keys``, which lie in it.
         """
         kept = [
@@ -397,7 +443,7 @@ class SGSGroup:
         ]
         if len(kept) == len(self.generators):
             return self
-        return _search(self.graph, _class_ids(zip(self.colours, (keys[v] for v in range(self.degree)))), kept)
+        return _search(self.graph, _split(self.graph, self.partition, keys), kept)
 
     def enumerate(self, cap: int = DEFAULT_CAP) -> PermGroup:
         """The sorted element list, as products of transversals (Sims 1970).
@@ -444,19 +490,26 @@ def coloured_automorphisms(graph: Graph, colouring=None) -> SGSGroup:
     element list is built, so no cap applies.
     """
     n = graph.n
-    colours = [0] * n if colouring is None else [colouring[v] for v in range(n)]
-    return _search(graph, _class_ids(colours), ())
+    colours = [0] * n if colouring is None else colouring
+    return _search(graph, _equitable(graph, colours), ())
 
 
-def _search(graph: Graph, colours: list[int], seeds) -> SGSGroup:
-    """Individualisation-refinement search for ``Aut(G, colours)``.
+def _search(graph: Graph, partition, seeds) -> SGSGroup:
+    """Individualisation-refinement search for the automorphisms that keep
+    each cell of an equitable ``partition`` ``(lab, cell, end, cells)``,
+    which it does not change.
 
-    The first path individualises the first vertex of the first
+    The first path individualises the last vertex of the first
     non-singleton cell until the partition is discrete; those vertices
-    are the base. ``seeds`` are ``(generator, support)`` pairs already
-    known to lie in the group, such as the generators of a parent group
-    that preserve the finer colouring; each is a candidate generator of
-    the level of the first base point it moves. From the deepest level
+    are the base. Individualising the last vertex moves no other, so a
+    cell that refinement does not split gives its vertices to the base in
+    their order in ``partition``, which :func:`_split` keeps in every
+    fragment: a subgroup's search mostly takes its parent's base points
+    in the parent's order, and the parent's generators seed the levels
+    where they served. ``seeds`` are ``(generator, support)`` pairs
+    already known to lie in the group, such as the generators of a parent
+    group that preserve the finer colouring; each is a candidate
+    generator of the level of the first base point it moves. From the deepest level
     up, a level first takes each of its seeds that grows the orbit of its
     base point under the generators found so far. Then each vertex of the
     level's target cell that the generators cannot reach from the base
@@ -468,9 +521,7 @@ def _search(graph: Graph, colours: list[int], seeds) -> SGSGroup:
     """
     n = graph.n
     adjacency = graph.adjacency
-    lab, cell, end, starts = _initial_partition(colours)
-    added, _ = _refine(adjacency, lab, cell, end, starts, len(starts))
-    cells = len(starts) + added
+    lab, cell, end, cells = partition
 
     path = []  # per level: the node's partition and its target cell
     splits = []  # per level: the splits made after individualising
@@ -478,9 +529,11 @@ def _search(graph: Graph, colours: list[int], seeds) -> SGSGroup:
     t = 0
     while cells < n:
         t = _target_cell(lab, end, t)
-        path.append((lab[:], cell[:], end[:], cells, t))
-        base.append(lab[t])
-        s = _individualise(lab, cell, end, lab[t])
+        path.append((lab, cell, end, cells, t))
+        lab, cell, end = lab[:], cell[:], end[:]
+        v = lab[end[t] - 1]
+        base.append(v)
+        s = _individualise(lab, cell, end, v)
         added, made = _refine(adjacency, lab, cell, end, [s], cells + 1)
         cells += 1 + added
         splits.append(made)
@@ -493,14 +546,14 @@ def _search(graph: Graph, colours: list[int], seeds) -> SGSGroup:
     orbit_lengths = [1] * len(base)
     for level in reversed(range(len(base))):
         plab, _, pend, _, t = path[level]
-        point = base[level]
-        orbit = _orbit(point, movers)
+        # the generators of the deeper levels fix the base point
+        orbit = {base[level]}
         for g, support in seeded[level]:
             if any(g[u] not in orbit for u in support if u in orbit):
                 generators.append(g)
                 supports.append(support)
                 _adjoin(movers, g, support)
-                orbit = _orbit(point, movers)
+                _grow(orbit, g, support, movers)
         for w in plab[t:pend[t]]:
             if w in orbit:
                 continue
@@ -510,9 +563,9 @@ def _search(graph: Graph, colours: list[int], seeds) -> SGSGroup:
                 generators.append(found)
                 supports.append(support)
                 _adjoin(movers, found, support)
-                orbit = _orbit(point, movers)
+                _grow(orbit, found, support, movers)
         orbit_lengths[level] = len(orbit)
-    return SGSGroup(graph, colours, base, generators, supports, orbit_lengths)
+    return SGSGroup(graph, partition, base, generators, supports, orbit_lengths)
 
 
 def _by_level(base, pairs) -> list[list[tuple[Perm, tuple[int, ...]]]]:
@@ -534,12 +587,19 @@ def _adjoin(movers: dict, g: Perm, support) -> None:
         movers.setdefault(v, []).append(g)
 
 
-def _orbit(point: int, movers, domain=None) -> set[int]:
-    """The orbit of a point under the group of some generators, given as
-    :func:`_adjoin` records them, by the points they move; raises if it
-    leaves ``domain`` (when given)."""
-    orbit = {point}
-    frontier = [point]
+def _grow(orbit: set[int], g: Perm, support, movers) -> None:
+    """Extend an orbit under some generators to the orbit under them and
+    ``g``, once :func:`_adjoin` has recorded ``g``: from the images ``g``
+    gives its points, the only ones it can add."""
+    frontier = [g[u] for u in support if u in orbit and g[u] not in orbit]
+    orbit.update(frontier)
+    _close(orbit, frontier, movers)
+
+
+def _close(orbit: set[int], frontier: list[int], movers, domain=None) -> None:
+    """Add to ``orbit`` every point that some generators, given as
+    :func:`_adjoin` records them, by the points they move, reach from
+    ``frontier``; raises if one leaves ``domain`` (when given)."""
     while frontier:
         u = frontier.pop()
         for p in movers.get(u, ()):
@@ -549,7 +609,6 @@ def _orbit(point: int, movers, domain=None) -> set[int]:
                     raise DomainNotInvariantError(f"element maps {u} to {w} outside the domain")
                 orbit.add(w)
                 frontier.append(w)
-    return orbit
 
 
 def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) -> Perm | None:
@@ -558,7 +617,9 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
 
     Depth-first and iterative; a child whose refinement splits differ from
     the first path's at the same depth cannot be an automorphic image of
-    the first path's node there, so its subtree is skipped.
+    the first path's node there, so its subtree is skipped. Each cell is
+    tried from its last vertex, as the first path chose, so the leaf found
+    differs from the first leaf at few points, and so does the generator.
     """
     n = graph.n
     adjacency = graph.adjacency
@@ -578,7 +639,7 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
         ccells = cells + 1 + added
         if ccells < n:
             ct = _target_cell(clab, cend, t)
-            stack.append((clab, ccell, cend, ccells, ct, depth + 1, clab[ct:cend[ct]][::-1]))
+            stack.append((clab, ccell, cend, ccells, ct, depth + 1, clab[ct:cend[ct]]))
             continue
         image = [0] * n
         for x, y in zip(leaf, clab):
@@ -596,13 +657,15 @@ def _maps_edges_to_edges(graph: Graph, image) -> bool:
     return all(image[x] in adjsets[image[u]] for u, near in enumerate(graph.adjacency) for x in near)
 
 
-def coset_search(graph: Graph, keys) -> SGSGroup:
+def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup:
     """The automorphisms preserving the vertex keys, by a partition
     backtrack that keeps one automorphism per coset (Sims 1970; Leon 1991).
 
-    The keys are refined to their 1-WL classes, the cells of
-    :func:`_refine` named by their starts; a discrete partition gives the
-    trivial group at once. The points are taken in breadth-first order
+    The keys are refined to their 1-WL classes (:func:`_equitable`), or,
+    given a ``parent`` group preserving coarser keys that these refine,
+    the parent's partition is split by them (:func:`_split`): the same
+    cells, maybe in another order. A discrete partition gives the trivial
+    group at once. The points are taken in breadth-first order
     from a vertex of a smallest class. The source path individualises and
     refines each point that is not yet a singleton, down to a discrete
     leaf; those points are the levels. The others need none: an
@@ -617,11 +680,10 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     """
     n = graph.n
     adjacency = graph.adjacency
-    lab, cell, end, starts = _initial_partition([keys[v] for v in range(n)])
-    added, _ = _refine(adjacency, lab, cell, end, starts, len(starts))
-    cells = len(starts) + added
+    partition = _equitable(graph, keys) if parent is None else _split(graph, parent.partition, keys)
+    lab, cell, end, cells = partition
     if cells == n:
-        return SGSGroup(graph, cell, (), (), (), ())
+        return SGSGroup(graph, partition, (), (), (), ())
     order = [min(range(n), key=lambda v: end[cell[v]] - cell[v])]
     seen = set(order)
     for u in order:
@@ -635,7 +697,8 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
     for v in order:
         if end[cell[v]] - cell[v] > 1:
             points.append(v)
-            path.append((lab[:], cell[:], end[:], cells))
+            path.append((lab, cell, end, cells))
+            lab, cell, end = lab[:], cell[:], end[:]
             s = _individualise(lab, cell, end, v)
             added, made = _refine(adjacency, lab, cell, end, [s], cells + 1)
             cells += 1 + added
@@ -649,7 +712,8 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
         b = points[j]
         plab, pcell, pend, _ = path[j]
         s = pcell[b]
-        orbit = _orbit(b, movers)
+        # the generators of the deeper levels fix the level's point
+        orbit = {b}
         for w in sorted(plab[s:pend[s]]):
             if w in orbit:
                 continue
@@ -659,11 +723,11 @@ def coset_search(graph: Graph, keys) -> SGSGroup:
                 generators.append(g)
                 supports.append(support)
                 _adjoin(movers, g, support)
-                orbit = _orbit(b, movers)
+                _grow(orbit, g, support, movers)
         if len(orbit) > 1:
             levels.append((b, len(orbit)))
     levels.reverse()
-    return SGSGroup(graph, path[0][1], [b for b, _ in levels], generators, supports, [length for _, length in levels])
+    return SGSGroup(graph, partition, [b for b, _ in levels], generators, supports, [length for _, length in levels])
 
 
 def _coset_representative(graph: Graph, points, path, splits, level: int, w: int):
@@ -766,7 +830,8 @@ def orbits(group, domain) -> tuple[tuple[int, ...], ...]:
     blocks = []
     for v in sorted(domain_set):
         if v not in seen:
-            orbit = _orbit(v, movers, domain_set)
+            orbit = {v}
+            _close(orbit, [v], movers, domain_set)
             seen |= orbit
             blocks.append(tuple(sorted(orbit)))
     return tuple(blocks)

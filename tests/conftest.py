@@ -8,6 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from asymcolour import build_graph, colouring, induced_colouring, symmetry
+from asymcolour.symmetry import PermGroup, compose, identity_perm, invert, is_permutation
 
 
 def brute_automorphisms(graph, colouring=None):
@@ -24,6 +25,43 @@ def brute_automorphisms(graph, colouring=None):
         ):
             found.append(p)
     return sorted(found)
+
+
+def group_of_elements(degree, elements) -> PermGroup:
+    """The group of an element list, the identity added; raises
+    ``ValueError`` on a tuple that is not a permutation of 0..degree-1.
+    Closure is not checked (see :func:`validate_group`)."""
+    elements = sorted({tuple(p) for p in elements} | {identity_perm(degree)})
+    for p in elements:
+        if len(p) != degree or not is_permutation(p):
+            raise ValueError(f"not a permutation of 0..{degree - 1}: {p}")
+    return PermGroup(degree, tuple(elements))
+
+
+def trivial_group(degree) -> PermGroup:
+    return PermGroup(degree, (identity_perm(degree),))
+
+
+def symmetric_group(degree) -> PermGroup:
+    return PermGroup(degree, tuple(itertools.permutations(range(degree))))
+
+
+def validate_group(group) -> None:
+    """Check the full group axioms on an element list; quadratic in the
+    order. Raises ``ValueError`` naming the first axiom that fails."""
+    members = set(group.elements)
+    if identity_perm(group.degree) not in members:
+        raise ValueError("identity missing")
+    if len(members) != len(group.elements):
+        raise ValueError("duplicate elements")
+    if tuple(sorted(group.elements)) != group.elements:
+        raise ValueError("elements not sorted")
+    for p in group.elements:
+        if invert(p) not in members:
+            raise ValueError(f"inverse of {p} missing")
+        for q in group.elements:
+            if compose(p, q) not in members:
+                raise ValueError(f"product of {p} and {q} missing")
 
 
 def vf2_automorphisms(graph, keys=None):
@@ -85,6 +123,16 @@ def drop_fixing_sets(monkeypatch):
     next inner index's running stabilizer still moves blocks of its
     partition."""
     monkeypatch.setattr(colouring, "minimal_fixing_set", lambda group, blocks, size_bound=None: ())
+
+
+class CountedRows(list):
+    """Adjacency rows that count how many times one is read."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
 
 
 def reference_refine(adjacency, lab, cell, end, splitters):

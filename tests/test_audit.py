@@ -118,9 +118,9 @@ def test_audit_searches_only_the_groups_a_step_changed(monkeypatch, graph, searc
     colouring, trace = run(graph, 0)
     calls = []
 
-    def counting(graph, keys):
+    def counting(graph, keys, parent=None):
         calls.append(keys)
-        return coset_search(graph, keys)
+        return coset_search(graph, keys, parent)
 
     monkeypatch.setattr(audit, "coset_search", counting)
     assert audit.all_passed(audit.audit_run(graph, trace, colouring))

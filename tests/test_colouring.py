@@ -19,6 +19,7 @@ from asymcolour import (
     ceil_sqrt,
     colour_bound,
     coloured_automorphisms,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     distances,
@@ -43,6 +44,7 @@ from asymcolour.errors import GraphFormatError, InternalInvariantError, VertexRa
 from asymcolour.symmetry import coset_search, moved_block
 
 from .conftest import (
+    CountedRows,
     connected_graphs,
     deadline,
     drop_fixing_sets,
@@ -83,14 +85,14 @@ def record_fixing_set_calls(monkeypatch):
 
 
 def count_searches(monkeypatch):
-    """The list that receives the colour ids of every call of the
+    """The list that receives the partition of every call of the
     construction's search, ``symmetry._search``, in call order."""
     searches = []
     search = symmetry._search
 
-    def counted(graph, colours, seeds):
-        searches.append(colours)
-        return search(graph, colours, seeds)
+    def counted(graph, partition, seeds):
+        searches.append(partition)
+        return search(graph, partition, seeds)
 
     monkeypatch.setattr(symmetry, "_search", counted)
     return searches
@@ -108,6 +110,23 @@ def count_subtree_searches(monkeypatch):
 
     monkeypatch.setattr(symmetry, "_automorphism_below", counted)
     return levels
+
+
+def count_refinement_reads(monkeypatch):
+    """The list whose one entry is the number of adjacency rows every call
+    of the refinement, ``symmetry._refine``, has read so far."""
+    reads = [0]
+    refine = symmetry._refine
+
+    def counted(adjacency, *args):
+        rows = CountedRows(adjacency)
+        try:
+            return refine(rows, *args)
+        finally:
+            reads[0] += rows.reads
+
+    monkeypatch.setattr(symmetry, "_refine", counted)
+    return reads
 
 
 def defined_running_stabilizers(graph, trace):
@@ -462,13 +481,41 @@ class TestRun:
         run(truncated_tree(9, 2), 0)
         assert len(searches) == 12
 
-    @pytest.mark.parametrize("degree,radius,expected", [(4, 2, 13), (6, 3, 234)])
+    @pytest.mark.parametrize("degree,radius,expected", [(4, 2, 12), (6, 3, 158)])
     def test_subtree_searches_of_seeded_running_groups(self, monkeypatch, degree, radius, expected):
         # each running group's search starts from the parent's generators
-        # that keep its colours, so only the images they miss are searched
+        # that keep its colours, so only the images they miss are searched.
+        # It starts from the parent's partition too, and takes its base
+        # points mostly in the parent's order, so the generators seed the
+        # levels they served in the parent (13 and 234 when each search
+        # refined its colours from scratch and took the first vertex of a
+        # cell)
         searched = count_subtree_searches(monkeypatch)
         run(truncated_tree(degree, radius), 0)
         assert len(searched) == expected
+
+    @pytest.mark.parametrize(
+        "graph,expected",
+        [
+            (truncated_tree(4, 2), (142, 112, 16)),
+            (truncated_tree(3, 3), (141, 139, 26)),
+            (complete_bipartite_graph(4, 4), (28, 24, 8)),
+            (complete_graph(7), (26, 21, 9)),
+        ],
+        ids=lambda x: getattr(x, "family_tag", None),
+    )
+    def test_refinement_reads_of_a_colour_op(self, monkeypatch, graph, expected):
+        # the adjacency rows the refinement reads in run, audit_run and
+        # is_asymmetric from the root 0; each search in a chain refines
+        # only from the cells its keys split in its parent's partition
+        # (380, 452, 84 and 63 rows when every search refined from scratch)
+        reads = count_refinement_reads(monkeypatch)
+        colouring, trace = run(graph, 0)
+        after_run = reads[0]
+        assert audit.all_passed(audit.audit_run(graph, trace, colouring))
+        after_audit = reads[0]
+        oracle.is_asymmetric(graph, colouring)
+        assert (after_run, after_audit - after_run, reads[0] - after_audit) == expected
 
     def test_running_stabilizer_moving_a_block_is_an_internal_error(self, monkeypatch):
         # with no fixing set at step 1's index 0, index 1's running group
@@ -544,7 +591,8 @@ class TestRunningStabilizer:
             assert group.order == expected.order
             assert orbits(group, range(graph.n)) == orbits(expected, range(graph.n))
             orbit = set(rec.acting_orbit)
-            pointwise = coset_search(graph, [(group.colours[v], v if v in orbit else -1) for v in range(graph.n)])
+            cell = group.partition[1]
+            pointwise = coset_search(graph, [(cell[v], v if v in orbit else -1) for v in range(graph.n)])
             assert all(moved_block(pointwise, [block]) is None for block in blocks)
 
     def test_every_root_of_every_small_graph(self, corpus, monkeypatch):

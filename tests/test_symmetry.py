@@ -40,15 +40,20 @@ from asymcolour.symmetry import (
 )
 
 from .conftest import (
+    CountedRows,
     brute_automorphisms,
     connected_graphs,
     deadline,
     equitable_classes,
+    group_of_elements,
     kneser,
     paley,
     permutations_of,
     reference_fixing_set,
     reference_refine,
+    symmetric_group,
+    trivial_group,
+    validate_group,
     vf2_automorphisms,
 )
 
@@ -64,6 +69,9 @@ SYMMETRIC_GRAPHS = st.sampled_from(
     [truncated_tree(3, 2), truncated_tree(2, 3), cycle_graph(8), complete_bipartite_graph(3, 4), grid_graph(3, 3)]
 ).flatmap(relabelled)
 
+
+# K(2,2,2): each vertex is adjacent to all others but its antipode v + 3
+OCTAHEDRON = build_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v - u != 3])
 
 # graphs whose groups are rich in twins, so in sparse generators
 TWIN_GRAPHS = st.sampled_from(
@@ -117,26 +125,26 @@ class TestPermGroup:
     def test_from_generators_closure(self):
         g = PermGroup.from_generators(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
         assert g.order == 24
-        g.validate()
+        validate_group(g)
 
     def test_from_generators_cap(self):
         with pytest.raises(GroupCapError):
             PermGroup.from_generators(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], cap=30)
 
     def test_from_elements_adds_identity(self):
-        g = PermGroup.from_elements(3, [(1, 0, 2)])
+        g = group_of_elements(3, [(1, 0, 2)])
         assert identity_perm(3) in g
         assert g.order == 2
-        g.validate()
+        validate_group(g)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
-            PermGroup.from_elements(3, [(0, 0, 1)])
+            group_of_elements(3, [(0, 0, 1)])
 
     def test_validate_catches_non_closure(self):
         broken = PermGroup(3, (identity_perm(3), (1, 2, 0)))
         with pytest.raises(ValueError):
-            broken.validate()
+            validate_group(broken)
 
 
 class TestAutomorphismGroup:
@@ -144,7 +152,7 @@ class TestAutomorphismGroup:
         group = automorphism_group(cycle_graph(5))
         assert group.order == 10
         assert list(group.elements) == brute_automorphisms(cycle_graph(5))
-        group.validate()
+        validate_group(group)
 
     def test_k4_full_symmetric(self):
         assert automorphism_group(complete_graph(4)).order == 24
@@ -298,6 +306,37 @@ class TestColouredAutomorphisms:
                 s = symmetry._individualise(clab, ccell, cend, v)
                 refine(clab, ccell, cend, [s], cells + 1)
 
+    @pytest.mark.parametrize(
+        "g,v,queue_rest,discrete",
+        [
+            # 0 splits {1, 3} into two equal fragments, and the partition
+            # is discrete with a splitter still queued
+            (path_graph(5), 0, False, True),
+            # 4 splits its parent 1 off the middle vertices, then 1 splits
+            # 4's sibling off the other leaves: the neighbours are queued
+            (truncated_tree(3, 2), 4, False, False),
+            # 0 is adjacent to all of its former cell but its antipode 3,
+            # the smaller fragment, so {3} is queued; when the cell was
+            # queued already, it stays queued as {3} and the rest joins it
+            (OCTAHEDRON, 0, False, False),
+            (OCTAHEDRON, 0, True, False),
+            # 2 is adjacent to all of {0, 1}: no split
+            (complete_bipartite_graph(2, 3), 2, False, False),
+        ],
+    )
+    def test_a_single_vertex_splitter_matches_the_counting_code(self, g, v, queue_rest, discrete):
+        lab, cell, end, cells = symmetry._equitable(g, [0] * g.n)
+        rest = cell[v]
+        splitters = [symmetry._individualise(lab, cell, end, v)] + [rest] * queue_rest
+        full = lab[:], cell[:], end[:]
+        rows, all_rows = CountedRows(g.adjacency), CountedRows(g.adjacency)
+        found = symmetry._refine(rows, lab, cell, end, splitters, cells + 1)
+        assert found == reference_refine(all_rows, *full, splitters)
+        assert (lab, cell, end) == full
+        assert (cells + 1 + found[0] == g.n) == discrete
+        # the stop at a discrete partition reads fewer rows, and no more
+        assert (rows.reads < all_rows.reads) == discrete and rows.reads <= all_rows.reads
+
     def test_orders_match_enumeration_on_relabelled_corpus(self, corpus):
         # a refinement whose splits depend on vertex labels loses
         # automorphisms only under some labellings, so relabel each graph
@@ -379,12 +418,13 @@ class TestColouredAutomorphisms:
 
 class TestSeededSearch:
     """``SGSGroup.stabilizer`` seeds its search with the parent's
-    generators that preserve the keys; the subgroup must be the one that a
-    search from nothing and the audit's coset search find."""
+    generators that preserve the keys, and starts it, as the audit's
+    seeded coset search does, from the parent's partition split by the
+    keys; the subgroup must be the one that searches from nothing find."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(TWIN_GRAPHS, st.data())
-    def test_matches_a_fresh_search_and_coset_search(self, g, data):
+    @staticmethod
+    def draw_keys(g, data):
+        """A parent colouring and further keys."""
         first = data.draw(st.one_of(st.just([0] * g.n), st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)))
         # individualising a few vertices keeps most parent generators
         marked = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3))
@@ -394,14 +434,36 @@ class TestSeededSearch:
                 st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n),
             )
         )
+        return first, second
+
+    @settings(max_examples=80, deadline=None)
+    @given(TWIN_GRAPHS, st.data())
+    def test_matches_a_fresh_search_and_coset_search(self, g, data):
+        first, second = self.draw_keys(g, data)
         keys = list(zip(first, second))
         seeded = coloured_automorphisms(g, first).stabilizer(second)
-        fresh = symmetry._search(g, symmetry._class_ids(keys), ())
+        fresh = coloured_automorphisms(g, keys)
         coset = coset_search(g, keys)
-        assert seeded.order == fresh.order == coset.order
-        assert orbits(seeded, range(g.n)) == orbits(fresh, range(g.n)) == orbits(coset, range(g.n))
-        for group in (seeded, fresh, coset):
+        seeded_coset = coset_search(g, keys, coset_search(g, first))
+        groups = (seeded, fresh, coset, seeded_coset)
+        assert len({group.order for group in groups}) == 1
+        assert len({orbits(group, range(g.n)) for group in groups}) == 1
+        for group in groups:
             assert_strong_generating_set(group)
+
+    @settings(max_examples=80, deadline=None)
+    @given(TWIN_GRAPHS, st.data())
+    def test_the_split_partition_has_the_cells_of_a_fresh_refinement(self, g, data):
+        first, second = self.draw_keys(g, data)
+        parent = coloured_automorphisms(g, first)
+        before = tuple(map(list, parent.partition[:3]))
+        lab, cell, end, cells = symmetry._split(g, parent.partition, second)
+        assert tuple(parent.partition[:3]) == before
+        assert same_partition(cell, equitable_classes(g, list(zip(first, second))))
+        # an ordered partition: each cell is the range of lab its start names
+        assert sorted(lab) == list(range(g.n)) and cells == len(set(cell))
+        assert sum(end[s] - s for s in set(cell)) == g.n
+        assert all(cell[v] == s for s in set(cell) for v in lab[s:end[s]])
 
     def test_the_parent_generators_that_keep_the_keys_seed_the_search(self, monkeypatch):
         g = truncated_tree(4, 2)
@@ -410,9 +472,9 @@ class TestSeededSearch:
         search = symmetry._search
         given_seeds = []
 
-        def recorded(graph, colours, seeds):
+        def recorded(graph, partition, seeds):
             given_seeds.append(seeds)
-            return search(graph, colours, seeds)
+            return search(graph, partition, seeds)
 
         monkeypatch.setattr(symmetry, "_search", recorded)
         child = parent.stabilizer(keys)
@@ -498,7 +560,7 @@ class TestOrbitsAndStabilizers:
         assert orbits(group, range(3)) == ((0, 2), (1,))
 
     def test_orbits_trivial_group(self):
-        group = PermGroup.trivial(4)
+        group = trivial_group(4)
         assert orbits(group, range(4)) == ((0,), (1,), (2,), (3,))
 
     def test_orbits_c5_transitive(self):
@@ -525,8 +587,8 @@ class TestOrbitsAndStabilizers:
 
     def test_stabilizer_results_are_groups(self):
         group = automorphism_group(cycle_graph(5))
-        group.stabilizer((1, 1, 2, 2, 2)).validate()
-        block_stabilizer(group, [(0,)]).validate()
+        validate_group(group.stabilizer((1, 1, 2, 2, 2)))
+        validate_group(block_stabilizer(group, [(0,)]))
 
     def test_pointwise_c4(self):
         group = automorphism_group(cycle_graph(4))
@@ -606,7 +668,7 @@ class TestGeneratorQuestions:
         domain = [v for v in range(g.n) if labels[v] != -1]
         found = coset_search(g, range(g.n))
         assert isinstance(found, SGSGroup) and not found.generators
-        for group, elements in ((found, found.enumerate()), (PermGroup.trivial(g.n), PermGroup.trivial(g.n))):
+        for group, elements in ((found, found.enumerate()), (trivial_group(g.n), trivial_group(g.n))):
             assert orbits(group, domain) == tuple(sorted({tuple(sorted({p[v] for p in elements})) for v in domain}))
             assert orbits(group, domain) == tuple((v,) for v in domain)
             for block in blocks:
@@ -659,24 +721,24 @@ class TestChainLength:
 
 class TestMinimalFixingSet:
     def test_trivial_group(self):
-        assert minimal_fixing_set(PermGroup.trivial(4), [(0, 1), (2, 3)]) == ()
+        assert minimal_fixing_set(trivial_group(4), [(0, 1), (2, 3)]) == ()
 
     def test_symmetric_on_singletons(self):
-        picks = minimal_fixing_set(PermGroup.symmetric(3), [(0,), (1,), (2,)])
+        picks = minimal_fixing_set(symmetric_group(3), [(0,), (1,), (2,)])
         assert len(picks) == 2
 
     def test_block_swap(self):
-        swap = PermGroup.from_elements(5, [(2, 3, 0, 1, 4)])
+        swap = group_of_elements(5, [(2, 3, 0, 1, 4)])
         picks = minimal_fixing_set(swap, [(0, 1), (2, 3), (4,)])
         assert picks == ((0, 1),)
 
     def test_rejects_non_action(self):
         with pytest.raises(NotAPartitionActionError):
-            minimal_fixing_set(PermGroup.symmetric(3), [(0, 1), (2,)])
+            minimal_fixing_set(symmetric_group(3), [(0, 1), (2,)])
 
     def test_promised_bound_is_enforced(self):
         with pytest.raises(InternalInvariantError, match="exceeds promised bound"):
-            minimal_fixing_set(PermGroup.symmetric(3), [(0,), (1,), (2,)], size_bound=1)
+            minimal_fixing_set(symmetric_group(3), [(0,), (1,), (2,)], size_bound=1)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(min_n=2, max_n=6))
