@@ -14,12 +14,16 @@ round-based 1-WL, but none of its search, and it lists no elements. The
 stabilizer of ``c_k`` is keyed by each vertex's colour and distance from
 the root, and each running stabilizer at inner index i also by the least
 colour (:func:`induced_colouring`) of each block that holds the vertex in
-partitions 0..i, the paper's definition read literally. Those running keys are kept per step and extended index by
-index: each index appends one partition's block colours, and a replayed
-recolouring rewrites only the keys of the blocks whose least colour it
-changed, so on any trace they equal the definition. Likewise the checks
-on the replayed colours read only the blocks that hold a recoloured
-vertex, since every other block is still all ``numeric(1)``. The
+partitions 0..i, the paper's definition read literally. Those running
+keys are kept per step and extended index by index: each index appends
+one partition's block colours. They are rebuilt from the c_k keys when a
+replayed recolouring changes the least colour of an earlier partition,
+which fails ``induced-colours-stable``, or when a reordered trace takes
+an earlier index again, so on any trace they equal the definition. One
+index per partition, built once per step, tells which of its blocks
+holds a vertex. The checks on the replayed colours read only the blocks
+that hold a recoloured vertex, since every other block is still all
+``numeric(1)``. The
 construction takes the same groups as stabilizers of the sphere's own
 colours, so the two agree only if its reasoning holds. Every group is
 taken by one rule (:func:`_stabilizer`): when its keys refine the keys
@@ -168,6 +172,7 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
         )
 
     used = {c for c in final.colours if c != FAR}
+    max_numeric, barred_values = final.max_numeric(), final.barred_values()
     checks.append(
         CheckResult(
             "colour-count",
@@ -180,16 +185,16 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
         CheckResult(
             "max-numeric",
             None,
-            final.max_numeric() <= budget.numeric,
-            f"max numeric {final.max_numeric()}, bound {budget.numeric:g}",
+            max_numeric <= budget.numeric,
+            f"max numeric {max_numeric}, bound {budget.numeric:g}",
         )
     )
     checks.append(
         CheckResult(
             "barred-palette",
             None,
-            all(b <= chunk_cap for b in final.barred_values()),
-            f"barred values {sorted(final.barred_values())} exceed {chunk_cap}",
+            all(b <= chunk_cap for b in barred_values),
+            f"barred values {sorted(barred_values)} exceed {chunk_cap}",
         )
     )
     return checks
@@ -214,13 +219,14 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
     )
 
     partitions = step.partitions
+    # index[j][v] is the block of partition j that holds v
+    index = [{v: b for b, block in enumerate(blocks) for v in block} for blocks in partitions]
     expected_first = (step.next_sphere,) if step.next_sphere else ()
     ok_first = partitions[0] == expected_first
     ok_nested = True
     for i in range(1, len(partitions)):
-        coarse = {v: b for b, block in enumerate(partitions[i - 1]) for v in block}
         for block in partitions[i]:
-            if len({coarse[v] for v in block}) != 1:
+            if len({index[i - 1][v] for v in block}) != 1:
                 ok_nested = False
     checks.append(CheckResult("partitions-nested", k, ok_first and ok_nested))
 
@@ -251,39 +257,22 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
     # starts at c_k's keys and group
     running_keys, running = keys, stabilizer
     state = {v: numeric(1) for v in step.next_sphere}
-    recolour_counts = {v: 0 for v in step.next_sphere}
+    # the vertices the replay has recoloured, and how often
+    recolour_counts: dict[int, int] = {}
     size_cap = math.ceil(3 * chunk_cap / 2)
     # least[j][b] is the least colour under state of block b of partition
-    # j, for the partitions reached so far; holders[v] lists the (j, b) of
-    # the blocks holding v, in the order the definition of the running
-    # keys reads them. The running keys hold the least colours of
-    # partitions 0..keyed-1, but for the stale vertices, whose blocks'
-    # least colours changed since the keys were built.
-    least: list[list[Colour]] = []
-    holders: dict[int, list[tuple[int, int]]] = {}
+    # j. The blocks of a well-formed partition hold only vertices of the
+    # next sphere, which the replay starts at numeric(1), and only a block
+    # holding a recoloured vertex changes its least colour. The running
+    # keys hold the least colours of partitions 0..keyed-1.
+    least = [[numeric(1)] * len(blocks) for blocks in partitions]
     keyed = 0
-    stale: set[int] = set()
-    # the vertices the replay has recoloured so far
-    repainted: set[int] = set()
-
-    def reach(i):
-        """Take in partitions 0..i: read by the keys of a nontrivial group
-        and after a recolouring, so never by a step with neither."""
-        while len(least) <= i:
-            j = len(least)
-            least.append(list(induced_colouring(state, partitions[j])))
-            for b, block in enumerate(partitions[j]):
-                for v in block:
-                    holders.setdefault(v, []).append((j, b))
 
     def monochromatic(i):
         """Whether every block of partition i has one colour. A block that
         holds no recoloured vertex is still all ``numeric(1)``, so only the
         blocks that hold one are read."""
-        if not repainted:
-            return True
-        reach(i)
-        read = {b for v in repainted for j, b in holders.get(v, ()) if j == i}
+        read = {index[i][v] for v in recolour_counts if v in index[i]}
         return all(len({state[v] for v in partitions[i][b]}) == 1 for b in read)
 
     for rec in step.inner:
@@ -301,19 +290,15 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         else:
             # every running key extends the c_k key, so a trivial c_k group
             # is every running group. The keys at i are those at the last
-            # index taken, with the stale vertices rebuilt and partitions
-            # keyed..i appended: each vertex's key is its c_k key and the
-            # least colour of each block holding it in partitions 0..i
+            # index taken with partitions keyed..i appended: each vertex's
+            # key is its c_k key and the least colour of each block holding
+            # it in partitions 0..i. They are rebuilt from the c_k keys
+            # (keyed = 0) when an earlier partition's least colour changed.
             if not stabilizer.is_trivial():
-                reach(i)
                 # an earlier index again, which only a reordered trace has
                 if i + 1 < keyed:
-                    stale.update(holders)
-                    keyed = i + 1
-                extended = running_keys[:]
-                for v in stale:
-                    extended[v] = keys[v] + tuple(least[j][b] for j, b in holders[v] if j < keyed)
-                stale.clear()
+                    keyed = 0
+                extended = (running_keys if keyed else keys)[:]
                 for j in range(keyed, i + 1):
                     for block, colour in zip(partitions[j], least[j]):
                         for v in block:
@@ -345,13 +330,7 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
             )
         )
 
-        halving = True
-        if rec.fixing_blocks:
-            reach(i)
-            # the block of partition i that holds each fixing block's first vertex
-            firsts = [block[0] for block in rec.fixing_blocks if block]
-            parent_of = {v: partitions[i][b] for v in firsts for j, b in holders.get(v, ()) if j == i}
-            halving = not blocks_i or all(len(block) <= len(parent_of[block[0]]) / 2 for block in rec.fixing_blocks)
+        halving = not blocks_i or all(len(block) <= len(blocks_i[index[i][block[0]]]) / 2 for block in rec.fixing_blocks)
         checks.append(CheckResult("fixing-halves-parent", k, halving, f"inner {rec.index}"))
 
         # every offset is positive, so the replay changes exactly the
@@ -360,8 +339,7 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         for offset, block in enumerate(rec.fixing_blocks, start=1):
             for v in block:
                 state[v] = numeric(state[v].value + offset)
-                recolour_counts[v] += 1
-                repainted.add(v)
+                recolour_counts[v] = recolour_counts.get(v, 0) + 1
         replayed = {(v, colour, state[v]) for v, colour in before.items()}
         checks.append(
             CheckResult(
@@ -374,14 +352,13 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
 
         # only a block holding a recoloured vertex can change its least colour
         induced_ok = True
-        for j, b in {held for v in before for held in holders.get(v, ())}:
-            block = partitions[j][b]
-            colour = min(state[u] for u in block)
+        for j, b in {(j, at[v]) for v in before for j, at in enumerate(index) if v in at}:
+            colour = min(state[u] for u in partitions[j][b])
             if colour != least[j][b]:
                 least[j][b] = colour
                 induced_ok = induced_ok and j > i
                 if j < keyed:
-                    stale.update(block)
+                    keyed = 0
         checks.append(CheckResult("induced-colours-stable", k, induced_ok, f"inner {rec.index}"))
 
     if partitions[-1]:

@@ -559,11 +559,11 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
                 continue
             found = _automorphism_below(graph, path, splits, leaf, level, w)
             if found is not None:
-                support = _support(found)
-                generators.append(found)
+                g, support = found
+                generators.append(g)
                 supports.append(support)
-                _adjoin(movers, found, support)
-                _grow(orbit, found, support, movers)
+                _adjoin(movers, g, support)
+                _grow(orbit, g, support, movers)
         orbit_lengths[level] = len(orbit)
     return SGSGroup(graph, partition, base, generators, supports, orbit_lengths)
 
@@ -611,9 +611,10 @@ def _close(orbit: set[int], frontier: list[int], movers, domain=None) -> None:
                 frontier.append(w)
 
 
-def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) -> Perm | None:
+def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int):
     """An automorphism mapping the first leaf to a leaf below the child of
-    ``path[level]`` that individualises ``w``, or None if there is none.
+    ``path[level]`` that individualises ``w``, with its support, or None
+    if there is none.
 
     Depth-first and iterative; a child whose refinement splits differ from
     the first path's at the same depth cannot be an automorphic image of
@@ -644,17 +645,20 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int) ->
         image = [0] * n
         for x, y in zip(leaf, clab):
             image[x] = y
-        if _maps_edges_to_edges(graph, image):
-            return tuple(image)
+        moved = sorted(x for x, y in zip(leaf, clab) if x != y)
+        if _maps_edges_to_edges(graph, image, moved):
+            return tuple(image), tuple(moved)
     return None
 
 
-def _maps_edges_to_edges(graph: Graph, image) -> bool:
-    """Whether a bijection of the vertices maps every edge onto an edge.
-    The graph is finite, so it then maps its edges onto its edges and its
-    non-edges onto non-edges: it is an automorphism."""
-    adjsets = graph._adjsets
-    return all(image[x] in adjsets[image[u]] for u, near in enumerate(graph.adjacency) for x in near)
+def _maps_edges_to_edges(graph: Graph, image, moved) -> bool:
+    """Whether a bijection of the vertices that moves only the points
+    ``moved`` maps every edge onto an edge: an edge between two fixed
+    points maps onto itself, so only the edges at ``moved`` are tested.
+    The graph is finite, so the bijection then maps its edges onto its
+    edges and its non-edges onto non-edges: it is an automorphism."""
+    adjacency, adjsets = graph.adjacency, graph._adjsets
+    return all(image[u] in adjsets[image[x]] for x in moved for u in adjacency[x])
 
 
 def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup:

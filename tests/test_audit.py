@@ -258,10 +258,22 @@ def defined_keys(graph, trace):
                     state[v] = numeric(state[v].value + offset)
 
 
+def one_step_reversed(trace):
+    """Every copy of the trace in which the inner records of one step whose
+    recorded c_k group is not trivial come in reverse order, so that each
+    record after the first takes an earlier inner index than the one
+    before it."""
+    for s, step in enumerate(trace.steps):
+        if len(step.inner) > 1 and trace.stabilizer_orders[s] > 1:
+            bad_step = dataclasses.replace(step, inner=step.inner[::-1])
+            yield dataclasses.replace(trace, steps=trace.steps[:s] + (bad_step,) + trace.steps[s + 1 :])
+
+
 def test_running_keys_are_the_defined_keys(monkeypatch, corpus):
     # the audit extends its running keys index by index; at every inner
     # index they must be the keys built from scratch, also when a swapped
-    # fixing block changes an earlier partition's least colours
+    # fixing block changes an earlier partition's least colours, and when
+    # reordered records take an earlier index again
     graphs = [g for g in corpus if g.n <= 6]
     stabilizer = audit._stabilizer
     taken = []
@@ -270,18 +282,26 @@ def test_running_keys_are_the_defined_keys(monkeypatch, corpus):
         taken.append(list(keys))
         return stabilizer(graph, keys, previous, group)
 
+    def unstable_after_keys_checked(graph, colouring, checked):
+        taken.clear()
+        checks = audit.audit_run(graph, checked, colouring)
+        assert taken == list(defined_keys(graph, checked))
+        return any(c.name == "induced-colours-stable" and not c.passed for c in checks)
+
     monkeypatch.setattr(audit, "_stabilizer", recorded)
-    swapped = unstable = 0
+    swapped = unstable = reordered = 0
     for graph in graphs:
         for root in range(graph.n):
             colouring, trace = run(graph, root)
-            for checked in (trace, *one_fixing_block_swapped(trace)):
-                swapped += checked is not trace
-                taken.clear()
-                checks = audit.audit_run(graph, checked, colouring)
-                assert taken == list(defined_keys(graph, checked))
-                unstable += any(c.name == "induced-colours-stable" and not c.passed for c in checks)
+            unstable_after_keys_checked(graph, colouring, trace)
+            for checked in one_fixing_block_swapped(trace):
+                swapped += 1
+                unstable += unstable_after_keys_checked(graph, colouring, checked)
+            for checked in one_step_reversed(trace):
+                reordered += 1
+                unstable_after_keys_checked(graph, colouring, checked)
     assert swapped > unstable > 0
+    assert reordered == 198
 
 
 def test_detects_result_tampering(tree_run):
@@ -399,6 +419,37 @@ def test_detects_a_fixing_block_over_half_its_parent():
     # 7 of the 12 vertices of sphere 2, the one block of partition 0
     failed = tree_4_2_with_first_fixing_set((tuple(range(5, 12)),))
     assert [(step, detail) for name, step, detail in failed if name == "fixing-halves-parent"] == [(1, "inner 0")]
+
+
+def test_detects_a_block_straddling_two_blocks_of_the_partition_before():
+    # partition 2 of step 1 merges the children of 1 and of 2, two blocks
+    # of partition 1, into one block; partition 3 still refines it
+    graph = truncated_tree(4, 2)
+    colouring, trace = run(graph, 0)
+    step = trace.steps[1]
+    assert step.partitions[1] == ((5, 6, 7), (8, 9, 10), (11, 12, 13, 14, 15, 16))
+    forged = step.partitions[:2] + (((5, 6, 7, 8, 9, 10), (11, 12, 13), (14, 15, 16)),) + step.partitions[3:]
+    bad_step = dataclasses.replace(step, partitions=forged)
+    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    checks = audit.audit_run(graph, tampered, colouring)
+    assert [(c.step, c.detail) for c in checks if c.name == "partitions-nested" and not c.passed] == [(1, "")]
+
+
+def test_detects_a_vertex_recoloured_more_often_than_the_cap():
+    # path(5) from its middle has max degree 2, so a vertex may be
+    # recoloured 1 + log2(2) = 2 times in a step; listing the block (1, 3)
+    # three times in one fixing set recolours both of its vertices 3 times
+    graph = path_graph(5)
+    colouring, trace = run(graph, 2)
+    step = trace.steps[0]
+    assert step.partitions[1] == ((1, 3),)
+    forged = dataclasses.replace(step.inner[0], fixing_blocks=((1, 3),) * 3)
+    bad_step = dataclasses.replace(step, inner=(forged,) + step.inner[1:])
+    tampered = dataclasses.replace(trace, steps=(bad_step,) + trace.steps[1:])
+    checks = audit.audit_run(graph, tampered, colouring)
+    assert [(c.step, c.detail) for c in checks if c.name == "recolour-count-cap" and not c.passed] == [
+        (0, "max recolour count 3, cap 2")
+    ]
 
 
 def test_detects_unsplit_class():

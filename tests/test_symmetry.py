@@ -409,11 +409,12 @@ class TestColouredAutomorphisms:
 
     def test_leaf_test_rejects_one_edge_mapped_to_a_non_edge(self):
         g = path_graph(4)
-        assert symmetry._maps_edges_to_edges(g, (3, 2, 1, 0))
+        # the test reads only the edges at the points the map moves
+        assert symmetry._maps_edges_to_edges(g, (3, 2, 1, 0), (0, 1, 2, 3))
         # swapping 0 and 1 keeps the edges 0-1 and 2-3 but maps 1-2 onto 0-2
-        assert not symmetry._maps_edges_to_edges(g, (1, 0, 2, 3))
+        assert not symmetry._maps_edges_to_edges(g, (1, 0, 2, 3), (0, 1))
         # swapping 1 and 2 of path(5) keeps every degree, not the edge 0-1
-        assert not symmetry._maps_edges_to_edges(path_graph(5), (0, 2, 1, 3, 4))
+        assert not symmetry._maps_edges_to_edges(path_graph(5), (0, 2, 1, 3, 4), (1, 2))
 
 
 class TestSeededSearch:
