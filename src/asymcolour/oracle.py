@@ -12,13 +12,18 @@ motion from above, and every nontrivial permutation moves at least two,
 so a generator that moves two settles the motion without a listing; the
 motion lemma takes both numbers from the same generating set. The
 elements are listed once, as products of transversals, only where the
-motion is not settled so, and where labellings are scanned: ``dnumber``,
+motion is not settled so, and where labellings are tested: ``dnumber``,
 and the motion lemma's 2-colourings once its hypothesis holds. The exact
 order is compared with the element cap before any element is listed, so
 the cap, not the graph's size, bounds each listing, and bounds nothing
-else. A scan over labellings (colour partitions, 2-colourings) first
-orders the nontrivial elements by the number of points they move, fewest
-first, and tests each labelling against that table with C-level getters.
+else. ``dnumber`` searches colour partitions depth first, one vertex's
+label at a time: each nontrivial element is filed under the last vertex
+it moves, and a prefix that labels that vertex is tested against its
+elements only. An element that preserves the prefix preserves every
+completion, so the prefix is dropped with all of them. The motion
+lemma's 2-colourings are scanned whole against a table of the
+nontrivial elements, fewest moved points first. Both test labellings
+with C-level getters.
 The asymmetry, stabilizer-order and interior-support oracles list no
 elements: they read the same coset search's generating set of
 ``Aut(G, c)``, so they check the construction's groups by a route that
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import compress
 from operator import eq, itemgetter, ne
 
 from .colouring import Colouring, numeric
@@ -82,34 +87,70 @@ def stabilizer_order(graph: Graph, colouring) -> int:
     return automorphism_sgs(graph, colouring).order
 
 
-def _partitions_with_classes(n: int, classes: int):
-    """All surjective colourings of 0..n-1 with exactly the given number of
-    colour classes, one representative per colour renaming.
+def _prefix_buckets(group: PermGroup) -> list[list[itemgetter]]:
+    """The nontrivial elements, each filed under the last point it moves as
+    one getter over the images of the points up to that one.
 
-    Enumerated as restricted growth strings in lexicographic order: class
-    labels appear in first-use order, which quotients out colour
-    permutations exactly. Vertex 0 always has label 0, pinning one orbit
-    representative's colour. Each string is the previous one with its
-    rightmost label that can grow increased, and the labels after it
-    reset to the least completion that still uses every class.
+    An element whose last moved point is v maps the points 0..v onto
+    themselves, so it preserves a labelling exactly when the getter reads
+    the labelling's own first v + 1 labels from it: any prefix that
+    assigns v decides the element.
     """
-    if not 1 <= classes <= n:
-        return
-    labels = [0] * (n - classes + 1) + list(range(1, classes))
-    while True:
-        yield tuple(labels)
-        peak = list(accumulate(labels, max))  # peak[i] is the largest of labels[:i + 1]
-        for i in range(n - 1, 0, -1):
-            grown = labels[i] + 1
-            top = max(peak[i - 1], grown)
-            # a label exceeds every earlier one by at most 1, and the labels
-            # after it must leave room for every class above the top one
-            if grown <= peak[i - 1] + 1 and grown < classes and n - 1 - i >= classes - 1 - top:
+    points = range(group.degree)
+    buckets: list[list[itemgetter]] = [[] for _ in points]
+    # the sorted elements start with the identity
+    for p in group.elements[1:]:
+        last = max(compress(points, map(ne, p, points)))
+        buckets[last].append(itemgetter(*p[:last + 1]))
+    return buckets
+
+
+def _first_asymmetric_labelling(buckets: list[list[itemgetter]], classes: int) -> tuple[tuple[int, ...] | None, int]:
+    """The first restricted growth string with exactly ``classes`` classes
+    that no element of the buckets preserves, and the number of prefixes
+    tested.
+
+    Restricted growth strings list each partition of the points once:
+    class labels appear in first-use order, which quotients out colour
+    renamings, and point 0 always has label 0. The search extends a
+    prefix one label at a time, least label first, so full strings come
+    in lexicographic order. A prefix that assigns point v is tested
+    against the elements whose last moved point is v; those move only
+    assigned points, so one that preserves the prefix preserves every
+    completion, and the prefix is dropped with all of them. A full string
+    that survives has been tested against every nontrivial element.
+    """
+    n = len(buckets)
+    tested = 0
+
+    def choices(i: int, top: int) -> range:
+        # the labels point i may take after a prefix whose largest label is
+        # top: at most top + 1, and leaving room for every class above top
+        least = top + 1 if classes - 1 - top > n - 1 - i else 0
+        return range(least, min(top + 1, classes - 1) + 1)
+
+    # options[i] yields the labels point i has still to try, least first;
+    # prefix holds the labels of the points before the last of them
+    options = [iter(choices(0, -1))] if 1 <= classes <= n else []
+    prefix: tuple[int, ...] = ()
+    while options:
+        i = len(options) - 1
+        label = next(options[i], None)
+        if label is None:
+            options.pop()
+            prefix = prefix[:-1]
+            continue
+        tested += 1
+        labels = prefix + (label,)
+        for images in buckets[i]:
+            if images(labels) == labels:
                 break
         else:
-            return
-        labels[i] = grown
-        labels[i + 1:] = [0] * (n - 1 - i - (classes - 1 - top)) + list(range(top + 1, classes))
+            if i + 1 == n:
+                return labels, tested
+            options.append(iter(choices(i + 1, max(labels))))
+            prefix = labels
+    return None, tested
 
 
 def _support_table(group: PermGroup) -> list[tuple[itemgetter, itemgetter]]:
@@ -119,6 +160,8 @@ def _support_table(group: PermGroup) -> list[tuple[itemgetter, itemgetter]]:
     A labelling is preserved by the element exactly when both getters read
     the same labels from it. An element that moves few points preserves
     the most labellings, so a scan in this order usually stops early.
+    Only the motion lemma's scan of whole 2-colourings reads it;
+    ``dnumber`` tests prefixes against :func:`_prefix_buckets`.
     """
     points = range(group.degree)
     fixed = lambda p: sum(map(eq, p, points))
@@ -141,27 +184,31 @@ def _preserving_automorphism(table, labels) -> bool:
 def _asymmetric_partition(group: PermGroup, class_counts) -> tuple[tuple[int, ...] | None, int]:
     """The first partition, over each class count in turn, that no
     nontrivial element preserves (None if there is none), and the number
-    of partitions examined."""
-    table = _support_table(group)
-    examined = 0
+    of prefixes tested."""
+    buckets = _prefix_buckets(group)
+    tested = 0
     for classes in class_counts:
-        for labels in _partitions_with_classes(group.degree, classes):
-            examined += 1
-            if not _preserving_automorphism(table, labels):
-                return labels, examined
-    return None, examined
+        labels, count = _first_asymmetric_labelling(buckets, classes)
+        tested += count
+        if labels is not None:
+            return labels, tested
+    return None, tested
 
 
 def distinguishing_report(graph: Graph, max_colours: int | None = None, cap: int = DEFAULT_CAP) -> OracleReport:
     """The least number of colours admitting an asymmetric colouring, with
-    the first such partition as witness and the number of partitions
-    examined as search space.
+    the first such partition as witness and the number of prefixes tested
+    as search space.
 
     Exhaustive over set partitions (colourings up to colour renaming) with
     the first vertex's colour pinned; exactness is unaffected because both
     colour permutations and automorphisms act on the colouring space. The
-    search at c colours only runs after every (c-1)-class partition has
-    been refuted, so the returned value is minimal by exhaustion.
+    partitions are searched depth first in lexicographic order, and a
+    prefix is dropped only when a nontrivial element preserves every
+    completion of it (:func:`_first_asymmetric_labelling`), so each
+    partition is refuted or returned. The search at c colours only runs
+    after every (c-1)-class partition has been refuted, so the returned
+    value is minimal by exhaustion.
     """
     start = time.perf_counter()
     if graph.n > DISTINGUISHING_VERTEX_GUARD:

@@ -27,6 +27,37 @@ def brute_automorphisms(graph, colouring=None):
     return sorted(found)
 
 
+def partitions_with_classes(n: int, classes: int):
+    """Reference enumeration of the labellings ``dnumber`` searches: all
+    surjective colourings of 0..n-1 with exactly the given number of
+    colour classes, one representative per colour renaming.
+
+    Enumerated as restricted growth strings in lexicographic order: class
+    labels appear in first-use order, which quotients out colour
+    permutations exactly. Vertex 0 always has label 0, pinning one orbit
+    representative's colour. Each string is the previous one with its
+    rightmost label that can grow increased, and the labels after it
+    reset to the least completion that still uses every class.
+    """
+    if not 1 <= classes <= n:
+        return
+    labels = [0] * (n - classes + 1) + list(range(1, classes))
+    while True:
+        yield tuple(labels)
+        peak = list(itertools.accumulate(labels, max))  # peak[i] is the largest of labels[:i + 1]
+        for i in range(n - 1, 0, -1):
+            grown = labels[i] + 1
+            top = max(peak[i - 1], grown)
+            # a label exceeds every earlier one by at most 1, and the labels
+            # after it must leave room for every class above the top one
+            if grown <= peak[i - 1] + 1 and grown < classes and n - 1 - i >= classes - 1 - top:
+                break
+        else:
+            return
+        labels[i] = grown
+        labels[i + 1:] = [0] * (n - 1 - i - (classes - 1 - top)) + list(range(top + 1, classes))
+
+
 def group_of_elements(degree, elements) -> PermGroup:
     """The group of an element list, the identity added; raises
     ``ValueError`` on a tuple that is not a permutation of 0..degree-1.

@@ -396,9 +396,29 @@ class TestOracleCommand:
         assert main(["oracle", path, "dnumber"]) == 0
         assert "oracle.value 4" in capsys.readouterr().out
 
-    # 1 + 7 + 6 partitions refuted before (0,1,2,3); 1 + 15 before (0,0,0,1,2)
-    @pytest.mark.parametrize("graph,value,examined", [(complete_graph(4), 4, 15), (cycle_graph(5), 3, 17)])
-    def test_dnumber_search_space_counts_partitions(self, tmp_path, capsys, monkeypatch, graph, value, examined):
+    # Every prefix tested counts, class count after class count. K4: a
+    # transposition is filed under its larger point, so a prefix that
+    # repeats a label is dropped. One class tests 0, 00; two test 0, 00,
+    # 01, 010, 011; three test those, 012, 0120, 0121, 0122; four test 0,
+    # 01, 012, 0123: 2 + 5 + 9 + 4 = 20. C5: the reflection (0 3)(1 2) is
+    # the one element whose last moved vertex is 3; the other eight move
+    # 4. One class tests 0, 00, 000, 0000; two test 1 + 2 + 4 + 8
+    # prefixes up to 0000 and 0110, which are dropped, then the 12 full
+    # strings after the other six, all dropped; three find 00012 after
+    # its five prefixes: 4 + 27 + 5 = 36. K7 and K(4,4) are labelled as in
+    # the benchmark's dense workload; a search that tested every full
+    # partition would count 877 and 3,488 there, so these two pin the
+    # pruning.
+    @pytest.mark.parametrize(
+        "graph,value,examined",
+        [
+            (complete_graph(4), 4, 20),
+            (cycle_graph(5), 3, 36),
+            (complete_graph(7), 7, 84),
+            (complete_bipartite_graph(4, 4), 5, 207),
+        ],
+    )
+    def test_dnumber_search_space_counts_prefixes(self, tmp_path, capsys, monkeypatch, graph, value, examined):
         calls = count_listings(monkeypatch)
         path = write_graph(tmp_path, graph)
         assert main(["oracle", path, "dnumber"]) == 0

@@ -36,7 +36,13 @@ from asymcolour.errors import (
     SearchGuardError,
 )
 
-from .conftest import break_construction_search, brute_automorphisms, connected_graphs, vf2_automorphisms
+from .conftest import (
+    break_construction_search,
+    brute_automorphisms,
+    connected_graphs,
+    partitions_with_classes,
+    vf2_automorphisms,
+)
 
 
 def rigid_graph():
@@ -85,6 +91,10 @@ class TestDistinguishingNumber:
             (complete_graph(4), 4),
             (complete_bipartite_graph(3, 3), 4),
             (cycle_graph(6), 2),
+            (complete_bipartite_graph(4, 4), 5),
+            (complete_graph(7), 7),
+            # the complete tripartite K(3,3,3)
+            (build_graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3]), 4),
         ],
     )
     def test_extremal_values(self, graph, expected):
@@ -109,6 +119,16 @@ class TestDistinguishingNumber:
         with pytest.raises(SearchGuardError):
             distinguishing_number(path_graph(13))
 
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=6))
+    def test_witness_is_the_first_asymmetric_reference_partition(self, g):
+        for classes in range(1, g.n + 1):
+            first = next(
+                (p for p in partitions_with_classes(g.n, classes) if len(brute_automorphisms(g, p)) == 1),
+                None,
+            )
+            assert oracle.distinguishing_witness(g, classes) == first, classes
+
     def test_partition_counts_match_stirling(self):
         counts = {
             (4, 2): 7,
@@ -116,15 +136,15 @@ class TestDistinguishingNumber:
             (6, 3): 90,
         }
         for (n, c), expected in counts.items():
-            assert sum(1 for _ in oracle._partitions_with_classes(n, c)) == expected
+            assert sum(1 for _ in partitions_with_classes(n, c)) == expected
 
     def test_partitions_match_filtered_product(self):
         # restricted growth strings: the labels first appear in the order 0, 1, 2, ...
         for n in range(1, 8):
             for c in range(n + 1):
                 brute = [p for p in itertools.product(range(c), repeat=n) if list(dict.fromkeys(p)) == list(range(c))]
-                assert list(oracle._partitions_with_classes(n, c)) == brute, (n, c)
-            assert list(oracle._partitions_with_classes(n, n + 1)) == []
+                assert list(partitions_with_classes(n, c)) == brute, (n, c)
+            assert list(partitions_with_classes(n, n + 1)) == []
 
 
 class TestSupportTable:
