@@ -16,12 +16,12 @@ line on stderr.
 
 The group cap bounds only element lists, which ``colour`` builds for the
 embedded final stabilizer and ``oracle`` where a scan needs the elements:
-``dnumber``, ``motion`` unless a strong generator moving two points
-settles it, and ``motion-lemma`` once its hypothesis holds. ``autorder``
-reads the order off the strong generating set and lists nothing, and
-``verify`` lists none and takes no cap. On ``colour`` and ``oracle`` the
-ASYM_CAP environment variable overrides the default cap; an explicit
---cap flag wins over both.
+``motion`` unless a strong generator moving two points settles it, and
+``motion-lemma`` once its hypothesis holds. ``autorder`` reads the order
+off the strong generating set and ``dnumber`` reads a stabilizer chain,
+so neither lists anything, and ``verify`` lists none and takes no cap.
+On ``colour`` and ``oracle`` the ASYM_CAP environment variable overrides
+the default cap; an explicit --cap flag wins over both.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def cmd_oracle(args) -> int:
     if args.quantity == "motion":
         report = oracle.motion_report(graph, cap=cap)
     elif args.quantity == "dnumber":
-        report = oracle.distinguishing_report(graph, args.max_colours, cap=cap)
+        report = oracle.distinguishing_report(graph, args.max_colours)
     elif args.quantity == "autorder":
         report = oracle.autorder_report(graph)
     elif args.quantity == "motion-lemma":

@@ -12,18 +12,21 @@ motion from above, and every nontrivial permutation moves at least two,
 so a generator that moves two settles the motion without a listing; the
 motion lemma takes both numbers from the same generating set. The
 elements are listed once, as products of transversals, only where the
-motion is not settled so, and where labellings are tested: ``dnumber``,
-and the motion lemma's 2-colourings once its hypothesis holds. The exact
-order is compared with the element cap before any element is listed, so
-the cap, not the graph's size, bounds each listing, and bounds nothing
-else. ``dnumber`` searches colour partitions depth first, one vertex's
-label at a time: each nontrivial element is filed under the last vertex
-it moves, and a prefix that labels that vertex is tested against its
-elements only. An element that preserves the prefix preserves every
-completion, so the prefix is dropped with all of them. The motion
-lemma's 2-colourings are scanned whole against a table of the
-nontrivial elements, fewest moved points first. Both test labellings
+motion is not settled so, and for the motion lemma's 2-colourings once
+its hypothesis holds. The exact order is compared with the element cap
+before any element is listed, so the cap, not the graph's size, bounds
+each listing, and bounds nothing else. The 2-colourings are scanned whole
+against a table of the nontrivial elements, fewest moved points first,
 with C-level getters.
+``dnumber`` lists nothing. It searches colour partitions depth first, one
+vertex's label at a time, and reads ``Aut(G)`` as a stabilizer chain with
+base n-1, ..., 0 (Sims 1970; Butler 1991, ch. 10): ``H_i`` fixes every
+vertex above i and is the coset search of keys distinct above i, split
+from ``H_{i+1}``'s partition. A prefix that labels 0..i is dropped when a
+nontrivial element of ``H_i`` preserves it, as that element preserves
+every completion. The test is a depth-first search over products of
+transversal elements, one level at a time from i down, that keeps only
+the branches that map each point to a point of the same label.
 The asymmetry, stabilizer-order and interior-support oracles list no
 elements: they read the same coset search's generating set of
 ``Aut(G, c)``, so they check the construction's groups by a route that
@@ -40,7 +43,8 @@ from operator import eq, itemgetter, ne
 from .colouring import Colouring, numeric
 from .errors import AsymmetricGraphError, InternalInvariantError, SearchGuardError, NoAsymmetricColouringError
 from .graphs import Graph, distances, eccentricity
-from .symmetry import DEFAULT_CAP, PermGroup, SGSGroup, automorphism_group, automorphism_sgs
+from .symmetry import DEFAULT_CAP, Perm, PermGroup, SGSGroup, automorphism_sgs, compose, coset_search, identity_perm
+from .symmetry import automorphism_group  # noqa: F401  (the acceptance tests read oracle.automorphism_group)
 
 DISTINGUISHING_VERTEX_GUARD = 12
 TWO_COLOURING_VERTEX_GUARD = 20
@@ -87,40 +91,87 @@ def stabilizer_order(graph: Graph, colouring) -> int:
     return automorphism_sgs(graph, colouring).order
 
 
-def _prefix_buckets(group: PermGroup) -> list[list[itemgetter]]:
-    """The nontrivial elements, each filed under the last point it moves as
-    one getter over the images of the points up to that one.
+def _transversals(graph: Graph) -> list[list[tuple[int, Perm]]]:
+    """For each vertex i, a transversal of i's orbit under ``H_i``, the
+    automorphisms that fix every vertex above i: one ``(u, t)`` for each
+    other point u of the orbit, with ``t`` in ``H_i`` mapping i to u.
 
-    An element whose last moved point is v maps the points 0..v onto
-    themselves, so it preserves a labelling exactly when the getter reads
-    the labelling's own first v + 1 labels from it: any prefix that
-    assigns v decides the element.
+    The chain has base n-1, n-2, ..., 0 (Sims 1970). ``H_{n-1}`` is
+    ``Aut(G)``, and ``H_{i-1}``, the stabilizer of i in ``H_i``, is the
+    :func:`~asymcolour.symmetry.coset_search` of the keys that are 0 on
+    0..i-1 and distinct above, split from ``H_i``'s partition; it is
+    ``H_i`` itself when every generator fixes i. Each orbit is closed
+    under ``H_i``'s generators from i, and the representative of an image
+    is the generator composed with the representative it was reached from.
     """
-    points = range(group.degree)
-    buckets: list[list[itemgetter]] = [[] for _ in points]
-    # the sorted elements start with the identity
-    for p in group.elements[1:]:
-        last = max(compress(points, map(ne, p, points)))
-        buckets[last].append(itemgetter(*p[:last + 1]))
-    return buckets
+    n = graph.n
+    transversals: list[list[tuple[int, Perm]]] = [[] for _ in range(n)]
+    group = automorphism_sgs(graph)
+    for i in reversed(range(n)):
+        if group.is_trivial():
+            break
+        representatives = {i: identity_perm(n)}
+        orbit = [i]
+        for u in orbit:
+            for g in group.generators:
+                if g[u] not in representatives:
+                    representatives[g[u]] = compose(g, representatives[u])
+                    orbit.append(g[u])
+        transversals[i] = [(u, representatives[u]) for u in orbit[1:]]
+        if len(orbit) > 1:
+            group = coset_search(graph, [0] * i + list(range(1, n - i + 1)), parent=group)
+    return transversals
 
 
-def _first_asymmetric_labelling(buckets: list[list[itemgetter]], classes: int) -> tuple[tuple[int, ...] | None, int]:
+def _preserved(transversals, labels) -> bool:
+    """Whether a nontrivial element of ``H_i`` keeps the labels of the
+    points 0..i, where i is the last labelled point, given that none of
+    ``H_{i-1}`` keeps those of 0..i-1.
+
+    Every element of ``H_i`` is one product ``t_i·t_{i-1}⋯t_0`` of
+    transversal elements or identities, and one that fixes i lies in
+    ``H_{i-1}``, so the search starts from each ``t_i`` mapping i to
+    another point of its label. It goes depth first, one level at a time
+    from i down; the deeper factors fix j, so a branch maps j where its
+    product down to ``t_j`` does, and one that sends j to another label is
+    dropped at once. A branch that reaches below level 0 keeps every
+    label. A level whose transversal is empty has only the identity.
+    """
+    i = len(labels) - 1
+    # each branch is a product g·t, t not yet composed (None for the
+    # identity), that keeps the labels of the levels above j
+    stack = [(t, None, i - 1) for u, t in transversals[i] if labels[u] == labels[i]]
+    while stack:
+        g, t, j = stack.pop()
+        if t is not None:
+            g = compose(g, t)
+        while j >= 0 and not transversals[j] and labels[g[j]] == labels[j]:
+            j -= 1
+        if j < 0:
+            return True
+        label = labels[j]
+        stack.extend((g, t, j - 1) for u, t in transversals[j] if labels[g[u]] == label)
+        if labels[g[j]] == label:
+            stack.append((g, None, j - 1))
+    return False
+
+
+def _first_asymmetric_labelling(transversals, classes: int) -> tuple[tuple[int, ...] | None, int]:
     """The first restricted growth string with exactly ``classes`` classes
-    that no element of the buckets preserves, and the number of prefixes
+    that no nontrivial automorphism preserves, and the number of prefixes
     tested.
 
     Restricted growth strings list each partition of the points once:
     class labels appear in first-use order, which quotients out colour
     renamings, and point 0 always has label 0. The search extends a
     prefix one label at a time, least label first, so full strings come
-    in lexicographic order. A prefix that assigns point v is tested
-    against the elements whose last moved point is v; those move only
-    assigned points, so one that preserves the prefix preserves every
-    completion, and the prefix is dropped with all of them. A full string
-    that survives has been tested against every nontrivial element.
+    in lexicographic order. A prefix that assigns point v is dropped when
+    a nontrivial element of ``H_v``, which moves only assigned points,
+    preserves it: that element preserves every completion, so the prefix
+    is dropped with all of them (:func:`_preserved`). A full string that
+    survives is preserved by no nontrivial element.
     """
-    n = len(buckets)
+    n = len(transversals)
     tested = 0
 
     def choices(i: int, top: int) -> range:
@@ -142,10 +193,7 @@ def _first_asymmetric_labelling(buckets: list[list[itemgetter]], classes: int) -
             continue
         tested += 1
         labels = prefix + (label,)
-        for images in buckets[i]:
-            if images(labels) == labels:
-                break
-        else:
+        if not _preserved(transversals, labels):
             if i + 1 == n:
                 return labels, tested
             options.append(iter(choices(i + 1, max(labels))))
@@ -160,8 +208,8 @@ def _support_table(group: PermGroup) -> list[tuple[itemgetter, itemgetter]]:
     A labelling is preserved by the element exactly when both getters read
     the same labels from it. An element that moves few points preserves
     the most labellings, so a scan in this order usually stops early.
-    Only the motion lemma's scan of whole 2-colourings reads it;
-    ``dnumber`` tests prefixes against :func:`_prefix_buckets`.
+    Only the motion lemma's scan of whole 2-colourings reads it; ``dnumber``
+    tests its prefixes against a stabilizer chain (:func:`_transversals`).
     """
     points = range(group.degree)
     fixed = lambda p: sum(map(eq, p, points))
@@ -181,21 +229,21 @@ def _preserving_automorphism(table, labels) -> bool:
     return False
 
 
-def _asymmetric_partition(group: PermGroup, class_counts) -> tuple[tuple[int, ...] | None, int]:
+def _asymmetric_partition(graph: Graph, class_counts) -> tuple[tuple[int, ...] | None, int]:
     """The first partition, over each class count in turn, that no
-    nontrivial element preserves (None if there is none), and the number
-    of prefixes tested."""
-    buckets = _prefix_buckets(group)
+    nontrivial automorphism preserves (None if there is none), and the
+    number of prefixes tested."""
+    transversals = _transversals(graph)
     tested = 0
     for classes in class_counts:
-        labels, count = _first_asymmetric_labelling(buckets, classes)
+        labels, count = _first_asymmetric_labelling(transversals, classes)
         tested += count
         if labels is not None:
             return labels, tested
     return None, tested
 
 
-def distinguishing_report(graph: Graph, max_colours: int | None = None, cap: int = DEFAULT_CAP) -> OracleReport:
+def distinguishing_report(graph: Graph, max_colours: int | None = None) -> OracleReport:
     """The least number of colours admitting an asymmetric colouring, with
     the first such partition as witness and the number of prefixes tested
     as search space.
@@ -204,11 +252,13 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None, cap: int
     the first vertex's colour pinned; exactness is unaffected because both
     colour permutations and automorphisms act on the colouring space. The
     partitions are searched depth first in lexicographic order, and a
-    prefix is dropped only when a nontrivial element preserves every
+    prefix is dropped only when a nontrivial automorphism preserves every
     completion of it (:func:`_first_asymmetric_labelling`), so each
-    partition is refuted or returned. The search at c colours only runs
-    after every (c-1)-class partition has been refuted, so the returned
-    value is minimal by exhaustion.
+    partition is refuted or returned. The automorphisms are read from a
+    stabilizer chain (:func:`_transversals`) and never listed, so no
+    element cap applies. The search at c colours only runs after every
+    (c-1)-class partition has been refuted, so the returned value is
+    minimal by exhaustion.
     """
     start = time.perf_counter()
     if graph.n > DISTINGUISHING_VERTEX_GUARD:
@@ -219,8 +269,7 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None, cap: int
         max_colours = graph.max_degree + 1
     if max_colours < 1:
         raise SearchGuardError(f"max_colours must be >= 1, got {max_colours}")
-    group = automorphism_group(graph, cap=cap)
-    witness, examined = _asymmetric_partition(group, range(1, min(max_colours, graph.n) + 1))
+    witness, examined = _asymmetric_partition(graph, range(1, min(max_colours, graph.n) + 1))
     if witness is None:
         raise NoAsymmetricColouringError(f"no asymmetric colouring with at most {max_colours} colours")
     return OracleReport(
@@ -232,15 +281,15 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None, cap: int
     )
 
 
-def distinguishing_number(graph: Graph, max_colours: int | None = None, cap: int = DEFAULT_CAP) -> int:
+def distinguishing_number(graph: Graph, max_colours: int | None = None) -> int:
     """The least number of colours admitting an asymmetric colouring; see
     :func:`distinguishing_report`."""
-    return distinguishing_report(graph, max_colours, cap).value
+    return distinguishing_report(graph, max_colours).value
 
 
-def distinguishing_witness(graph: Graph, classes: int, cap: int = DEFAULT_CAP) -> tuple[int, ...] | None:
+def distinguishing_witness(graph: Graph, classes: int) -> tuple[int, ...] | None:
     """First asymmetric partition with the given class count, if any."""
-    return _asymmetric_partition(automorphism_group(graph, cap=cap), (classes,))[0]
+    return _asymmetric_partition(graph, (classes,))[0]
 
 
 def _motion(group: SGSGroup, cap: int) -> tuple[int, PermGroup | None]:

@@ -383,13 +383,21 @@ class TestOracleCommand:
         assert f"oracle.search-space {examined}" in lines
         assert calls == []
 
-    def test_dnumber_beyond_the_cap(self, tmp_path, capsys):
-        # K(1,11): 12 vertices, within the vertex guard, and order 11! = 39,916,800
+    def test_dnumber_beyond_the_cap(self, tmp_path, capsys, monkeypatch):
+        # K(1,11): 12 vertices, within the vertex guard, and order 11! =
+        # 39,916,800, beyond the default cap. The 11 leaves are twins: any
+        # two of one colour are swapped by a transposition that fixes the
+        # rest, so the leaves need 11 distinct colours, and the centre can
+        # share one of them
+        calls = count_listings(monkeypatch)
         path = write_graph(tmp_path, complete_bipartite_graph(1, 11))
-        assert main(["oracle", path, "dnumber"]) == 2
+        assert main(["oracle", path, "dnumber"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "group has 39916800 elements, cap is 1000000" in captured.err
+        lines = captured.out.splitlines()
+        assert "oracle.value 11" in lines
+        assert "oracle.search-space 1662" in lines
+        assert captured.err == ""
+        assert calls == []
 
     def test_dnumber_k4(self, tmp_path, capsys):
         path = write_graph(tmp_path, complete_graph(4))
@@ -397,8 +405,8 @@ class TestOracleCommand:
         assert "oracle.value 4" in capsys.readouterr().out
 
     # Every prefix tested counts, class count after class count. K4: a
-    # transposition is filed under its larger point, so a prefix that
-    # repeats a label is dropped. One class tests 0, 00; two test 0, 00,
+    # transposition fixes every point above its larger point, so a prefix
+    # that repeats a label is dropped. One class tests 0, 00; two test 0, 00,
     # 01, 010, 011; three test those, 012, 0120, 0121, 0122; four test 0,
     # 01, 012, 0123: 2 + 5 + 9 + 4 = 20. C5: the reflection (0 3)(1 2) is
     # the one element whose last moved vertex is 3; the other eight move
@@ -407,8 +415,8 @@ class TestOracleCommand:
     # strings after the other six, all dropped; three find 00012 after
     # its five prefixes: 4 + 27 + 5 = 36. K7 and K(4,4) are labelled as in
     # the benchmark's dense workload; a search that tested every full
-    # partition would count 877 and 3,488 there, so these two pin the
-    # pruning.
+    # partition would count 877 and 3,488 there, and 104,765 on K(5,5),
+    # so these three pin the pruning. No element is listed.
     @pytest.mark.parametrize(
         "graph,value,examined",
         [
@@ -416,6 +424,7 @@ class TestOracleCommand:
             (cycle_graph(5), 3, 36),
             (complete_graph(7), 7, 84),
             (complete_bipartite_graph(4, 4), 5, 207),
+            (complete_bipartite_graph(5, 5), 6, 1101),
         ],
     )
     def test_dnumber_search_space_counts_prefixes(self, tmp_path, capsys, monkeypatch, graph, value, examined):
@@ -425,7 +434,7 @@ class TestOracleCommand:
         lines = capsys.readouterr().out.splitlines()
         assert f"oracle.value {value}" in lines
         assert f"oracle.search-space {examined}" in lines
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_path_longer_than_the_recursion_limit(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(1500))

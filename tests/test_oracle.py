@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from .conftest import (
     partitions_with_classes,
     vf2_automorphisms,
 )
+from .test_larger_graphs import cube, petersen
 
 
 def rigid_graph():
@@ -95,6 +97,10 @@ class TestDistinguishingNumber:
             (complete_graph(7), 7),
             # the complete tripartite K(3,3,3)
             (build_graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3]), 4),
+            (complete_bipartite_graph(5, 5), 6),
+            (petersen(), 3),
+            (complete_bipartite_graph(6, 6), 7),
+            (complete_graph(12), 12),
         ],
     )
     def test_extremal_values(self, graph, expected):
@@ -145,6 +151,42 @@ class TestDistinguishingNumber:
                 brute = [p for p in itertools.product(range(c), repeat=n) if list(dict.fromkeys(p)) == list(range(c))]
                 assert list(partitions_with_classes(n, c)) == brute, (n, c)
             assert list(partitions_with_classes(n, n + 1)) == []
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("graph", [petersen(), cube(), complete_bipartite_graph(4, 4), cycle_graph(12)])
+    def test_transversals_multiply_to_the_order(self, graph):
+        transversals = oracle._transversals(graph)
+        assert math.prod(len(level) + 1 for level in transversals) == automorphism_sgs(graph).order
+        for i, level in enumerate(transversals):
+            for u, t in level:
+                assert sorted(t) == list(range(graph.n))
+                assert t[i] == u
+                assert all(t[v] == v for v in range(i + 1, graph.n))
+                assert all(graph.has_edge(t[a], t[b]) for a in range(graph.n) for b in graph.adjacency[a])
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=6))
+    def test_prefix_test_matches_bruteforce(self, g):
+        # every prefix over labels 0..2 whose shorter prefix survives, as
+        # the walk tests them
+        transversals = oracle._transversals(g)
+        nontrivial = [p for p in brute_automorphisms(g) if p != tuple(range(g.n))]
+        surviving = [()]
+        while surviving:
+            prefix = surviving.pop()
+            if len(prefix) == g.n:
+                continue
+            for label in range(3):
+                labels = prefix + (label,)
+                i = len(prefix)
+                expected = any(
+                    all(p[v] == v for v in range(i + 1, g.n)) and all(labels[p[v]] == labels[v] for v in range(i + 1))
+                    for p in nontrivial
+                )
+                assert oracle._preserved(transversals, labels) == expected, labels
+                if not expected:
+                    surviving.append(labels)
 
 
 class TestSupportTable:
