@@ -44,7 +44,6 @@ a failed check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .colouring import (
     Colour,
@@ -57,7 +56,7 @@ from .colouring import (
     initial_colouring,
     numeric,
 )
-from .graphs import Graph, distances
+from .graphs import Graph, Record, distances
 from .symmetry import PermGroup, coset_search, moved_block, orbits, permutes_blocks, preserves
 
 
@@ -66,12 +65,20 @@ def induced_colouring(colours, partition) -> tuple[Colour, ...]:
     return tuple(min(colours[v] for v in block) for block in partition)
 
 
-@dataclass(slots=True)
-class CheckResult:
-    name: str
-    step: int | None
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    """One check's verdict; unlike the other records it stays mutable,
+    so it has no hash."""
+
+    __slots__ = ("name", "step", "passed", "detail")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, step: int | None, passed: bool, detail: str = ""):
+        self.name = name
+        self.step = step
+        self.passed = passed
+        self.detail = detail
 
     def label(self) -> str:
         where = f" (step {self.step})" if self.step is not None else ""

@@ -20,8 +20,10 @@ embedded final stabilizer and ``oracle`` where a scan needs the elements:
 ``motion-lemma`` once its hypothesis holds. ``autorder`` reads the order
 off the strong generating set and ``dnumber`` reads a stabilizer chain,
 so neither lists anything, and ``verify`` lists none and takes no cap.
-On ``colour`` and ``oracle`` the ASYM_CAP environment variable overrides
-the default cap; an explicit --cap flag wins over both.
+On ``colour`` and on the ``motion`` and ``motion-lemma`` oracles the
+ASYM_CAP environment variable overrides the default cap; an explicit
+--cap flag wins over both. The other oracles and ``verify`` never read
+ASYM_CAP, so an invalid value there is no error.
 """
 
 from __future__ import annotations
@@ -199,7 +201,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cap = _cap(args)
+    # only the two scans that may list elements read the cap
+    cap = _cap(args) if args.quantity in ("motion", "motion-lemma") else None
     graph = _load_graph_file(args.graph)
     if args.quantity == "motion":
         report = oracle.motion_report(graph, cap=cap)

@@ -17,12 +17,11 @@ can be re-audited independently (see :mod:`asymcolour.audit`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import count
 
 from .errors import GraphFormatError, InternalInvariantError, VertexRangeError
-from .graphs import Graph, distances, parse_int
+from .graphs import Graph, Record, distances, parse_int
 from .symmetry import (
     DEFAULT_CAP,
     SGSGroup,
@@ -111,8 +110,7 @@ def barred(b: int) -> Colour:
     return Colour("barred", b)
 
 
-@dataclass(frozen=True)
-class Colouring:
+class Colouring(Record):
     """A total colour assignment, plus the construction metadata.
 
     ``root`` and ``radius`` are set by the construction (radius k means
@@ -120,9 +118,12 @@ class Colouring:
     parsed from files may carry ``None`` there.
     """
 
-    colours: tuple[Colour, ...]
-    root: int | None = None
-    radius: int | None = None
+    __slots__ = ("colours", "root", "radius")
+
+    def __init__(self, colours: tuple[Colour, ...], root: int | None = None, radius: int | None = None):
+        object.__setattr__(self, "colours", colours)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "radius", radius)
 
     def __getitem__(self, v: int) -> Colour:
         return self.colours[v]
@@ -182,16 +183,18 @@ def ceil_sqrt(delta: int) -> int:
     return math.isqrt(delta - 1) + 1
 
 
-@dataclass(frozen=True)
-class ColourBudget:
+class ColourBudget(Record):
     """Colour bounds as functions of the maximal degree.
 
     ``total`` bounds the number of distinct colours; ``numeric`` bounds the
     largest numeric colour value the construction can produce.
     """
 
-    total: float
-    numeric: float
+    __slots__ = ("total", "numeric")
+
+    def __init__(self, total: float, numeric: float):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "numeric", numeric)
 
 
 def colour_bound(delta: int) -> ColourBudget:
@@ -239,39 +242,63 @@ def neighbourhood_refinement(graph: Graph, next_sphere, orbit_list) -> tuple[tup
     return tuple(result)
 
 
-@dataclass(frozen=True)
-class InnerStep:
+class InnerStep(Record):
     """Record of one inner refinement index: which classes got offsets."""
 
-    index: int
-    acting_orbit: tuple[int, ...]
-    stabilizer_order: int
-    size_bound: float
-    fixing_blocks: tuple[tuple[int, ...], ...]
-    recoloured: tuple[tuple[int, Colour, Colour], ...]
+    __slots__ = ("index", "acting_orbit", "stabilizer_order", "size_bound", "fixing_blocks", "recoloured")
+
+    def __init__(
+        self,
+        index: int,
+        acting_orbit: tuple[int, ...],
+        stabilizer_order: int,
+        size_bound: float,
+        fixing_blocks: tuple[tuple[int, ...], ...],
+        recoloured: tuple[tuple[int, Colour, Colour], ...],
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "acting_orbit", acting_orbit)
+        object.__setattr__(self, "stabilizer_order", stabilizer_order)
+        object.__setattr__(self, "size_bound", size_bound)
+        object.__setattr__(self, "fixing_blocks", fixing_blocks)
+        object.__setattr__(self, "recoloured", recoloured)
 
 
-@dataclass(frozen=True)
-class ClassSplit:
+class ClassSplit(Record):
     """Record of the final split of one finest-partition class."""
 
-    block: tuple[int, ...]
-    chunks: tuple[tuple[int, ...], ...]
-    chunk_colours: tuple[Colour, ...]
+    __slots__ = ("block", "chunks", "chunk_colours")
+
+    def __init__(self, block: tuple[int, ...], chunks: tuple[tuple[int, ...], ...], chunk_colours: tuple[Colour, ...]):
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "chunks", chunks)
+        object.__setattr__(self, "chunk_colours", chunk_colours)
 
 
-@dataclass(frozen=True)
-class StepTrace:
+class StepTrace(Record):
     """Everything step k did while colouring sphere k+1."""
 
-    k: int
-    sphere: tuple[int, ...]
-    next_sphere: tuple[int, ...]
-    orbit_list: tuple[tuple[int, ...], ...]
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]
-    inner: tuple[InnerStep, ...]
-    splits: tuple[ClassSplit, ...]
-    final_sphere_colours: tuple[tuple[int, Colour], ...]
+    __slots__ = ("k", "sphere", "next_sphere", "orbit_list", "partitions", "inner", "splits", "final_sphere_colours")
+
+    def __init__(
+        self,
+        k: int,
+        sphere: tuple[int, ...],
+        next_sphere: tuple[int, ...],
+        orbit_list: tuple[tuple[int, ...], ...],
+        partitions: tuple[tuple[tuple[int, ...], ...], ...],
+        inner: tuple[InnerStep, ...],
+        splits: tuple[ClassSplit, ...],
+        final_sphere_colours: tuple[tuple[int, Colour], ...],
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sphere", sphere)
+        object.__setattr__(self, "next_sphere", next_sphere)
+        object.__setattr__(self, "orbit_list", orbit_list)
+        object.__setattr__(self, "partitions", partitions)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "final_sphere_colours", final_sphere_colours)
 
 
 STABILIZER_EMBED_LIMIT = 120
@@ -281,21 +308,32 @@ STABILIZER_EMBED_LIMIT = 120
 ORBIT_DOMAIN = "previous-sphere"
 
 
-@dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(Record):
     """Full record of a run, sufficient to re-audit every invariant.
 
     The residual symmetry after the last step is embedded as an explicit
     element list when it is small enough to print.
     """
 
-    root: int
-    horizon: int
-    max_degree: int
-    bound_mode: str
-    stabilizer_orders: tuple[int, ...]
-    steps: tuple[StepTrace, ...]
-    final_stabilizer: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ("root", "horizon", "max_degree", "bound_mode", "stabilizer_orders", "steps", "final_stabilizer")
+
+    def __init__(
+        self,
+        root: int,
+        horizon: int,
+        max_degree: int,
+        bound_mode: str,
+        stabilizer_orders: tuple[int, ...],
+        steps: tuple[StepTrace, ...],
+        final_stabilizer: tuple[tuple[int, ...], ...] | None = None,
+    ):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "max_degree", max_degree)
+        object.__setattr__(self, "bound_mode", bound_mode)
+        object.__setattr__(self, "stabilizer_orders", stabilizer_orders)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "final_stabilizer", final_stabilizer)
 
 
 BOUND_MODES = ("csg", "elementary")

@@ -9,7 +9,6 @@ from the root for trees) so that repeated runs are bit-reproducible.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from itertools import count
 
 from .errors import (
@@ -20,6 +19,42 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
+
+
+class Record:
+    """Base of the immutable value types: the fields are the ``__slots__``.
+
+    Two records are equal when they have the same type and equal fields,
+    and hash and ``repr`` follow the fields in slot order. A subclass's
+    ``__init__`` takes the fields in that order under the same names and
+    sets each with ``object.__setattr__``, as ``Graph`` does.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
 
 
 class Graph:
@@ -121,8 +156,7 @@ def _check_connected(n: int, neighbours) -> None:
         raise DisconnectedError(f"graph is disconnected (vertex {missing} unreachable from 0)")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Parameters for one of the built-in graph families.
 
     tree(degree, radius) is the degree-regular tree truncated at the given
@@ -131,17 +165,27 @@ class FamilySpec:
     truncation distance.
     """
 
-    family: str
-    degree: int | None = None
-    radius: int | None = None
-    n: int | None = None
-    m: int | None = None
-    w: int | None = None
-    h: int | None = None
+    __slots__ = ("family", "degree", "radius", "n", "m", "w", "h")
 
     FAMILIES = ("tree", "cycle", "path", "complete", "complete_bipartite", "grid")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        family: str,
+        degree: int | None = None,
+        radius: int | None = None,
+        n: int | None = None,
+        m: int | None = None,
+        w: int | None = None,
+        h: int | None = None,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "h", h)
         if self.family not in self.FAMILIES:
             raise GraphStructureError(f"unknown family {self.family!r}")
         checks = {

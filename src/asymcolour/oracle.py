@@ -36,13 +36,12 @@ shares none of its search.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter, ne
 
 from .colouring import Colouring, numeric
 from .errors import AsymmetricGraphError, InternalInvariantError, SearchGuardError, NoAsymmetricColouringError
-from .graphs import Graph, distances, eccentricity
+from .graphs import Graph, Record, distances, eccentricity
 from .symmetry import DEFAULT_CAP, Perm, PermGroup, SGSGroup, automorphism_sgs, compose, coset_search, identity_perm
 from .symmetry import automorphism_group  # noqa: F401  (the acceptance tests read oracle.automorphism_group)
 
@@ -50,20 +49,23 @@ DISTINGUISHING_VERTEX_GUARD = 12
 TWO_COLOURING_VERTEX_GUARD = 20
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Result of one exhaustive computation.
 
     ``search_space`` is the number of objects the search examined;
     ``elapsed`` is wall-clock seconds (diagnostic only, never part of a
-    deterministic output file).
+    deterministic output file). Each report without ``details`` gets a
+    fresh empty dict.
     """
 
-    quantity: str
-    value: object
-    search_space: int
-    elapsed: float
-    details: dict = field(default_factory=dict)
+    __slots__ = ("quantity", "value", "search_space", "elapsed", "details")
+
+    def __init__(self, quantity: str, value: object, search_space: int, elapsed: float, details: dict | None = None):
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "search_space", search_space)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     def kv_lines(self) -> list[str]:
         lines = [

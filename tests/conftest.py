@@ -126,6 +126,18 @@ def kneser(m, k):
     return build_graph(len(subsets), [(u, v) for u, v in pairs if not subsets[u] & subsets[v]])
 
 
+def replace(value, **changes):
+    """A copy of a value type with the named fields changed, the way
+    ``dataclasses.replace`` copies a dataclass. The fields are the type's
+    ``__slots__``, which its ``__init__`` takes under the same names."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    unknown = changes.keys() - fields.keys()
+    if unknown:
+        raise TypeError(f"{type(value).__name__} has no fields {sorted(unknown)}")
+    fields.update(changes)
+    return type(value)(**fields)
+
+
 def break_construction_search(monkeypatch):
     """Make the construction's individualisation-refinement search and its
     leaf test raise, so that only code on another route can still answer."""

@@ -1,6 +1,5 @@
 """The audit must reject tampered runs, not just accept honest ones."""
 
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -22,7 +21,7 @@ from asymcolour import audit
 from asymcolour.oracle import is_asymmetric
 from asymcolour.symmetry import coset_search
 
-from .conftest import break_construction_search, deadline, induced_keys, kneser, paley
+from .conftest import break_construction_search, deadline, induced_keys, kneser, paley, replace
 
 
 @pytest.fixture()
@@ -164,8 +163,8 @@ def test_a_step_that_merges_colour_classes_is_searched_again():
     colouring, trace = run(graph, 2)
     assert trace.stabilizer_orders == (2, 1, 1)
     step = trace.steps[1]
-    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((3, numeric(1)),))
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_step = replace(step, final_sphere_colours=step.final_sphere_colours + ((3, numeric(1)),))
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     (order,) = [
         c for c in audit.audit_run(graph, tampered, colouring) if c.name == "stabilizer-order-recorded" and c.step == 2
     ]
@@ -186,9 +185,9 @@ def test_a_recolouring_that_changes_an_earlier_block_colour_is_searched_again(mo
     colouring, trace = run(graph, 0)
     step = trace.steps[1]
     assert [rec.fixing_blocks for rec in step.inner] == [((5, 6, 7),), (), ()]
-    bad_rec = dataclasses.replace(step.inner[1], fixing_blocks=((8, 9, 10),))
-    bad_step = dataclasses.replace(step, inner=(step.inner[0], bad_rec, step.inner[2]))
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_rec = replace(step.inner[1], fixing_blocks=((8, 9, 10),))
+    bad_step = replace(step, inner=(step.inner[0], bad_rec, step.inner[2]))
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     stabilizer = audit._stabilizer
     taken = []
 
@@ -228,9 +227,9 @@ def one_fixing_block_swapped(trace):
             for block in step.partitions[rec.index + 1]:
                 if rec.fixing_blocks == (block,):
                     continue
-                swapped = dataclasses.replace(rec, fixing_blocks=(block,))
-                bad_step = dataclasses.replace(step, inner=step.inner[:r] + (swapped,) + step.inner[r + 1 :])
-                yield dataclasses.replace(trace, steps=trace.steps[:s] + (bad_step,) + trace.steps[s + 1 :])
+                swapped = replace(rec, fixing_blocks=(block,))
+                bad_step = replace(step, inner=step.inner[:r] + (swapped,) + step.inner[r + 1 :])
+                yield replace(trace, steps=trace.steps[:s] + (bad_step,) + trace.steps[s + 1 :])
 
 
 def defined_keys(graph, trace):
@@ -265,8 +264,8 @@ def one_step_reversed(trace):
     before it."""
     for s, step in enumerate(trace.steps):
         if len(step.inner) > 1 and trace.stabilizer_orders[s] > 1:
-            bad_step = dataclasses.replace(step, inner=step.inner[::-1])
-            yield dataclasses.replace(trace, steps=trace.steps[:s] + (bad_step,) + trace.steps[s + 1 :])
+            bad_step = replace(step, inner=step.inner[::-1])
+            yield replace(trace, steps=trace.steps[:s] + (bad_step,) + trace.steps[s + 1 :])
 
 
 def test_running_keys_are_the_defined_keys(monkeypatch, corpus):
@@ -316,7 +315,7 @@ def test_detects_wrong_stabilizer_order(tree_run):
     graph, colouring, trace = tree_run
     orders = list(trace.stabilizer_orders)
     orders[1] += 1
-    tampered = dataclasses.replace(trace, stabilizer_orders=tuple(orders))
+    tampered = replace(trace, stabilizer_orders=tuple(orders))
     assert "stabilizer-order-recorded" in failing_names(graph, trace=tampered, colouring=colouring)
 
 
@@ -326,8 +325,8 @@ def test_detects_sphere_colour_tampering(tree_run):
     sphere_colours = [
         (v, numeric(7) if c == numeric(1) else c) for v, c in step.final_sphere_colours
     ]
-    bad_step = dataclasses.replace(step, final_sphere_colours=tuple(sphere_colours))
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_step = replace(step, final_sphere_colours=tuple(sphere_colours))
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     names = failing_names(graph, tampered, colouring)
     assert names, "tampered sphere colours went unnoticed"
     assert "replay-matches-result" in names or "sphere-colours-match" in names
@@ -337,8 +336,8 @@ def test_detects_recolouring_of_the_inner_ball(tree_run):
     graph, colouring, trace = tree_run
     step = trace.steps[1]
     # vertex 1 lies in sphere 1, which step 1 must leave as it is
-    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((1, numeric(5)),))
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_step = replace(step, final_sphere_colours=step.final_sphere_colours + ((1, numeric(5)),))
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     assert "inner-ball-preserved" in failing_names(graph, tampered, colouring)
 
 
@@ -349,8 +348,8 @@ def test_detects_a_stabilizer_that_moves_an_earlier_colour():
     # c_1 now marks leaf 7, which the final stabilizer swaps with a twin,
     # so that group is no subgroup of the stabilizer of c_1
     step = trace.steps[0]
-    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((7, numeric(9)),))
-    tampered = dataclasses.replace(trace, steps=(bad_step,) + trace.steps[1:])
+    bad_step = replace(step, final_sphere_colours=step.final_sphere_colours + ((7, numeric(9)),))
+    tampered = replace(trace, steps=(bad_step,) + trace.steps[1:])
     assert "stabilizer-monotone" in failing_names(graph, tampered, colouring)
 
 
@@ -359,10 +358,10 @@ def test_detects_a_sphere_vertex_left_far(tree_run):
     step = trace.steps[1]
     # the step leaves vertex 4 of sphere 2 far-coloured, and nothing later
     # colours it, so every radius from 2 on is wrong about it
-    bad_step = dataclasses.replace(
+    bad_step = replace(
         step, final_sphere_colours=tuple((v, c) for v, c in step.final_sphere_colours if v != 4)
     )
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     checks = audit.audit_run(graph, tampered, colouring)
     assert [c.step for c in checks if c.name == "far-matches-distance" and not c.passed] == [2]
 
@@ -371,8 +370,8 @@ def test_detects_a_second_root_colour(tree_run):
     graph, colouring, trace = tree_run
     # step 1 also recolours vertex 2, of sphere 1, with the root colour
     step = trace.steps[1]
-    bad_step = dataclasses.replace(step, final_sphere_colours=step.final_sphere_colours + ((2, ROOT),))
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_step = replace(step, final_sphere_colours=step.final_sphere_colours + ((2, ROOT),))
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     checks = audit.audit_run(graph, tampered, colouring)
     assert [c.step for c in checks if c.name == "root-colour-unique" and not c.passed] == [2]
 
@@ -381,9 +380,9 @@ def test_detects_forged_fixing_set(tree_run):
     graph, colouring, trace = tree_run
     step = trace.steps[1]
     rec = step.inner[0]
-    forged = dataclasses.replace(rec, fixing_blocks=rec.fixing_blocks + ((4, 5),))
-    bad_step = dataclasses.replace(step, inner=(forged,) + step.inner[1:])
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    forged = replace(rec, fixing_blocks=rec.fixing_blocks + ((4, 5),))
+    bad_step = replace(step, inner=(forged,) + step.inner[1:])
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     names = failing_names(graph, tampered, colouring)
     assert "recolour-deltas-match" in names or "sphere-colours-match" in names
 
@@ -396,9 +395,9 @@ def tree_4_2_with_first_fixing_set(fixing_blocks):
     colouring, trace = run(graph, 0)
     step = trace.steps[1]
     assert step.inner[0].fixing_blocks == ((5, 6, 7),)
-    forged = dataclasses.replace(step.inner[0], fixing_blocks=fixing_blocks)
-    bad_step = dataclasses.replace(step, inner=(forged,) + step.inner[1:])
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    forged = replace(step.inner[0], fixing_blocks=fixing_blocks)
+    bad_step = replace(step, inner=(forged,) + step.inner[1:])
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     return [(c.name, c.step, c.detail) for c in audit.audit_run(graph, tampered, colouring) if not c.passed]
 
 
@@ -429,8 +428,8 @@ def test_detects_a_block_straddling_two_blocks_of_the_partition_before():
     step = trace.steps[1]
     assert step.partitions[1] == ((5, 6, 7), (8, 9, 10), (11, 12, 13, 14, 15, 16))
     forged = step.partitions[:2] + (((5, 6, 7, 8, 9, 10), (11, 12, 13), (14, 15, 16)),) + step.partitions[3:]
-    bad_step = dataclasses.replace(step, partitions=forged)
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_step = replace(step, partitions=forged)
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     checks = audit.audit_run(graph, tampered, colouring)
     assert [(c.step, c.detail) for c in checks if c.name == "partitions-nested" and not c.passed] == [(1, "")]
 
@@ -443,9 +442,9 @@ def test_detects_a_vertex_recoloured_more_often_than_the_cap():
     colouring, trace = run(graph, 2)
     step = trace.steps[0]
     assert step.partitions[1] == ((1, 3),)
-    forged = dataclasses.replace(step.inner[0], fixing_blocks=((1, 3),) * 3)
-    bad_step = dataclasses.replace(step, inner=(forged,) + step.inner[1:])
-    tampered = dataclasses.replace(trace, steps=(bad_step,) + trace.steps[1:])
+    forged = replace(step.inner[0], fixing_blocks=((1, 3),) * 3)
+    bad_step = replace(step, inner=(forged,) + step.inner[1:])
+    tampered = replace(trace, steps=(bad_step,) + trace.steps[1:])
     checks = audit.audit_run(graph, tampered, colouring)
     assert [(c.step, c.detail) for c in checks if c.name == "recolour-count-cap" and not c.passed] == [
         (0, "max recolour count 3, cap 2")
@@ -457,18 +456,18 @@ def test_detects_unsplit_class():
     colouring, trace = run(graph, 0)
     step = trace.steps[0]
     (split,) = step.splits
-    merged = dataclasses.replace(
+    merged = replace(
         split, chunks=(split.block,), chunk_colours=(numeric(1),)
     )
-    bad_step = dataclasses.replace(step, splits=(merged,))
-    tampered = dataclasses.replace(trace, steps=(bad_step,) + trace.steps[1:])
+    bad_step = replace(step, splits=(merged,))
+    tampered = replace(trace, steps=(bad_step,) + trace.steps[1:])
     names = failing_names(graph, tampered, colouring)
     assert names, "a merged split chunk went unnoticed"
 
 
 def test_detects_forged_final_stabilizer(tree_run):
     graph, colouring, trace = tree_run
-    tampered = dataclasses.replace(trace, final_stabilizer=((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (1, 0, 2, 3, 4, 5, 6, 7, 8, 9)))
+    tampered = replace(trace, final_stabilizer=((0, 1, 2, 3, 4, 5, 6, 7, 8, 9), (1, 0, 2, 3, 4, 5, 6, 7, 8, 9)))
     assert "final-stabilizer-elements" in failing_names(graph, tampered, colouring)
 
 
@@ -487,7 +486,7 @@ def test_detects_partition_the_stabilizer_does_not_permute(tree_run):
     # the stabilizer of c_1 swaps 4 and 5 (order 8), which maps {4,6} to
     # {5,6}, not a block of the forged finest partition
     forged = step.partitions[:-1] + (((4, 6), (5, 7), (8, 9)),)
-    bad_step = dataclasses.replace(step, partitions=forged)
-    tampered = dataclasses.replace(trace, steps=(trace.steps[0], bad_step))
+    bad_step = replace(step, partitions=forged)
+    tampered = replace(trace, steps=(trace.steps[0], bad_step))
     names = failing_names(graph, tampered, colouring)
     assert "stabilizer-permutes-partitions" in names

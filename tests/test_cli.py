@@ -504,6 +504,30 @@ class TestOracleCommand:
         assert "oracle.search-space 2" in lines
         assert "oracle.radius 4" in lines
 
+    @pytest.mark.parametrize("quantity", ["autorder", "dnumber", "interior-support"])
+    def test_quantities_that_list_nothing_ignore_env_cap(self, tmp_path, capsys, monkeypatch, quantity):
+        path = write_graph(tmp_path, truncated_tree(3, 2))
+
+        def answer():
+            code = main(["oracle", path, quantity])
+            lines = capsys.readouterr().out.splitlines()
+            return code, [line for line in lines if not line.startswith("oracle.elapsed ")]
+
+        monkeypatch.delenv("ASYM_CAP", raising=False)
+        unset = answer()
+        monkeypatch.setenv("ASYM_CAP", "x")
+        assert answer() == unset
+        assert unset[0] == 0
+
+    @pytest.mark.parametrize("quantity", ["motion", "motion-lemma"])
+    def test_listing_quantities_reject_a_bad_env_cap(self, tmp_path, capsys, monkeypatch, quantity):
+        path = write_graph(tmp_path, truncated_tree(3, 2))
+        monkeypatch.setenv("ASYM_CAP", "x")
+        assert main(["oracle", path, quantity]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "asym: invalid ASYM_CAP value 'x'\n"
+
     def test_interior_support_without_the_construction_search(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path, truncated_tree(3, 3))
         break_construction_search(monkeypatch)
