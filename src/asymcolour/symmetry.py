@@ -8,7 +8,13 @@ partition its search started from, the coarsest one finer than ``c``
 a ``c'`` finer than its parent's, so a search in a chain starts from the
 parent's partition split by the new keys and refines only from the cells
 they split (:func:`_split`); only the first group of a chain refines
-from scratch. Two independent searches build one:
+from scratch, from the classes of key and degree with a largest one left
+unqueued (Hopcroft 1971). Before either search looks for an automorphism
+mapping a level's point ``b`` to a candidate image ``w``, it tries the
+twin first guess, the transposition ``(b w)`` (:func:`_twin_swap`), with
+its own leaf test: the swap is an automorphism exactly when ``b`` and
+``w`` are twins, as most images are on trees and complete graphs. Two
+independent searches build one:
 
 - the construction's :func:`coloured_automorphisms`, individualisation
   and refinement (McKay & Piperno 2014), called only from
@@ -22,14 +28,14 @@ from scratch. Two independent searches build one:
   levels, and at every node an individualisation and a refinement,
   pruned when the splits differ from its source path's. It shares the
   construction's partition primitives (:func:`_equitable`,
-  :func:`_split`, :func:`_individualise`, :func:`_refine`) but none of
-  its search. It completes each coset representative toward the
-  identity, fixing every point a cell shares with the source's and
-  trying the source point first, so its generators move few points. The
-  audit keys it by colour and distance from the root, and passes the
-  previous group of its chain when the keys refine that group's; every
-  oracle reads it through :func:`automorphism_sgs`, keyed by the
-  colouring, from scratch.
+  :func:`_split`, :func:`_individualise`, :func:`_refine`) and the twin
+  first guess, but none of its search. It completes each coset
+  representative toward the identity, fixing every point a cell shares
+  with the source's and trying the source point first, so its generators
+  move few points. The audit keys it by colour and distance from the
+  root, and passes the previous group of its chain when the keys refine
+  that group's; every oracle reads it through :func:`automorphism_sgs`,
+  keyed by the colouring, from scratch.
 
 :class:`PermGroup` is the explicit element list. The one listing route is
 :meth:`SGSGroup.enumerate`, products of transversals, which compares the
@@ -314,10 +320,20 @@ def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list
 
 def _equitable(graph: Graph, keys):
     """The coarsest equitable partition finer than the vertex keys, as
-    ``(lab, cell, end, cells)``: the key classes of :func:`_initial_partition`
-    refined by :func:`_refine` from every cell."""
-    lab, cell, end, starts = _initial_partition([keys[v] for v in range(graph.n)])
-    added, _ = _refine(graph.adjacency, lab, cell, end, starts, len(starts))
+    ``(lab, cell, end, cells)``.
+
+    The classes of :func:`_initial_partition` are those of the pairs
+    (key, degree), so each vertex of a class has as many neighbours in
+    the whole vertex set as any other: the partition is stable with
+    respect to it. Counts into a largest class then follow from counts
+    into the others, so :func:`_refine` starts from every class but that
+    one (Hopcroft 1971). For the root's colouring ``c_0`` that skips
+    counting the neighbours of the n - 1 other vertices.
+    """
+    adjacency = graph.adjacency
+    lab, cell, end, starts = _initial_partition([(keys[v], len(adjacency[v])) for v in range(graph.n)])
+    largest = max(starts, key=lambda s: end[s] - s)
+    added, _ = _refine(adjacency, lab, cell, end, [s for s in starts if s != largest], len(starts))
     return lab, cell, end, len(starts) + added
 
 
@@ -511,13 +527,18 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
     group that preserve the finer colouring; each is a candidate
     generator of the level of the first base point it moves. From the deepest level
     up, a level first takes each of its seeds that grows the orbit of its
-    base point under the generators found so far. Then each vertex of the
-    level's target cell that the generators cannot reach from the base
-    point is tried: its subtree is searched for a leaf that is an
-    automorphic image of the first leaf, pruning every node whose
-    refinement splits differ from the first path's. Every generator of
-    level j fixes the base points above j, and the search of each level
-    is exhaustive, so the orbit lengths are exact (Sims 1970).
+    base point under the generators found so far. Then each vertex ``w``
+    of the level's target cell that the generators cannot reach from the
+    base point ``b`` is tried. The twin first guess comes first: ``(b w)``
+    keeps the cells, as ``w`` shares ``b``'s cell, and fixes the earlier
+    base points, which are singletons there, so it is the level's
+    generator if :func:`_maps_edges_to_edges` passes it on its two
+    points, that is, if ``b`` and ``w`` are twins. Otherwise the subtree
+    of ``w`` is searched for a leaf that is an automorphic image of the
+    first leaf, pruning every node whose refinement splits differ from
+    the first path's. Every generator of level j fixes the base points
+    above j, and the search of each level is exhaustive, so the orbit
+    lengths are exact (Sims 1970).
     """
     n = graph.n
     adjacency = graph.adjacency
@@ -539,6 +560,9 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
         splits.append(made)
     leaf = lab
 
+    def keeps_edges(image, moved):
+        return _maps_edges_to_edges(graph, image, moved)
+
     seeded = _by_level(base, seeds)
     generators: list[Perm] = []
     supports: list[tuple[int, ...]] = []
@@ -546,8 +570,9 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
     orbit_lengths = [1] * len(base)
     for level in reversed(range(len(base))):
         plab, _, pend, _, t = path[level]
+        b = base[level]
         # the generators of the deeper levels fix the base point
-        orbit = {base[level]}
+        orbit = {b}
         for g, support in seeded[level]:
             if any(g[u] not in orbit for u in support if u in orbit):
                 generators.append(g)
@@ -557,7 +582,7 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
         for w in plab[t:pend[t]]:
             if w in orbit:
                 continue
-            found = _automorphism_below(graph, path, splits, leaf, level, w)
+            found = _twin_swap(n, b, w, keeps_edges) or _automorphism_below(graph, path, splits, leaf, level, w)
             if found is not None:
                 g, support = found
                 generators.append(g)
@@ -566,6 +591,18 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
                 _grow(orbit, g, support, movers)
         orbit_lengths[level] = len(orbit)
     return SGSGroup(graph, partition, base, generators, supports, orbit_lengths)
+
+
+def _twin_swap(n: int, b: int, w: int, keeps_edges):
+    """The twin first guess: the transposition ``(b w)`` with its support
+    ``(min, max)``, if the caller's leaf test ``keeps_edges(image,
+    moved)`` passes it, else None. It passes exactly when ``b`` and ``w``
+    are twins, with equal neighbourhoods apart from each other."""
+    image = list(range(n))
+    image[b] = w
+    image[w] = b
+    support = (b, w) if b < w else (w, b)
+    return (tuple(image), support) if keeps_edges(image, support) else None
 
 
 def _by_level(base, pairs) -> list[list[tuple[Perm, tuple[int, ...]]]]:
@@ -675,12 +712,16 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup
     leaf; those points are the levels. The others need none: an
     automorphism fixing the points before such a point fixes it too, as
     it keeps the partition it is a singleton of. From the deepest level
-    up, each point of the level's cell that the generators found so far
-    do not reach from the level's point is tried as its image, with the
-    earlier points fixed (:func:`_coset_representative`). Every generator
-    found at a level fixes the points before it and each level tries its
-    whole cell, so the orbit lengths are exact. The base is the levels
-    whose orbit has more than one point.
+    up, each point ``w`` of the level's cell that the generators found so
+    far do not reach from the level's point ``b`` is tried as its image,
+    with the earlier points fixed: first by the twin first guess ``(b w)``,
+    tested by this route's own edge test on its two points, then, if
+    ``b`` and ``w`` are not twins, by :func:`_coset_representative`. For
+    twins the search's own answer, the map completed toward the identity,
+    is that same transposition, so the guess changes no generator, only
+    the time. Every generator found at a level fixes the points before it
+    and each level tries its whole cell, so the orbit lengths are exact.
+    The base is the levels whose orbit has more than one point.
     """
     n = graph.n
     adjacency = graph.adjacency
@@ -708,6 +749,11 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup
             cells += 1 + added
             splits.append(made)
     path.append((lab, cell, end, cells))
+    adjsets = graph._adjsets
+
+    def keeps_edges(image, moved):
+        return all(image[u] in adjsets[image[x]] for x in moved for u in adjacency[x])
+
     generators: list[Perm] = []
     supports: list[tuple[int, ...]] = []
     movers: dict[int, list[Perm]] = {}
@@ -721,7 +767,7 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup
         for w in sorted(plab[s:pend[s]]):
             if w in orbit:
                 continue
-            found = _coset_representative(graph, points, path, splits, j, w)
+            found = _twin_swap(n, b, w, keeps_edges) or _coset_representative(graph, points, path, splits, j, w)
             if found is not None:
                 g, support = found
                 generators.append(g)
@@ -747,7 +793,9 @@ def _coset_representative(graph: Graph, points, path, splits, level: int, w: int
     edge: a bijection of a finite graph that maps its edges onto edges is
     an automorphism. At a discrete node that map is the leaf; at any other
     the search descends, trying the source point first when it lies in the
-    image cell.
+    image cell. :func:`coset_search` calls it only for an image that is
+    not a twin of ``points[level]``; a twin's transposition would be the
+    map it tests first.
     """
     adjacency, adjsets = graph.adjacency, graph._adjsets
     lab, cell, end, cells = path[level]

@@ -149,6 +149,35 @@ def break_construction_search(monkeypatch):
         monkeypatch.setattr(symmetry, name, broken)
 
 
+def count_subtree_searches(monkeypatch):
+    """The list that receives ``(level, image)`` for every subtree search
+    of the construction's search, ``symmetry._automorphism_below``."""
+    searched = []
+    below = symmetry._automorphism_below
+
+    def counted(graph, path, splits, leaf, level, w):
+        searched.append((level, w))
+        return below(graph, path, splits, leaf, level, w)
+
+    monkeypatch.setattr(symmetry, "_automorphism_below", counted)
+    return searched
+
+
+def count_coset_nodes(monkeypatch):
+    """The list that receives ``(level, image)`` for every search of the
+    audit's coset search for a coset representative,
+    ``symmetry._coset_representative``."""
+    searched = []
+    representative = symmetry._coset_representative
+
+    def counted(graph, points, path, splits, level, w):
+        searched.append((level, w))
+        return representative(graph, points, path, splits, level, w)
+
+    monkeypatch.setattr(symmetry, "_coset_representative", counted)
+    return searched
+
+
 def fix_one_vertex_per_block(monkeypatch):
     """Make the construction's fixing-set search return one vertex of each
     block it chose, so that a recolouring leaves some block of the next

@@ -46,6 +46,7 @@ from asymcolour.symmetry import coset_search, moved_block
 from .conftest import (
     CountedRows,
     connected_graphs,
+    count_subtree_searches,
     deadline,
     drop_fixing_sets,
     fix_one_vertex_per_block,
@@ -96,20 +97,6 @@ def count_searches(monkeypatch):
 
     monkeypatch.setattr(symmetry, "_search", counted)
     return searches
-
-
-def count_subtree_searches(monkeypatch):
-    """The list that receives the level of every subtree search of the
-    construction's search, ``symmetry._automorphism_below``."""
-    levels = []
-    below = symmetry._automorphism_below
-
-    def counted(graph, path, splits, leaf, level, w):
-        levels.append(level)
-        return below(graph, path, splits, leaf, level, w)
-
-    monkeypatch.setattr(symmetry, "_automorphism_below", counted)
-    return levels
 
 
 def count_refinement_reads(monkeypatch):
@@ -481,34 +468,53 @@ class TestRun:
         run(truncated_tree(9, 2), 0)
         assert len(searches) == 12
 
-    @pytest.mark.parametrize("degree,radius,expected", [(4, 2, 12), (6, 3, 158)])
+    @pytest.mark.parametrize("degree,radius,expected", [(4, 2, 3), (6, 3, 32)])
     def test_subtree_searches_of_seeded_running_groups(self, monkeypatch, degree, radius, expected):
         # each running group's search starts from the parent's generators
         # that keep its colours, so only the images they miss are searched.
         # It starts from the parent's partition too, and takes its base
         # points mostly in the parent's order, so the generators seed the
-        # levels they served in the parent (13 and 234 when each search
-        # refined its colours from scratch and took the first vertex of a
-        # cell)
+        # levels they served in the parent. An image that is a twin of the
+        # level's point is settled by their transposition, so only the
+        # others are searched (12 and 158 when every image was searched;
+        # 13 and 234 when each search also refined its colours from
+        # scratch and took the first vertex of a cell)
         searched = count_subtree_searches(monkeypatch)
         run(truncated_tree(degree, radius), 0)
         assert len(searched) == expected
 
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    @pytest.mark.parametrize("horizon,radius", [(1, 2), (1, 3), (2, 3)])
+    def test_the_ball_colouring_does_not_depend_on_the_truncation(self, degree, horizon, radius):
+        # prefix stability: truncating the tree one sphere further out
+        # leaves the colours of B_K, K the horizon, as they were; the trees
+        # are numbered breadth first, so B_K is the same vertices in both
+        with deadline(10):
+            near, _ = run(truncated_tree(degree, radius), 0, horizon)
+            far, _ = run(truncated_tree(degree, radius + 1), 0, horizon)
+        inner = ball(truncated_tree(degree, radius), 0, horizon)
+        assert [near.colours[v] for v in inner] == [far.colours[v] for v in inner]
+
     @pytest.mark.parametrize(
         "graph,expected",
         [
-            (truncated_tree(4, 2), (142, 112, 16)),
-            (truncated_tree(3, 3), (141, 139, 26)),
-            (complete_bipartite_graph(4, 4), (28, 24, 8)),
-            (complete_graph(7), (26, 21, 9)),
+            (truncated_tree(4, 2), (119, 79, 17)),
+            (truncated_tree(3, 3), (138, 112, 23)),
+            (complete_bipartite_graph(4, 4), (14, 14, 6)),
+            (complete_graph(7), (10, 10, 6)),
         ],
         ids=lambda x: getattr(x, "family_tag", None),
     )
     def test_refinement_reads_of_a_colour_op(self, monkeypatch, graph, expected):
         # the adjacency rows the refinement reads in run, audit_run and
         # is_asymmetric from the root 0; each search in a chain refines
-        # only from the cells its keys split in its parent's partition
-        # (380, 452, 84 and 63 rows when every search refined from scratch)
+        # only from the cells its keys split in its parent's partition, a
+        # search from scratch queues every class of (key, degree) but a
+        # largest one, and a twin image is settled without a subtree
+        # search ((142, 112, 16), (141, 139, 26), (28, 24, 8) and
+        # (26, 21, 9) when every class was queued and every image
+        # searched; 380, 452, 84 and 63 rows in all when every search
+        # refined from scratch)
         reads = count_refinement_reads(monkeypatch)
         colouring, trace = run(graph, 0)
         after_run = reads[0]

@@ -20,6 +20,7 @@ from asymcolour import (
     format_permutation,
     grid_graph,
     identity_perm,
+    initial_colouring,
     invert,
     longest_chain_bruteforce,
     minimal_fixing_set,
@@ -43,6 +44,8 @@ from .conftest import (
     CountedRows,
     brute_automorphisms,
     connected_graphs,
+    count_coset_nodes,
+    count_subtree_searches,
     deadline,
     equitable_classes,
     group_of_elements,
@@ -283,6 +286,20 @@ class TestColouredAutomorphisms:
     def test_refinement_is_colour_refinement(self, g, data):
         colours = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
         assert same_partition(equitable_classes(g, colours), naive_colour_refinement(g, colours))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(connected_graphs(max_n=10), SYMMETRIC_GRAPHS).filter(lambda g: len(set(map(len, g.adjacency))) > 1), st.data())
+    def test_equitable_leaves_a_largest_class_unqueued(self, g, data):
+        # the searches' own refinement from scratch starts from the
+        # classes of (key, degree) and queues all of them but a largest
+        # one; two keys on a graph that is not regular give key classes
+        # of mixed degrees
+        keys = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+        lab, cell, end, cells = symmetry._equitable(g, keys)
+        assert same_partition(cell, naive_colour_refinement(g, keys))
+        assert same_partition(cell, equitable_classes(g, keys))
+        assert sorted(lab) == list(range(g.n)) and cells == len(set(cell))
+        assert all(cell[v] == s for s in set(cell) for v in lab[s:end[s]])
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(connected_graphs(max_n=8), SYMMETRIC_GRAPHS), st.data())
@@ -553,6 +570,94 @@ class TestCosetSearch:
             group = coset_search(g, [0] * g.n)
         closed = combinatorics.PermutationGroup([combinatorics.Permutation(list(p)) for p in group.generators])
         assert group.order == closed.order() == expected
+
+
+def audit_keys(g):
+    """``c_0`` from the root 0, and the audit's keys of it: the colour and
+    the distance from the root."""
+    c0 = list(initial_colouring(g, 0).colours)
+    return {"c_0": c0, "audit": list(zip(c0, distances(g, 0)))}
+
+
+Q3 = build_graph(8, [(v, v | 1 << i) for v in range(8) for i in range(3) if not v & 1 << i])
+
+
+class TestTwinLevels:
+    """Both searches first try the transposition of a level's point and
+    the image: it is an automorphism exactly when the two are twins, and
+    only an image it does not settle is searched."""
+
+    @pytest.mark.parametrize("g", [complete_graph(7), complete_bipartite_graph(4, 4), complete_bipartite_graph(1, 6)])
+    @pytest.mark.parametrize("kind", ["c_0", "audit"])
+    def test_twin_levels_search_nothing(self, monkeypatch, g, kind):
+        keys = audit_keys(g)[kind]
+        subtrees = count_subtree_searches(monkeypatch)
+        nodes = count_coset_nodes(monkeypatch)
+        groups = coloured_automorphisms(g, keys), coset_search(g, keys)
+        assert subtrees == nodes == []
+        for group in groups:
+            assert group.order == len(vf2_automorphisms(g, keys))
+            assert group.generators and all(len(support) == 2 for support in group.supports)
+
+    @pytest.mark.parametrize("kind", ["c_0", "audit"])
+    def test_only_the_root_branches_are_searched(self, monkeypatch, kind):
+        # the root's 4 branches are not twins, so 3 images are searched at
+        # that level; below it every level holds sibling leaves, twins
+        g = truncated_tree(4, 2)
+        keys = audit_keys(g)[kind]
+        dist = distances(g, 0)
+        subtrees = count_subtree_searches(monkeypatch)
+        nodes = count_coset_nodes(monkeypatch)
+        groups = coloured_automorphisms(g, keys), coset_search(g, keys)
+        for searched in (subtrees, nodes):
+            assert len(searched) == 3 and all(dist[w] == 1 for _, w in searched)
+        for group in groups:
+            assert group.order == ahu_tree_order(g, 0)
+            # a branch swap moves 8 points, a transposition 2
+            assert sorted(map(len, group.supports)) == [2] * 8 + [8] * 3
+
+    @pytest.mark.parametrize("g", [kneser(5, 2), cycle_graph(7), Q3], ids=["petersen", "cycle(7)", "Q3"])
+    @pytest.mark.parametrize("kind", ["c_0", "audit", "none"])
+    def test_twin_free_graphs_fall_back_to_the_search(self, monkeypatch, g, kind):
+        keys = audit_keys(g).get(kind, [0] * g.n)
+        subtrees = count_subtree_searches(monkeypatch)
+        nodes = count_coset_nodes(monkeypatch)
+        groups = coloured_automorphisms(g, keys), coset_search(g, keys)
+        assert subtrees and nodes
+        for group in groups:
+            assert group.order == len(vf2_automorphisms(g, keys))
+            assert all(len(support) > 2 for support in group.supports)
+
+    @settings(max_examples=40, deadline=None)
+    @given(TWIN_GRAPHS, st.data())
+    def test_match_bruteforce_and_vf2(self, g, data):
+        keys = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+        found = vf2_automorphisms(g, keys)
+        if g.n <= 7:
+            assert found == brute_automorphisms(g, keys)
+        closed = group_of_elements(g.n, found)
+        for group in (coloured_automorphisms(g, keys), coset_search(g, keys)):
+            assert group.order == len(found)
+            assert orbits(group, range(g.n)) == orbits(closed, range(g.n))
+            assert_strong_generating_set(group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(TWIN_GRAPHS, st.data())
+    def test_the_transposition_is_a_fast_path_of_the_coset_search(self, g, data):
+        # for twins the map the coset search completes toward the identity
+        # is their transposition, so without the first guess it finds the
+        # same group, held by the same base and generators
+        first, second = TestSeededSearch.draw_keys(g, data)
+        keys = list(zip(first, second))
+
+        def held(group):
+            return group.base, group.generators, group.supports, group.orbit_lengths
+
+        fast = [held(coset_search(g, first)), held(coset_search(g, keys, coset_search(g, first)))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(symmetry, "_twin_swap", lambda *args: None)
+            slow = [held(coset_search(g, first)), held(coset_search(g, keys, coset_search(g, first)))]
+        assert fast == slow
 
 
 class TestOrbitsAndStabilizers:
