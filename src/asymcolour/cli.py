@@ -14,16 +14,16 @@ failure kinds stay distinguishable. Subcommands raise, and :func:`main`
 maps each exception to its exit code in one place, with one ``asym:``
 line on stderr.
 
-The group cap bounds only element lists, which ``colour`` builds for the
-embedded final stabilizer and ``oracle`` where a scan needs the elements:
-``motion`` unless a strong generator moving two points settles it, and
-``motion-lemma`` once its hypothesis holds. ``autorder`` reads the order
-off the strong generating set and ``dnumber`` reads a stabilizer chain,
-so neither lists anything, and ``verify`` lists none and takes no cap.
-On ``colour`` and on the ``motion`` and ``motion-lemma`` oracles the
-ASYM_CAP environment variable overrides the default cap; an explicit
---cap flag wins over both. The other oracles and ``verify`` never read
-ASYM_CAP, so an invalid value there is no error.
+The group cap bounds only element lists: the final stabilizer ``colour``
+embeds, and ``Aut(G)`` where ``motion`` or ``motion-lemma`` needs every
+element for the motion, as no strong generator moving two points settles
+it. ``motion-lemma`` searches its 2-colourings over a stabilizer chain,
+so ``--cap 1`` on K2 answers ``colouring-found`` with exit 0. ``autorder``
+and ``dnumber`` list nothing, and ``verify`` takes no cap. On ``colour``,
+``motion`` and ``motion-lemma`` the ASYM_CAP environment variable
+overrides the default cap, an explicit --cap flag wins over both, and a
+cap below 1 from either is invalid input. The other oracles and
+``verify`` never read ASYM_CAP, so an invalid value there is no error.
 """
 
 from __future__ import annotations
@@ -66,14 +66,19 @@ ORACLE_QUANTITIES = ("motion", "dnumber", "autorder", "motion-lemma", "interior-
 
 def _cap(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("ASYM_CAP")
-    if env is None:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"invalid ASYM_CAP value {env!r}") from None
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("ASYM_CAP")
+        if env is None:
+            return DEFAULT_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"invalid ASYM_CAP value {env!r}") from None
+        source = "ASYM_CAP"
+    if cap < 1:
+        raise ValueError(f"{source} must be >= 1, got {cap}")
+    return cap
 
 
 class _Parser(argparse.ArgumentParser):

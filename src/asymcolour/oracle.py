@@ -5,28 +5,32 @@ is sampled, so oracle output is admissible as test ground truth. Sizes
 are protected by guards, not by approximation.
 
 ``Aut(G)`` is read as a base and strong generating set,
-:func:`~asymcolour.symmetry.automorphism_sgs` (the audit's coset search).
+:func:`~asymcolour.symmetry.coset_search` (the audit's coset search).
 ``autorder`` is its order, the product of the basic orbit lengths, and
 lists nothing. The fewest points moved by a strong generator bounds the
 motion from above, and every nontrivial permutation moves at least two,
 so a generator that moves two settles the motion without a listing; the
 motion lemma takes both numbers from the same generating set. The
-elements are listed once, as products of transversals, only where the
-motion is not settled so, and for the motion lemma's 2-colourings once
-its hypothesis holds. The exact order is compared with the element cap
+elements are listed, as products of transversals, only where the motion
+is not settled so. The exact order is compared with the element cap
 before any element is listed, so the cap, not the graph's size, bounds
-each listing, and bounds nothing else. The 2-colourings are scanned whole
-against a table of the nontrivial elements, fewest moved points first,
-with C-level getters.
-``dnumber`` lists nothing. It searches colour partitions depth first, one
-vertex's label at a time, and reads ``Aut(G)`` as a stabilizer chain with
-base n-1, ..., 0 (Sims 1970; Butler 1991, ch. 10): ``H_i`` fixes every
-vertex above i and is the coset search of keys distinct above i, split
-from ``H_{i+1}``'s partition. A prefix that labels 0..i is dropped when a
-nontrivial element of ``H_i`` preserves it, as that element preserves
-every completion. The test is a depth-first search over products of
-transversal elements, one level at a time from i down, that keeps only
-the branches that map each point to a point of the same label.
+each listing, and bounds nothing else. Apart from that fallback, the
+package lists elements only for the small final stabilizer a trace
+embeds, both through :meth:`~asymcolour.symmetry.SGSGroup.enumerate`.
+``dnumber`` and the motion lemma's 2-colourings are one walk
+(:func:`_first_asymmetric`). It labels the vertices one at a time in a
+labelling order, depth first, over a stabilizer chain whose base is the
+reverse of that order (Sims 1970; Butler 1991, ch. 10): ``H_k`` fixes
+every vertex after the k-th, and the chain is the transversals of the
+coset search given the base as its point order. A prefix that labels
+the first k + 1 vertices is dropped when a nontrivial element of ``H_k``
+preserves it, as that element preserves every completion. The test is a
+depth-first search over products of transversal elements, one level at
+a time from k down, that keeps only the branches that map each point to
+a point of the same label. ``dnumber`` labels 0..n-1 with restricted
+growth strings; the motion lemma labels n-1..0 with two labels and
+vertex 0 pinned, which is the order of the masks with vertex n-1 in the
+top bit.
 The asymmetry, stabilizer-order and interior-support oracles list no
 elements: they read the same coset search's generating set of
 ``Aut(G, c)``, so they check the construction's groups by a route that
@@ -36,13 +40,12 @@ shares none of its search.
 from __future__ import annotations
 
 import time
-from itertools import compress
-from operator import eq, itemgetter, ne
+from operator import eq
 
 from .colouring import Colouring, numeric
 from .errors import AsymmetricGraphError, InternalInvariantError, SearchGuardError, NoAsymmetricColouringError
 from .graphs import Graph, Record, distances, eccentricity
-from .symmetry import DEFAULT_CAP, Perm, PermGroup, SGSGroup, automorphism_sgs, compose, coset_search, identity_perm
+from .symmetry import DEFAULT_CAP, Perm, PermGroup, SGSGroup, automorphism_sgs, compose, coset_search
 from .symmetry import automorphism_group  # noqa: F401  (the acceptance tests read oracle.automorphism_group)
 
 DISTINGUISHING_VERTEX_GUARD = 12
@@ -93,152 +96,115 @@ def stabilizer_order(graph: Graph, colouring) -> int:
     return automorphism_sgs(graph, colouring).order
 
 
-def _transversals(graph: Graph) -> list[list[tuple[int, Perm]]]:
-    """For each vertex i, a transversal of i's orbit under ``H_i``, the
-    automorphisms that fix every vertex above i: one ``(u, t)`` for each
-    other point u of the orbit, with ``t`` in ``H_i`` mapping i to u.
-
-    The chain has base n-1, n-2, ..., 0 (Sims 1970). ``H_{n-1}`` is
-    ``Aut(G)``, and ``H_{i-1}``, the stabilizer of i in ``H_i``, is the
-    :func:`~asymcolour.symmetry.coset_search` of the keys that are 0 on
-    0..i-1 and distinct above, split from ``H_i``'s partition; it is
-    ``H_i`` itself when every generator fixes i. Each orbit is closed
-    under ``H_i``'s generators from i, and the representative of an image
-    is the generator composed with the representative it was reached from.
+def _chain(group: SGSGroup, order) -> list[list[tuple[int, Perm]]]:
+    """For each position k of a labelling ``order``, the transversal of
+    the orbit of ``order[k]`` under ``H_k``, the automorphisms fixing every
+    vertex after it: ``(u, t)`` with ``t`` in ``H_k`` mapping ``order[k]``
+    to u. ``group`` is the :func:`~asymcolour.symmetry.coset_search` of
+    ``Aut(G)`` with the reversed order as its point order, so its
+    transversals are this chain; a vertex that is no base point has none.
     """
-    n = graph.n
-    transversals: list[list[tuple[int, Perm]]] = [[] for _ in range(n)]
-    group = automorphism_sgs(graph)
-    for i in reversed(range(n)):
-        if group.is_trivial():
-            break
-        representatives = {i: identity_perm(n)}
-        orbit = [i]
-        for u in orbit:
-            for g in group.generators:
-                if g[u] not in representatives:
-                    representatives[g[u]] = compose(g, representatives[u])
-                    orbit.append(g[u])
-        transversals[i] = [(u, representatives[u]) for u in orbit[1:]]
-        if len(orbit) > 1:
-            group = coset_search(graph, [0] * i + list(range(1, n - i + 1)), parent=group)
-    return transversals
+    levels = dict(zip(group.base, group.transversals()))
+    return [levels.get(v, []) for v in order]
 
 
-def _preserved(transversals, labels) -> bool:
-    """Whether a nontrivial element of ``H_i`` keeps the labels of the
-    points 0..i, where i is the last labelled point, given that none of
-    ``H_{i-1}`` keeps those of 0..i-1.
+def _preserved(chain, order, labels, k: int) -> bool:
+    """Whether a nontrivial element of ``H_k`` keeps the labels of the
+    vertices ``order[:k + 1]``, given that none of ``H_{k-1}`` keeps those
+    of ``order[:k]``. ``labels`` is indexed by vertex; only those vertices
+    are read.
 
-    Every element of ``H_i`` is one product ``t_i·t_{i-1}⋯t_0`` of
-    transversal elements or identities, and one that fixes i lies in
-    ``H_{i-1}``, so the search starts from each ``t_i`` mapping i to
-    another point of its label. It goes depth first, one level at a time
-    from i down; the deeper factors fix j, so a branch maps j where its
-    product down to ``t_j`` does, and one that sends j to another label is
-    dropped at once. A branch that reaches below level 0 keeps every
-    label. A level whose transversal is empty has only the identity.
+    Every element of ``H_k`` is one product ``t_k·t_{k-1}⋯t_0`` of
+    transversal elements or identities, and one that fixes ``order[k]``
+    lies in ``H_{k-1}``, so the search starts from each ``t_k`` mapping
+    ``order[k]`` to another vertex of its label. It goes depth first, one
+    level at a time from k down; the deeper factors fix ``order[j]``, so a
+    branch maps it where its product down to ``t_j`` does, and one that
+    sends it to another label is dropped at once. A branch that reaches
+    below level 0 keeps every label. A level whose transversal is empty
+    has only the identity.
     """
-    i = len(labels) - 1
+    label = labels[order[k]]
     # each branch is a product g·t, t not yet composed (None for the
     # identity), that keeps the labels of the levels above j
-    stack = [(t, None, i - 1) for u, t in transversals[i] if labels[u] == labels[i]]
+    stack = [(t, None, k - 1) for u, t in chain[k] if labels[u] == label]
     while stack:
         g, t, j = stack.pop()
         if t is not None:
             g = compose(g, t)
-        while j >= 0 and not transversals[j] and labels[g[j]] == labels[j]:
+        while j >= 0 and not chain[j] and labels[g[order[j]]] == labels[order[j]]:
             j -= 1
         if j < 0:
             return True
-        label = labels[j]
-        stack.extend((g, t, j - 1) for u, t in transversals[j] if labels[g[u]] == label)
-        if labels[g[j]] == label:
+        v = order[j]
+        label = labels[v]
+        stack.extend((g, t, j - 1) for u, t in chain[j] if labels[g[u]] == label)
+        if labels[g[v]] == label:
             stack.append((g, None, j - 1))
     return False
 
 
-def _first_asymmetric_labelling(transversals, classes: int) -> tuple[tuple[int, ...] | None, int]:
-    """The first restricted growth string with exactly ``classes`` classes
-    that no nontrivial automorphism preserves, and the number of prefixes
-    tested.
+def _first_asymmetric(chain, order, choices) -> tuple[tuple[int, ...] | None, int]:
+    """The first labelling, as labels indexed by vertex, that no nontrivial
+    automorphism preserves, and the number of prefixes tested; None if
+    every labelling is preserved.
 
-    Restricted growth strings list each partition of the points once:
-    class labels appear in first-use order, which quotients out colour
-    renamings, and point 0 always has label 0. The search extends a
-    prefix one label at a time, least label first, so full strings come
-    in lexicographic order. A prefix that assigns point v is dropped when
-    a nontrivial element of ``H_v``, which moves only assigned points,
-    preserves it: that element preserves every completion, so the prefix
-    is dropped with all of them (:func:`_preserved`). A full string that
-    survives is preserved by no nontrivial element.
+    The search labels the vertices in ``order``, one at a time, giving
+    position k each label of ``choices(k, top)`` in turn, where top is the
+    largest label of the prefix before it (-1 for none). It goes depth
+    first, so full labellings come in lexicographic order of their labels
+    read in ``order``. A prefix that labels ``order[:k + 1]`` is dropped
+    when a nontrivial element of ``H_k``, which moves only labelled
+    vertices, preserves it: that element preserves every completion, so
+    the prefix is dropped with all of them (:func:`_preserved`). A full
+    labelling that survives is preserved by no nontrivial element.
     """
-    n = len(transversals)
+    n = len(order)
+    labels = [0] * n
     tested = 0
-
-    def choices(i: int, top: int) -> range:
-        # the labels point i may take after a prefix whose largest label is
-        # top: at most top + 1, and leaving room for every class above top
-        least = top + 1 if classes - 1 - top > n - 1 - i else 0
-        return range(least, min(top + 1, classes - 1) + 1)
-
-    # options[i] yields the labels point i has still to try, least first;
-    # prefix holds the labels of the points before the last of them
-    options = [iter(choices(0, -1))] if 1 <= classes <= n else []
-    prefix: tuple[int, ...] = ()
+    # options[k] yields the labels position k has still to try; tops[k] is
+    # the largest label before position k
+    options = [iter(choices(0, -1))]
+    tops = [-1]
     while options:
-        i = len(options) - 1
-        label = next(options[i], None)
+        k = len(options) - 1
+        label = next(options[k], None)
         if label is None:
             options.pop()
-            prefix = prefix[:-1]
+            tops.pop()
             continue
         tested += 1
-        labels = prefix + (label,)
-        if not _preserved(transversals, labels):
-            if i + 1 == n:
-                return labels, tested
-            options.append(iter(choices(i + 1, max(labels))))
-            prefix = labels
+        labels[order[k]] = label
+        # an empty level adds only the identity, so keeps nothing new
+        if not (chain[k] and _preserved(chain, order, labels, k)):
+            if k + 1 == n:
+                return tuple(labels), tested
+            tops.append(max(tops[k], label))
+            options.append(iter(choices(k + 1, tops[-1])))
     return None, tested
-
-
-def _support_table(group: PermGroup) -> list[tuple[itemgetter, itemgetter]]:
-    """The nontrivial elements, fewest moved points first, each as a pair
-    of getters: one over the points it moves and one over their images.
-
-    A labelling is preserved by the element exactly when both getters read
-    the same labels from it. An element that moves few points preserves
-    the most labellings, so a scan in this order usually stops early.
-    Only the motion lemma's scan of whole 2-colourings reads it; ``dnumber``
-    tests its prefixes against a stabilizer chain (:func:`_transversals`).
-    """
-    points = range(group.degree)
-    fixed = lambda p: sum(map(eq, p, points))
-    table = []
-    # the sorted elements start with the identity
-    for p in sorted(group.elements[1:], key=fixed, reverse=True):
-        at = itemgetter(*compress(points, map(ne, p, points)))
-        table.append((at, itemgetter(*at(p))))
-    return table
-
-
-def _preserving_automorphism(table, labels) -> bool:
-    """Whether some element of the support table preserves the label classes."""
-    for at, to in table:
-        if at(labels) == to(labels):
-            return True
-    return False
 
 
 def _asymmetric_partition(graph: Graph, class_counts) -> tuple[tuple[int, ...] | None, int]:
     """The first partition, over each class count in turn, that no
     nontrivial automorphism preserves (None if there is none), and the
-    number of prefixes tested."""
-    transversals = _transversals(graph)
+    number of prefixes tested. Partitions are restricted growth strings,
+    labelled in the order 0..n-1: class labels appear in first-use order,
+    which quotients out colour renamings, so vertex 0 has label 0."""
+    n = graph.n
+    order = range(n)
+    chain = _chain(coset_search(graph, [0] * n, order=order[::-1]), order)
     tested = 0
     for classes in class_counts:
-        labels, count = _first_asymmetric_labelling(transversals, classes)
+        if not 1 <= classes <= n:
+            continue
+
+        def choices(k: int, top: int, classes=classes) -> range:
+            # the labels vertex k may take after a prefix whose largest
+            # label is top: at most top + 1, leaving room for every class
+            least = top + 1 if classes - 1 - top > n - 1 - k else 0
+            return range(least, min(top + 1, classes - 1) + 1)
+
+        labels, count = _first_asymmetric(chain, order, choices)
         tested += count
         if labels is not None:
             return labels, tested
@@ -255,12 +221,11 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None) -> Oracl
     colour permutations and automorphisms act on the colouring space. The
     partitions are searched depth first in lexicographic order, and a
     prefix is dropped only when a nontrivial automorphism preserves every
-    completion of it (:func:`_first_asymmetric_labelling`), so each
-    partition is refuted or returned. The automorphisms are read from a
-    stabilizer chain (:func:`_transversals`) and never listed, so no
-    element cap applies. The search at c colours only runs after every
-    (c-1)-class partition has been refuted, so the returned value is
-    minimal by exhaustion.
+    completion of it (:func:`_first_asymmetric`), so each partition is
+    refuted or returned. The automorphisms are read from a stabilizer
+    chain (:func:`_chain`) and never listed, so no element cap applies.
+    The search at c colours only runs after every (c-1)-class partition
+    has been refuted, so the returned value is minimal by exhaustion.
     """
     start = time.perf_counter()
     if graph.n > DISTINGUISHING_VERTEX_GUARD:
@@ -342,15 +307,21 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     """Check the motion hypothesis 2^(m/2) >= |Aut| and, when it holds,
     exhaustively find the promised asymmetric 2-colouring.
 
-    The order and the motion come from one strong generating set; the
-    elements are listed only when the hypothesis holds, for the
-    2-colouring scan, or when the motion needs them. The hypothesis
-    holding but the search failing would disprove a theorem, so that case
-    raises an internal error instead of reporting.
+    The order and the motion come from one strong generating set, the
+    :func:`~asymcolour.symmetry.coset_search` of ``Aut(G)`` with points
+    0..n-1, whose elements are listed only when the motion needs them.
+    Once the hypothesis holds, the walk of ``dnumber`` labels the vertices
+    from n-1 down over that group's chain, with two labels and vertex 0's
+    pinned. That is mask order, vertex n-1 in the top bit, so it finds the
+    first mask that no nontrivial automorphism preserves; the search space
+    is its rank, the masks a scan of whole 2-colourings tests. The
+    hypothesis holding but the search failing would disprove a theorem,
+    so that case raises an internal error instead of reporting.
     """
     start = time.perf_counter()
-    group = automorphism_sgs(graph)
-    m, listed = _motion(group, cap)
+    n = graph.n
+    group = coset_search(graph, [0] * n, order=range(n))
+    m, _ = _motion(group, cap)
     order = group.order
     details = {"motion": m, "aut-order": order}
     if not _motion_hypothesis(m, order):
@@ -362,22 +333,13 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
             details=details,
         )
 
-    if listed is None:
-        listed = group.enumerate(cap)
-    if graph.n > TWO_COLOURING_VERTEX_GUARD:
+    if n > TWO_COLOURING_VERTEX_GUARD:
         raise SearchGuardError(
-            f"2-colouring search supports up to {TWO_COLOURING_VERTEX_GUARD} vertices, got {graph.n}"
+            f"2-colouring search supports up to {TWO_COLOURING_VERTEX_GUARD} vertices, got {n}"
         )
-    table = _support_table(listed)
-    tested = 0
-    witness = None
-    # vertex 0's colour is pinned: swapping the two colours preserves asymmetry
-    for mask in range(2 ** (graph.n - 1)):
-        labels = (0,) + tuple((mask >> i) & 1 for i in range(graph.n - 1))
-        tested += 1
-        if not _preserving_automorphism(table, labels):
-            witness = labels
-            break
+    labelling = range(n - 1, -1, -1)
+    # vertex 0, labelled last, is pinned: swapping the two colours preserves asymmetry
+    witness, _ = _first_asymmetric(_chain(group, labelling), labelling, lambda k, top: range(2 if k < n - 1 else 1))
     if witness is None:
         raise InternalInvariantError("motion lemma hypothesis held but no 2-colouring was found")
     colouring = Colouring(tuple(numeric(label + 1) for label in witness))
@@ -385,7 +347,7 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     return OracleReport(
         quantity="motion-lemma",
         value="colouring-found",
-        search_space=tested,
+        search_space=1 + sum(label << (v - 1) for v, label in enumerate(witness) if v),
         elapsed=time.perf_counter() - start,
         details=details,
     )

@@ -24,9 +24,10 @@ independent searches build one:
   generators that preserve ``c'``: each seeds the level of the first
   base point it moves, so only the images they cannot reach are searched;
 - :func:`coset_search`, a partition backtrack (Leon 1991) that keeps one
-  automorphism per coset: its own breadth-first point order and Sims
-  levels, and at every node an individualisation and a refinement,
-  pruned when the splits differ from its source path's. It shares the
+  automorphism per coset: its own point order, breadth-first unless the
+  caller gives one, and Sims levels, and at every node an
+  individualisation and a refinement, pruned when the splits differ from
+  its source path's. It shares the
   construction's partition primitives (:func:`_equitable`,
   :func:`_split`, :func:`_individualise`, :func:`_refine`) and the twin
   first guess, but none of its search. It completes each coset
@@ -34,18 +35,19 @@ independent searches build one:
   with the source's and trying the source point first, so its generators
   move few points. The audit keys it by colour and distance from the
   root, and passes the previous group of its chain when the keys refine
-  that group's; every oracle reads it through :func:`automorphism_sgs`,
-  keyed by the colouring, from scratch.
+  that group's; every oracle reads it keyed by the colouring, from
+  scratch, through :func:`automorphism_sgs`, or, for a labelling search,
+  with the reverse of the labelling order as its point order.
 
 :class:`PermGroup` is the explicit element list. The one listing route is
 :meth:`SGSGroup.enumerate`, products of transversals, which compares the
 exact order with an element cap (default 10**6) before it lists anything.
-It lists ``Aut(G)`` (:func:`automorphism_group`, from the
-:func:`coset_search` of :func:`automorphism_sgs`) where an oracle scans
-labellings, and the small final stabilizer embedded in a trace. The
-audit checks that embed against :meth:`PermGroup.from_generators`, the
-closure of its own generators; the tests filter lists with
-:meth:`PermGroup.stabilizer`.
+It lists ``Aut(G)`` where the motion oracles need every element, and
+the small final stabilizer embedded in a trace; the oracles' labelling
+searches read the same transversals (:meth:`SGSGroup.transversals`) as a
+stabilizer chain and list nothing. The audit checks that embed against
+:meth:`PermGroup.from_generators`, the closure of its own generators;
+the tests filter lists with :meth:`PermGroup.stabilizer`.
 
 Both group kinds carry ``generators`` and their ``supports``, the points
 each one moves: :func:`orbits`, :func:`moved_block`, :func:`preserves`
@@ -461,8 +463,33 @@ class SGSGroup:
             return self
         return _search(self.graph, _split(self.graph, self.partition, keys), kept)
 
+    def transversals(self) -> list[list[tuple[int, Perm]]]:
+        """For each base level j, ``(u, t)`` for every other point u of the
+        orbit of ``base[j]`` under the generators that fix ``base[:j]``,
+        with ``t`` a product of them mapping ``base[j]`` to u (Sims 1970):
+        the generator that reached u composed with the representative of
+        the point it was reached from."""
+        base = self.base
+        # the generators of level j fix base[:j] and move base[j]
+        by_level = _by_level(base, zip(self.generators, self.supports))
+        movers: dict[int, list[Perm]] = {}
+        levels = []
+        for j in reversed(range(len(base))):
+            for g, support in by_level[j]:
+                _adjoin(movers, g, support)
+            representatives = {base[j]: identity_perm(self.degree)}
+            orbit = [base[j]]
+            for u in orbit:
+                for g in movers.get(u, ()):
+                    if g[u] not in representatives:
+                        representatives[g[u]] = compose(g, representatives[u])
+                        orbit.append(g[u])
+            levels.append([(u, representatives[u]) for u in orbit[1:]])
+        levels.reverse()
+        return levels
+
     def enumerate(self, cap: int = DEFAULT_CAP) -> PermGroup:
-        """The sorted element list, as products of transversals (Sims 1970).
+        """The sorted element list, as products of :meth:`transversals`.
 
         The exact order is checked against ``cap`` before anything is
         listed. From the deepest level up, the pointwise stabilizer of
@@ -473,26 +500,12 @@ class SGSGroup:
         order = self.order
         if order > cap:
             raise GroupCapError(f"group has {order} elements, cap is {cap}", cap=cap)
-        base = self.base
-        # the generators of level j fix base[:j] and move base[j]
-        by_level = _by_level(base, zip(self.generators, self.supports))
-        movers: dict[int, list[Perm]] = {}
         elements = [identity_perm(self.degree)]
-        for j in reversed(range(len(base))):
-            for g, support in by_level[j]:
-                _adjoin(movers, g, support)
-            # representatives[u] maps base[j] to u
-            representatives = {base[j]: identity_perm(self.degree)}
-            orbit = [base[j]]
-            for u in orbit:
-                for g in movers.get(u, ()):
-                    if g[u] not in representatives:
-                        representatives[g[u]] = compose(g, representatives[u])
-                        orbit.append(g[u])
+        for level in reversed(self.transversals()):
             previous = elements
             elements = previous[:]
-            for u in orbit[1:]:
-                elements.extend(map(itemgetter(*invert(representatives[u])), previous))
+            for _, t in level:
+                elements.extend(map(itemgetter(*invert(t)), previous))
         elements.sort()
         return PermGroup(self.degree, tuple(elements))
 
@@ -698,7 +711,7 @@ def _maps_edges_to_edges(graph: Graph, image, moved) -> bool:
     return all(image[u] in adjsets[image[x]] for x in moved for u in adjacency[x])
 
 
-def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup:
+def coset_search(graph: Graph, keys, parent: SGSGroup | None = None, order=None) -> SGSGroup:
     """The automorphisms preserving the vertex keys, by a partition
     backtrack that keeps one automorphism per coset (Sims 1970; Leon 1991).
 
@@ -706,8 +719,9 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup
     given a ``parent`` group preserving coarser keys that these refine,
     the parent's partition is split by them (:func:`_split`): the same
     cells, maybe in another order. A discrete partition gives the trivial
-    group at once. The points are taken in breadth-first order
-    from a vertex of a smallest class. The source path individualises and
+    group at once. The points are taken in ``order``, by default
+    breadth-first from a vertex of a smallest class. The source path
+    individualises and
     refines each point that is not yet a singleton, down to a discrete
     leaf; those points are the levels. The others need none: an
     automorphism fixing the points before such a point fixes it too, as
@@ -721,7 +735,9 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup
     is that same transposition, so the guess changes no generator, only
     the time. Every generator found at a level fixes the points before it
     and each level tries its whole cell, so the orbit lengths are exact.
-    The base is the levels whose orbit has more than one point.
+    The base is the levels whose orbit has more than one point, in the
+    points' order, so each base point's transversal fixes every point
+    before it in ``order``.
     """
     n = graph.n
     adjacency = graph.adjacency
@@ -729,13 +745,14 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None) -> SGSGroup
     lab, cell, end, cells = partition
     if cells == n:
         return SGSGroup(graph, partition, (), (), (), ())
-    order = [min(range(n), key=lambda v: end[cell[v]] - cell[v])]
-    seen = set(order)
-    for u in order:
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
+    if order is None:
+        order = [min(range(n), key=lambda v: end[cell[v]] - cell[v])]
+        seen = set(order)
+        for u in order:
+            for v in adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
     points = []
     path = []  # per level: the partition before its point is individualised
     splits = []  # per level: the splits made after individualising it

@@ -58,6 +58,20 @@ def partitions_with_classes(n: int, classes: int):
         labels[i + 1:] = [0] * (n - 1 - i - (classes - 1 - top)) + list(range(top + 1, classes))
 
 
+def first_asymmetric_mask(graph):
+    """Reference for the motion lemma's 2-colouring search: the first mask,
+    counting up from 0, whose 2-colouring gives vertex 0 the label 0 and
+    vertex i + 1 the label of bit i, and that no nontrivial automorphism
+    of :func:`brute_automorphisms` preserves; None if there is none."""
+    n = graph.n
+    nontrivial = [p for p in brute_automorphisms(graph) if p != identity_perm(n)]
+    for mask in range(2 ** (n - 1)):
+        labels = (0,) + tuple((mask >> i) & 1 for i in range(n - 1))
+        if not any(all(labels[p[v]] == labels[v] for v in range(n)) for p in nontrivial):
+            return mask
+    return None
+
+
 def group_of_elements(degree, elements) -> PermGroup:
     """The group of an element list, the identity added; raises
     ``ValueError`` on a tuple that is not a permutation of 0..degree-1.

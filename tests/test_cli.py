@@ -122,6 +122,34 @@ class TestColourCommand:
         code = main(["colour", "--family", "complete", "--n", "5", "--cap", "1"])
         assert code == 2
 
+    # no group has fewer than one element, so such a cap is bad input
+    @pytest.mark.parametrize(
+        "args,env,err",
+        [
+            (["--cap", "0"], {}, "asym: --cap must be >= 1, got 0\n"),
+            (["--cap", "-3"], {}, "asym: --cap must be >= 1, got -3\n"),
+            ([], {"ASYM_CAP": "0"}, "asym: ASYM_CAP must be >= 1, got 0\n"),
+        ],
+        ids=["flag-0", "flag-minus-3", "env-0"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["colour", "--family", "complete", "--n", "5"],
+            ["oracle", "{graph}", "motion"],
+            ["oracle", "{graph}", "motion-lemma"],
+        ],
+        ids=["colour", "motion", "motion-lemma"],
+    )
+    def test_cap_below_one_is_invalid_input(self, tmp_path, capsys, monkeypatch, command, args, env, err):
+        graph = write_graph(tmp_path, complete_graph(2))
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([a.format(graph=graph) for a in command] + args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("ASYM_CAP", "1")
         code = main(["colour", "--family", "complete", "--n", "5"])
@@ -465,6 +493,19 @@ class TestOracleCommand:
         path = write_graph(tmp_path, path_graph(5))
         assert main(["oracle", path, "motion-lemma"]) == 0
         assert "oracle.value colouring-found" in capsys.readouterr().out
+
+    def test_motion_lemma_answers_under_cap_1(self, tmp_path, capsys, monkeypatch):
+        # a transposition settles the motion of K2 and the 2-colouring is
+        # searched over a stabilizer chain, so nothing is listed
+        calls = count_listings(monkeypatch)
+        path = write_graph(tmp_path, complete_graph(2))
+        assert main(["oracle", path, "motion-lemma", "--cap", "1"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "oracle.value colouring-found" in lines
+        assert "oracle.colouring 1 2" in lines
+        assert captured.err == ""
+        assert calls == []
 
     def test_motion_lemma_hypothesis_fails(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(5))

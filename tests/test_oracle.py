@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from asymcolour import (
     cycle_graph,
     distinguishing_number,
     eccentricity,
+    grid_graph,
     interior_support_check,
     is_asymmetric,
     motion,
@@ -31,6 +33,7 @@ from asymcolour import (
     truncated_tree,
 )
 from asymcolour import oracle
+from asymcolour.symmetry import coset_search
 from asymcolour.errors import (
     AsymmetricGraphError,
     NoAsymmetricColouringError,
@@ -41,9 +44,12 @@ from .conftest import (
     break_construction_search,
     brute_automorphisms,
     connected_graphs,
+    first_asymmetric_mask,
     partitions_with_classes,
     vf2_automorphisms,
 )
+from .test_cli import count_listings
+from .test_colouring import hypercube
 from .test_larger_graphs import cube, petersen
 
 
@@ -121,6 +127,19 @@ class TestDistinguishingNumber:
         with pytest.raises(NoAsymmetricColouringError):
             distinguishing_number(complete_graph(4), max_colours=3)
 
+    # D(Q_d) = 2 for d >= 4 (Bogstad & Cowen 2004), past the 12-vertex
+    # guard of distinguishing_number: one class is refuted in 12, 24 and
+    # 48 prefixes, and two classes find a witness in 331, 41 and 87
+    @pytest.mark.parametrize("d,refuted,found", [(4, 12, 331), (5, 24, 41), (6, 48, 87)])
+    def test_hypercubes_need_two_colours(self, d, refuted, found):
+        g = hypercube(d)
+        assert oracle.distinguishing_witness(g, 1) is None
+        witness = oracle.distinguishing_witness(g, 2)
+        assert witness is not None and max(witness) == 1
+        assert is_asymmetric(g, witness)
+        assert oracle._asymmetric_partition(g, (1,)) == (None, refuted)
+        assert oracle._asymmetric_partition(g, (2,)) == (witness, found)
+
     def test_vertex_guard(self):
         with pytest.raises(SearchGuardError):
             distinguishing_number(path_graph(13))
@@ -153,55 +172,99 @@ class TestDistinguishingNumber:
             assert list(partitions_with_classes(n, n + 1)) == []
 
 
+def chain(graph, order):
+    """The stabilizer chain of a labelling order, as the oracles build it:
+    from the coset search of ``Aut(G)`` with the reversed order."""
+    return oracle._chain(coset_search(graph, [0] * graph.n, order=order[::-1]), order)
+
+
+# the labelling orders of dnumber and of the motion lemma's 2-colourings
+LABELLING_ORDERS = {"dnumber": lambda n: range(n), "motion-lemma": lambda n: range(n - 1, -1, -1)}
+
+
 class TestStabilizerChain:
-    @pytest.mark.parametrize("graph", [petersen(), cube(), complete_bipartite_graph(4, 4), cycle_graph(12)])
+    @pytest.mark.parametrize(
+        "graph", [petersen(), cube(), complete_bipartite_graph(4, 4), cycle_graph(12), path_graph(6)]
+    )
     def test_transversals_multiply_to_the_order(self, graph):
-        transversals = oracle._transversals(graph)
-        assert math.prod(len(level) + 1 for level in transversals) == automorphism_sgs(graph).order
-        for i, level in enumerate(transversals):
-            for u, t in level:
-                assert sorted(t) == list(range(graph.n))
-                assert t[i] == u
-                assert all(t[v] == v for v in range(i + 1, graph.n))
-                assert all(graph.has_edge(t[a], t[b]) for a in range(graph.n) for b in graph.adjacency[a])
+        for labelling, order_of in sorted(LABELLING_ORDERS.items()):
+            order = order_of(graph.n)
+            transversals = chain(graph, order)
+            assert math.prod(len(level) + 1 for level in transversals) == automorphism_sgs(graph).order, labelling
+            for k, level in enumerate(transversals):
+                for u, t in level:
+                    assert sorted(t) == list(range(graph.n))
+                    assert t[order[k]] == u
+                    assert all(t[v] == v for v in order[k + 1:])
+                    assert all(graph.has_edge(t[a], t[b]) for a in range(graph.n) for b in graph.adjacency[a])
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=6))
     def test_prefix_test_matches_bruteforce(self, g):
-        # every prefix over labels 0..2 whose shorter prefix survives, as
-        # the walk tests them
-        transversals = oracle._transversals(g)
+        # in each labelling order, every prefix over labels 0..2 whose
+        # shorter prefix survives, as the walk tests them; labels are
+        # indexed by vertex
         nontrivial = [p for p in brute_automorphisms(g) if p != tuple(range(g.n))]
-        surviving = [()]
-        while surviving:
-            prefix = surviving.pop()
-            if len(prefix) == g.n:
-                continue
-            for label in range(3):
-                labels = prefix + (label,)
-                i = len(prefix)
-                expected = any(
-                    all(p[v] == v for v in range(i + 1, g.n)) and all(labels[p[v]] == labels[v] for v in range(i + 1))
-                    for p in nontrivial
-                )
-                assert oracle._preserved(transversals, labels) == expected, labels
-                if not expected:
-                    surviving.append(labels)
+        for labelling, order_of in sorted(LABELLING_ORDERS.items()):
+            order = order_of(g.n)
+            transversals = chain(g, order)
+            surviving = [()]
+            while surviving:
+                prefix = surviving.pop()
+                if len(prefix) == g.n:
+                    continue
+                for label in range(3):
+                    k = len(prefix)
+                    by_vertex = dict(zip(order, prefix + (label,)))
+                    labels = [by_vertex.get(v) for v in range(g.n)]
+                    expected = any(
+                        all(p[v] == v for v in order[k + 1:])
+                        and all(labels[p[v]] == labels[v] for v in order[:k + 1])
+                        for p in nontrivial
+                    )
+                    assert oracle._preserved(transversals, order, labels, k) == expected, (labelling, prefix, label)
+                    if not expected:
+                        surviving.append(prefix + (label,))
 
 
-class TestSupportTable:
-    @settings(max_examples=80, deadline=None)
-    @given(connected_graphs(max_n=6), st.data())
-    def test_scan_matches_filtered_list_and_bruteforce(self, g, data):
-        labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n)))
-        group = automorphism_group(g)
-        scanned = oracle._preserving_automorphism(oracle._support_table(group), labels)
-        assert scanned == (group.stabilizer(labels).order > 1) == (len(brute_automorphisms(g, labels)) > 1)
+class TestMotionLemmaSearch:
+    """The motion lemma's 2-colouring is the first mask that a scan of whole
+    2-colourings against every brute-force automorphism accepts, and its
+    search space is that mask's rank."""
 
-    def test_fewest_moved_points_first(self):
-        # K4: 6 transpositions, then 8 three-cycles, then 9 elements moving all four
-        table = oracle._support_table(automorphism_group(complete_graph(4)))
-        assert [len(at((0, 1, 2, 3))) for at, _ in table] == [2] * 6 + [3] * 8 + [4] * 9
+    def test_matches_the_whole_mask_scan_on_the_atlas(self, corpus):
+        checked = 0
+        for canonical in corpus:
+            relabelled = random.Random(canonical.n).sample(range(canonical.n), canonical.n)
+            copy = build_graph(canonical.n, [(relabelled[u], relabelled[v]) for u, v in canonical.edges()])
+            for g in (canonical, copy):
+                try:
+                    report = motion_lemma_check(g)
+                except AsymmetricGraphError:
+                    continue
+                if report.value != "colouring-found":
+                    continue
+                mask = first_asymmetric_mask(g)
+                labels = [0] + [(mask >> i) & 1 for i in range(g.n - 1)]
+                assert report.details["colouring"] == " ".join(str(label + 1) for label in labels)
+                assert report.search_space == mask + 1
+                checked += 1
+        # the graphs, of the 1,992, whose motion hypothesis holds
+        assert checked == 758
+
+    @pytest.mark.parametrize(
+        "graph,examined,motion_value,order,colouring",
+        [
+            (path_graph(20), 2, 20, 2, "1 2" + " 1" * 18),
+            (cycle_graph(20), 12, 18, 40, "1 2 2 1 2 1" + " 1" * 14),
+            (grid_graph(4, 5), 2, 16, 4, "1 2" + " 1" * 18),
+        ],
+        ids=["path20", "cycle20", "grid4x5"],
+    )
+    def test_twenty_vertex_graphs(self, graph, examined, motion_value, order, colouring):
+        report = motion_lemma_check(graph)
+        assert (report.value, report.search_space) == ("colouring-found", examined)
+        assert report.details == {"motion": motion_value, "aut-order": order, "colouring": colouring}
 
 
 class TestMotion:
@@ -275,19 +338,36 @@ class TestMotionFromGenerators:
         assert report.search_space == len(elements) == oracle.automorphism_order(graph)
 
 
-def test_sparse_generators_settle_the_motion_without_a_listing(monkeypatch):
-    # the benchmark corpus at seed 0: three relabelled copies of every
-    # connected graph on at most 7 vertices. A generator moving 2 points
-    # settles the motion; only the other nontrivial groups are listed.
+def corpus_workload_graphs(monkeypatch):
+    """The graphs of the benchmark corpus at seed 0: three relabelled
+    copies of every connected graph on at most 7 vertices."""
     path = Path(__file__).parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    inputs = workloads.build_workload("corpus", 0).inputs
-    groups = [automorphism_sgs(parse_graph(i.text)) for i in inputs]
+    return [parse_graph(i.text) for i in workloads.build_workload("corpus", 0).inputs]
+
+
+def test_sparse_generators_settle_the_motion_without_a_listing(monkeypatch):
+    # A generator moving 2 points settles the motion; only the other
+    # nontrivial groups are listed.
+    groups = [automorphism_sgs(g) for g in corpus_workload_graphs(monkeypatch)]
     listed = [oracle._motion(group, DEFAULT_CAP)[1] is not None for group in groups if not group.is_trivial()]
-    assert (len(inputs), len(listed), sum(listed)) == (2988, 2529, 534)
+    assert (len(groups), len(listed), sum(listed)) == (2988, 2529, 534)
+
+
+def test_motion_lemma_lists_only_for_the_motion(monkeypatch):
+    # the 2-colouring search walks a stabilizer chain, so the only
+    # listings are the motion's own, one for each of the 534 groups above
+    graphs = corpus_workload_graphs(monkeypatch)
+    calls = count_listings(monkeypatch)
+    for g in graphs:
+        try:
+            motion_lemma_check(g)
+        except AsymmetricGraphError:
+            pass
+    assert len(calls) == 534
 
 
 class TestMotionLemma:
