@@ -30,7 +30,10 @@ a time from k down, that keeps only the branches that map each point to
 a point of the same label. ``dnumber`` labels 0..n-1 with restricted
 growth strings; the motion lemma labels n-1..0 with two labels and
 vertex 0 pinned, which is the order of the masks with vertex n-1 in the
-top bit.
+top bit. Before the search, ``dnumber`` (not the motion lemma) looks up
+the earlier twins of the k-th vertex (:func:`_twin_table`): one with the
+same label makes the transposition of the two such an element, so the
+prefix is dropped at once.
 The asymmetry, stabilizer-order and interior-support oracles list no
 elements: they read the same coset search's generating set of
 ``Aut(G, c)``, so they check the construction's groups by a route that
@@ -144,7 +147,29 @@ def _preserved(chain, order, labels, k: int) -> bool:
     return False
 
 
-def _first_asymmetric(chain, order, choices) -> tuple[tuple[int, ...] | None, int]:
+def _twin_table(graph: Graph, order) -> list[tuple[int, ...]]:
+    """For each position k of a labelling ``order``, the vertices before it
+    in the order that are twins of ``order[k]``: u and v with N(u)∖{v} =
+    N(v)∖{u}, so that the transposition ``(u v)`` is an automorphism.
+    Twins that are not adjacent share their open neighbourhood and
+    adjacent ones their closed neighbourhood, so the vertices are grouped
+    on both in one dict. An open neighbourhood never equals a closed one,
+    which would put a vertex in its own neighbourhood, so the two kinds of
+    key do not meet.
+    """
+    groups: dict[frozenset[int], list[int]] = {}
+    table = []
+    for v in order:
+        neighbours = graph._adjsets[v]
+        apart = groups.setdefault(neighbours, [])
+        adjacent = groups.setdefault(neighbours | {v}, [])
+        table.append(tuple(apart + adjacent))
+        apart.append(v)
+        adjacent.append(v)
+    return table
+
+
+def _first_asymmetric(chain, twins, order, choices) -> tuple[tuple[int, ...] | None, int]:
     """The first labelling, as labels indexed by vertex, that no nontrivial
     automorphism preserves, and the number of prefixes tested; None if
     every labelling is preserved.
@@ -158,6 +183,14 @@ def _first_asymmetric(chain, order, choices) -> tuple[tuple[int, ...] | None, in
     vertices, preserves it: that element preserves every completion, so
     the prefix is dropped with all of them (:func:`_preserved`). A full
     labelling that survives is preserved by no nontrivial element.
+
+    ``twins[k]`` lists vertices of ``order[:k]`` that are twins of
+    ``order[k]`` (:func:`_twin_table`; empty tuples turn the test off).
+    When one of them has the label just given, their transposition fixes
+    every vertex after position k, so lies in ``H_k``, is nontrivial and
+    keeps every label: :func:`_preserved` would say so, and the prefix is
+    dropped without the search. It still counts as tested, so the search
+    space, and what the walk returns, do not depend on the table.
     """
     n = len(order)
     labels = [0] * n
@@ -174,6 +207,9 @@ def _first_asymmetric(chain, order, choices) -> tuple[tuple[int, ...] | None, in
             tops.pop()
             continue
         tested += 1
+        # a twin of the same label: their transposition keeps every label
+        if twins[k] and label in map(labels.__getitem__, twins[k]):
+            continue
         labels[order[k]] = label
         # an empty level adds only the identity, so keeps nothing new
         if not (chain[k] and _preserved(chain, order, labels, k)):
@@ -189,10 +225,14 @@ def _asymmetric_partition(graph: Graph, class_counts) -> tuple[tuple[int, ...] |
     nontrivial automorphism preserves (None if there is none), and the
     number of prefixes tested. Partitions are restricted growth strings,
     labelled in the order 0..n-1: class labels appear in first-use order,
-    which quotients out colour renamings, so vertex 0 has label 0."""
+    which quotients out colour renamings, so vertex 0 has label 0.
+    Prefixes that give two twins one label are refuted by their
+    transposition (:func:`_twin_table`) before the chain is searched,
+    which changes no result and no count."""
     n = graph.n
     order = range(n)
     chain = _chain(coset_search(graph, [0] * n, order=order[::-1]), order)
+    twins = _twin_table(graph, order)
     tested = 0
     for classes in class_counts:
         if not 1 <= classes <= n:
@@ -204,7 +244,7 @@ def _asymmetric_partition(graph: Graph, class_counts) -> tuple[tuple[int, ...] |
             least = top + 1 if classes - 1 - top > n - 1 - k else 0
             return range(least, min(top + 1, classes - 1) + 1)
 
-        labels, count = _first_asymmetric(chain, order, choices)
+        labels, count = _first_asymmetric(chain, twins, order, choices)
         tested += count
         if labels is not None:
             return labels, tested
@@ -224,6 +264,9 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None) -> Oracl
     completion of it (:func:`_first_asymmetric`), so each partition is
     refuted or returned. The automorphisms are read from a stabilizer
     chain (:func:`_chain`) and never listed, so no element cap applies.
+    A prefix that gives two twins one colour is refuted by their
+    transposition, without a search of the chain; it is counted all the
+    same, so the search space is the number of prefixes tested either way.
     The search at c colours only runs after every (c-1)-class partition
     has been refuted, so the returned value is minimal by exhaustion.
     """
@@ -317,6 +360,11 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     is its rank, the masks a scan of whole 2-colourings tests. The
     hypothesis holding but the search failing would disprove a theorem,
     so that case raises an internal error instead of reporting.
+
+    The walk gets no twin table, unlike ``dnumber``'s. Twins make the
+    motion 2, and then the hypothesis holds only for ``|Aut| <= 2``, where
+    the walk is short already; building the table would cost every graph
+    that reaches the walk and save next to nothing.
     """
     start = time.perf_counter()
     n = graph.n
@@ -339,7 +387,9 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
         )
     labelling = range(n - 1, -1, -1)
     # vertex 0, labelled last, is pinned: swapping the two colours preserves asymmetry
-    witness, _ = _first_asymmetric(_chain(group, labelling), labelling, lambda k, top: range(2 if k < n - 1 else 1))
+    witness, _ = _first_asymmetric(
+        _chain(group, labelling), [()] * n, labelling, lambda k, top: range(2 if k < n - 1 else 1)
+    )
     if witness is None:
         raise InternalInvariantError("motion lemma hypothesis held but no 2-colouring was found")
     colouring = Colouring(tuple(numeric(label + 1) for label in witness))

@@ -83,7 +83,7 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Composition p after q: the result maps i to p[q[i]]."""
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def invert(p: Perm) -> Perm:

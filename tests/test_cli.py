@@ -444,7 +444,9 @@ class TestOracleCommand:
     # its five prefixes: 4 + 27 + 5 = 36. K7 and K(4,4) are labelled as in
     # the benchmark's dense workload; a search that tested every full
     # partition would count 877 and 3,488 there, and 104,765 on K(5,5),
-    # so these three pin the pruning. No element is listed.
+    # so these three pin the pruning. No element is listed. K(3,6) and
+    # K(6,6) count a prefix that gives two twins one label, which their
+    # transposition refutes without a search of the chain, as tested too.
     @pytest.mark.parametrize(
         "graph,value,examined",
         [
@@ -453,6 +455,8 @@ class TestOracleCommand:
             (complete_graph(7), 7, 84),
             (complete_bipartite_graph(4, 4), 5, 207),
             (complete_bipartite_graph(5, 5), 6, 1101),
+            (complete_bipartite_graph(3, 6), 6, 1187),
+            (complete_bipartite_graph(6, 6), 7, 7530),
         ],
     )
     def test_dnumber_search_space_counts_prefixes(self, tmp_path, capsys, monkeypatch, graph, value, examined):

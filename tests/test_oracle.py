@@ -44,6 +44,7 @@ from .conftest import (
     break_construction_search,
     brute_automorphisms,
     connected_graphs,
+    deadline,
     first_asymmetric_mask,
     partitions_with_classes,
     vf2_automorphisms,
@@ -63,6 +64,12 @@ def twin_interior_graph():
     """Two pendant twins hanging off vertex 1, plus a longer tail, so the
     twins sit strictly inside the radius-3 ball around vertex 0."""
     return build_graph(6, [(0, 1), (1, 2), (1, 3), (1, 4), (4, 5)])
+
+
+def relabelled_copy(graph):
+    """The graph under a fixed random relabelling, seeded by its order."""
+    relabelled = random.Random(graph.n).sample(range(graph.n), graph.n)
+    return build_graph(graph.n, [(relabelled[u], relabelled[v]) for u, v in graph.edges()])
 
 
 def test_rigid_graph_is_rigid():
@@ -143,6 +150,12 @@ class TestDistinguishingNumber:
     def test_vertex_guard(self):
         with pytest.raises(SearchGuardError):
             distinguishing_number(path_graph(13))
+
+    def test_truncated_tree_has_no_asymmetric_two_colouring(self):
+        # twin leaves refute most of the prefixes by a transposition
+        g = truncated_tree(4, 2)
+        assert oracle.distinguishing_witness(g, 2) is None
+        assert oracle._asymmetric_partition(g, (2,)) == (None, 191)
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_n=6))
@@ -227,6 +240,102 @@ class TestStabilizerChain:
                         surviving.append(prefix + (label,))
 
 
+def twin_transpositions(graph, order):
+    """For each position k of ``order``, the vertices before it whose
+    transposition with ``order[k]`` is an automorphism, by brute force."""
+    table = []
+    for k, v in enumerate(order):
+        found = []
+        for u in order[:k]:
+            swap = list(range(graph.n))
+            swap[u], swap[v] = v, u
+            if all(graph.has_edge(swap[a], swap[b]) for a, b in graph.edges()):
+                found.append(u)
+        table.append(tuple(found))
+    return table
+
+
+class TestTwinTable:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(max_n=7))
+    def test_matches_bruteforce(self, g):
+        for labelling, order_of in sorted(LABELLING_ORDERS.items()):
+            order = order_of(g.n)
+            assert oracle._twin_table(g, order) == twin_transpositions(g, order), labelling
+
+    @pytest.mark.parametrize(
+        "graph,has_twins",
+        [
+            (complete_bipartite_graph(2, 3), True),
+            (complete_graph(4), True),
+            (complete_bipartite_graph(1, 4), True),
+            (cycle_graph(4), True),
+            (path_graph(3), True),
+            (petersen(), False),
+        ],
+        ids=["K(2,3)", "K4", "K(1,4)", "C4", "P3", "petersen"],
+    )
+    def test_named_graphs_match_bruteforce(self, graph, has_twins):
+        for labelling, order_of in sorted(LABELLING_ORDERS.items()):
+            order = order_of(graph.n)
+            table = oracle._twin_table(graph, order)
+            assert table == twin_transpositions(graph, order), labelling
+            assert any(table) == has_twins, labelling
+
+    def test_twin_refutation_is_a_pure_fast_path(self, corpus, monkeypatch):
+        # with an empty table every prefix goes to the chain search, which
+        # must preserve each prefix the twin test would have dropped
+        unpatched = oracle._preserved
+        table = []
+        dropped = 0
+
+        def checked(chain, order, labels, k):
+            nonlocal dropped
+            preserved = unpatched(chain, order, labels, k)
+            if labels[order[k]] in [labels[u] for u in table[k]]:
+                assert preserved, (order, labels, k)
+                dropped += 1
+            return preserved
+
+        with deadline(10):
+            for canonical in corpus:
+                for g in (canonical, relabelled_copy(canonical)):
+                    counts = range(1, g.n + 1)
+                    fast = [oracle._asymmetric_partition(g, (classes,)) for classes in counts]
+                    table = oracle._twin_table(g, range(g.n))
+                    with monkeypatch.context() as patched:
+                        patched.setattr(oracle, "_twin_table", lambda graph, order: [()] * graph.n)
+                        patched.setattr(oracle, "_preserved", checked)
+                        assert [oracle._asymmetric_partition(g, (classes,)) for classes in counts] == fast
+        assert dropped > 0
+
+    # the walk's chain searches with the twin test (without it: 16, 77,
+    # 197, 1,089, 1,169 and 23); C5 has no twins, so it keeps every search
+    @pytest.mark.parametrize(
+        "graph,value,searches",
+        [
+            (complete_graph(4), 4, 6),
+            (complete_graph(7), 7, 21),
+            (complete_bipartite_graph(4, 4), 5, 72),
+            (complete_bipartite_graph(5, 5), 6, 338),
+            (complete_bipartite_graph(3, 6), 6, 252),
+            (cycle_graph(5), 3, 23),
+        ],
+        ids=["K4", "K7", "K(4,4)", "K(5,5)", "K(3,6)", "C5"],
+    )
+    def test_chain_searches(self, monkeypatch, graph, value, searches):
+        calls = []
+        unpatched = oracle._preserved
+
+        def counted(*args):
+            calls.append(args[-1])
+            return unpatched(*args)
+
+        monkeypatch.setattr(oracle, "_preserved", counted)
+        assert distinguishing_number(graph) == value
+        assert len(calls) == searches
+
+
 class TestMotionLemmaSearch:
     """The motion lemma's 2-colouring is the first mask that a scan of whole
     2-colourings against every brute-force automorphism accepts, and its
@@ -235,9 +344,7 @@ class TestMotionLemmaSearch:
     def test_matches_the_whole_mask_scan_on_the_atlas(self, corpus):
         checked = 0
         for canonical in corpus:
-            relabelled = random.Random(canonical.n).sample(range(canonical.n), canonical.n)
-            copy = build_graph(canonical.n, [(relabelled[u], relabelled[v]) for u, v in canonical.edges()])
-            for g in (canonical, copy):
+            for g in (canonical, relabelled_copy(canonical)):
                 try:
                     report = motion_lemma_check(g)
                 except AsymmetricGraphError:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -119,6 +120,17 @@ class TestPermOps:
     def test_inverse(self, p):
         assert compose(p, invert(p)) == identity_perm(5)
         assert compose(invert(p), p) == identity_perm(5)
+
+    def test_compose_matches_the_definition_at_small_degrees(self):
+        # every pair at degrees 1..5: degree 1 is where an itemgetter
+        # over q would return a bare int in place of a tuple
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(n)))
+            for p in perms:
+                assert compose(p, invert(p)) == identity_perm(n)
+                for q in perms:
+                    r = compose(p, q)
+                    assert type(r) is tuple and r == tuple(p[q[i]] for i in range(n)), (p, q)
 
     def test_format(self):
         assert format_permutation((2, 0, 1)) == "2 0 1"
