@@ -2,14 +2,17 @@
 
 Every group is ``Aut(G, c)`` for some vertex colouring ``c``, held by a
 base and a strong generating set (:class:`SGSGroup`), so the order is the
-product of the basic orbit lengths. Each group keeps the equitable
+product of the basic orbit lengths. A partition is one 4-tuple ``(lab,
+cell, end, cells)``, built one way: :func:`_split` splits a partition by
+vertex keys and refines only from the cells they split, every fragment
+but a largest one queued (Hopcroft 1971). Each group keeps the equitable
 partition its search started from, the coarsest one finer than ``c``
 (:func:`_equitable`). The groups come in chains, each ``Aut(G, c')`` for
-a ``c'`` finer than its parent's, so a search in a chain starts from the
-parent's partition split by the new keys and refines only from the cells
-they split (:func:`_split`); only the first group of a chain refines
-from scratch, from the classes of key and degree with a largest one left
-unqueued (Hopcroft 1971). Before either search looks for an automorphism
+a ``c'`` finer than its parent's, so a search in a chain splits the
+parent's partition by the new keys; the first group of a chain splits
+the unit partition by key and degree. Every search node's children are
+taken by :func:`_child`, which copies its node, individualises one vertex
+and refines from it. Before either search looks for an automorphism
 mapping a level's point ``b`` to a candidate image ``w``, it tries the
 twin first guess, the transposition ``(b w)`` (:func:`_twin_swap`), with
 its own leaf test: the swap is an automorphism exactly when ``b`` and
@@ -27,9 +30,8 @@ independent searches build one:
   automorphism per coset: its own point order, breadth-first unless the
   caller gives one, and Sims levels, and at every node an
   individualisation and a refinement, pruned when the splits differ from
-  its source path's. It shares the
-  construction's partition primitives (:func:`_equitable`,
-  :func:`_split`, :func:`_individualise`, :func:`_refine`) and the twin
+  its source path's. It shares the construction's partition primitives
+  (:func:`_equitable`, :func:`_split`, :func:`_child`) and the twin
   first guess, but none of its search. It completes each coset
   representative toward the identity, fixing every point a cell shares
   with the source's and trying the source point first, so its generators
@@ -196,32 +198,6 @@ class PermGroup:
         return self.subgroup(lambda p: all(keys[p[v]] == keys[v] for v in domain))
 
 
-def _initial_partition(colours):
-    """The colour classes as an ordered partition ``(lab, cell, end, starts)``.
-
-    Cells are the ranges ``lab[s:end[s]]`` and ``cell[v]`` is the start of
-    the cell holding ``v``. Classes appear in order of first appearance:
-    a search fixes this order once, and every colour-preserving bijection
-    maps each class onto itself, so the order need not be label-free.
-    """
-    classes: dict = {}
-    for v, colour in enumerate(colours):
-        classes.setdefault(colour, []).append(v)
-    n = len(colours)
-    lab: list[int] = []
-    cell = [0] * n
-    end = [0] * n
-    starts = []
-    for members in classes.values():
-        s = len(lab)
-        lab.extend(members)
-        for v in members:
-            cell[v] = s
-        end[s] = len(lab)
-        starts.append(s)
-    return lab, cell, end, starts
-
-
 def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list]:
     """Split cells by neighbour counts until the partition is equitable.
 
@@ -322,35 +298,37 @@ def _refine(adjacency, lab, cell, end, splitters, cells: int) -> tuple[int, list
 
 def _equitable(graph: Graph, keys):
     """The coarsest equitable partition finer than the vertex keys, as
-    ``(lab, cell, end, cells)``.
+    ``(lab, cell, end, cells)``: the unit partition :func:`_split` by the
+    pairs (key, degree).
 
-    The classes of :func:`_initial_partition` are those of the pairs
-    (key, degree), so each vertex of a class has as many neighbours in
-    the whole vertex set as any other: the partition is stable with
-    respect to it. Counts into a largest class then follow from counts
-    into the others, so :func:`_refine` starts from every class but that
-    one (Hopcroft 1971). For the root's colouring ``c_0`` that skips
-    counting the neighbours of the n - 1 other vertices.
+    The unit partition's one cell is the whole vertex set, and vertices
+    of equal degree have equal counts into it, as :func:`_split` needs.
+    So refinement starts from every (key, degree) class but a largest one
+    (Hopcroft 1971), in order of first appearance. For the root's
+    colouring ``c_0`` that skips counting the neighbours of the n - 1
+    other vertices.
     """
     adjacency = graph.adjacency
-    lab, cell, end, starts = _initial_partition([(keys[v], len(adjacency[v])) for v in range(graph.n)])
-    largest = max(starts, key=lambda s: end[s] - s)
-    added, _ = _refine(adjacency, lab, cell, end, [s for s in starts if s != largest], len(starts))
-    return lab, cell, end, len(starts) + added
+    n = graph.n
+    unit = (list(range(n)), [0] * n, [n] + [0] * (n - 1), 1)
+    return _split(graph, unit, [(keys[v], len(adjacency[v])) for v in range(n)])
 
 
 def _split(graph: Graph, partition, keys):
-    """The coarsest equitable partition finer than an equitable
-    ``partition`` and the vertex keys, as :func:`_equitable` gives it, but
-    refined only from the cells the keys split.
+    """The coarsest equitable partition finer than ``partition`` and the
+    vertex keys, refined only from the cells the keys split.
 
     The partition is copied, and each of its cells is split by the keys
     into fragments in order of first appearance. Every fragment but a
-    largest one is queued: as the partition is equitable, the vertices of
-    any one cell had equal counts into the split cell, so counts into the
-    left-out fragment follow from the others' (Hopcroft 1971). Fragments
-    stay where their cell was, so the cells are those of
-    :func:`_equitable`, not always in its order.
+    largest one is queued. That needs less than an equitable
+    ``partition``: two vertices that share a cell and a key must have
+    equal counts into every cell of ``partition``, so that no cell left
+    whole need be queued and counts into a left-out fragment follow from
+    counts into the others (Hopcroft 1971). An equitable partition meets
+    it, and so does the unit partition once the degree is part of the key
+    (:func:`_equitable`). Fragments stay where their cell was, so a
+    split of a group's partition has the cells :func:`_equitable` gives
+    the combined keys, not always in its order.
     """
     lab, cell, end, cells = partition
     lab, cell, end = lab[:], cell[:], end[:]
@@ -393,6 +371,18 @@ def _individualise(lab, cell, end, v) -> int:
     end[s] = e - 1
     end[e - 1] = e
     return e - 1
+
+
+def _child(adjacency, partition, v):
+    """The child of a search node: a copy of ``partition`` with ``v``
+    individualised and refined from that singleton, as ``(lab, cell, end,
+    cells)``, and the splits the refinement made. ``partition`` is left
+    as it was, so a search may keep every node of its path."""
+    lab, cell, end, cells = partition
+    lab, cell, end = lab[:], cell[:], end[:]
+    s = _individualise(lab, cell, end, v)
+    added, splits = _refine(adjacency, lab, cell, end, [s], cells + 1)
+    return (lab, cell, end, cells + 1 + added), splits
 
 
 def _target_cell(lab, end, s: int) -> int:
@@ -528,50 +518,49 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
     each cell of an equitable ``partition`` ``(lab, cell, end, cells)``,
     which it does not change.
 
-    The first path individualises the last vertex of the first
-    non-singleton cell until the partition is discrete; those vertices
-    are the base. Individualising the last vertex moves no other, so a
-    cell that refinement does not split gives its vertices to the base in
-    their order in ``partition``, which :func:`_split` keeps in every
-    fragment: a subgroup's search mostly takes its parent's base points
-    in the parent's order, and the parent's generators seed the levels
-    where they served. ``seeds`` are ``(generator, support)`` pairs
+    The first path takes the :func:`_child` that individualises the last
+    vertex of the first non-singleton cell until the partition is
+    discrete; those vertices are the base, and ``path`` keeps each node
+    with its target cell. Individualising the last vertex moves no other,
+    so a cell that refinement does not split gives its vertices to the
+    base in their order in ``partition``, which :func:`_split` keeps in
+    every fragment: a subgroup's search mostly takes its parent's base
+    points in the parent's order, and the parent's generators seed the
+    levels where they served. ``seeds`` are ``(generator, support)`` pairs
     already known to lie in the group, such as the generators of a parent
-    group that preserve the finer colouring; each is a candidate
-    generator of the level of the first base point it moves. From the deepest level
+    group that preserve the finer colouring; each is a candidate generator
+    of the level of the first base point it moves. From the deepest level
     up, a level first takes each of its seeds that grows the orbit of its
     base point under the generators found so far. Then each vertex ``w``
     of the level's target cell that the generators cannot reach from the
     base point ``b`` is tried. The twin first guess comes first: ``(b w)``
     keeps the cells, as ``w`` shares ``b``'s cell, and fixes the earlier
     base points, which are singletons there, so it is the level's
-    generator if :func:`_maps_edges_to_edges` passes it on its two
-    points, that is, if ``b`` and ``w`` are twins. Otherwise the subtree
-    of ``w`` is searched for a leaf that is an automorphic image of the
-    first leaf, pruning every node whose refinement splits differ from
-    the first path's. Every generator of level j fixes the base points
-    above j, and the search of each level is exhaustive, so the orbit
-    lengths are exact (Sims 1970).
+    generator if :func:`_maps_edges_to_edges` passes it on its two points,
+    that is, if ``b`` and ``w`` are twins. Otherwise the subtree of ``w``
+    is searched for a leaf that is an automorphic image of the first leaf,
+    pruning every node whose refinement splits differ from the first
+    path's. Every generator of level j fixes the base points above j, and
+    the search of each level is exhaustive, so the orbit lengths are exact
+    (Sims 1970).
     """
     n = graph.n
     adjacency = graph.adjacency
-    lab, cell, end, cells = partition
 
     path = []  # per level: the node's partition and its target cell
     splits = []  # per level: the splits made after individualising
     base = []
+    node = partition
     t = 0
-    while cells < n:
+    while node[3] < n:
+        lab, _, end, _ = node
         t = _target_cell(lab, end, t)
-        path.append((lab, cell, end, cells, t))
-        lab, cell, end = lab[:], cell[:], end[:]
+        path.append((node, t))
         v = lab[end[t] - 1]
         base.append(v)
-        s = _individualise(lab, cell, end, v)
-        added, made = _refine(adjacency, lab, cell, end, [s], cells + 1)
-        cells += 1 + added
+        node, made = _child(adjacency, node, v)
         splits.append(made)
-    leaf = lab
+    leaf = node[0]
 
     def keeps_edges(image, moved):
         return _maps_edges_to_edges(graph, image, moved)
@@ -582,7 +571,7 @@ def _search(graph: Graph, partition, seeds) -> SGSGroup:
     movers: dict[int, list[Perm]] = {}
     orbit_lengths = [1] * len(base)
     for level in reversed(range(len(base))):
-        plab, _, pend, _, t = path[level]
+        (plab, _, pend, _), t = path[level]
         b = base[level]
         # the generators of the deeper levels fix the base point
         orbit = {b}
@@ -674,23 +663,20 @@ def _automorphism_below(graph: Graph, path, splits, leaf, level: int, w: int):
     """
     n = graph.n
     adjacency = graph.adjacency
-    lab, cell, end, cells, t = path[level]
-    stack = [(lab, cell, end, cells, t, level, [w])]
+    node, t = path[level]
+    stack = [(node, t, level, [w])]
     while stack:
-        lab, cell, end, cells, t, depth, candidates = stack[-1]
+        node, t, depth, candidates = stack[-1]
         if not candidates:
             stack.pop()
             continue
-        v = candidates.pop()
-        clab, ccell, cend = lab[:], cell[:], end[:]
-        s = _individualise(clab, ccell, cend, v)
-        added, made = _refine(adjacency, clab, ccell, cend, [s], cells + 1)
+        child, made = _child(adjacency, node, candidates.pop())
         if made != splits[depth]:
             continue
-        ccells = cells + 1 + added
+        clab, _, cend, ccells = child
         if ccells < n:
             ct = _target_cell(clab, cend, t)
-            stack.append((clab, ccell, cend, ccells, ct, depth + 1, clab[ct:cend[ct]]))
+            stack.append((child, ct, depth + 1, clab[ct:cend[ct]]))
             continue
         image = [0] * n
         for x, y in zip(leaf, clab):
@@ -721,11 +707,12 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None, order=None)
     cells, maybe in another order. A discrete partition gives the trivial
     group at once. The points are taken in ``order``, by default
     breadth-first from a vertex of a smallest class. The source path
-    individualises and
-    refines each point that is not yet a singleton, down to a discrete
-    leaf; those points are the levels. The others need none: an
-    automorphism fixing the points before such a point fixes it too, as
-    it keeps the partition it is a singleton of. From the deepest level
+    takes the :func:`_child` of each point that is not yet a singleton,
+    down to a discrete leaf, and keeps every node: those points are the
+    levels, and :func:`_coset_representative` reads the source's node at
+    each depth. The others need none: an automorphism fixing the points
+    before such a point fixes it too, as it keeps the partition it is a
+    singleton of. From the deepest level
     up, each point ``w`` of the level's cell that the generators found so
     far do not reach from the level's point ``b`` is tried as its image,
     with the earlier points fixed: first by the twin first guess ``(b w)``,
@@ -742,7 +729,7 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None, order=None)
     n = graph.n
     adjacency = graph.adjacency
     partition = _equitable(graph, keys) if parent is None else _split(graph, parent.partition, keys)
-    lab, cell, end, cells = partition
+    _, cell, end, cells = partition
     if cells == n:
         return SGSGroup(graph, partition, (), (), (), ())
     if order is None:
@@ -756,16 +743,15 @@ def coset_search(graph: Graph, keys, parent: SGSGroup | None = None, order=None)
     points = []
     path = []  # per level: the partition before its point is individualised
     splits = []  # per level: the splits made after individualising it
+    node = partition
     for v in order:
+        _, cell, end, _ = node
         if end[cell[v]] - cell[v] > 1:
             points.append(v)
-            path.append((lab, cell, end, cells))
-            lab, cell, end = lab[:], cell[:], end[:]
-            s = _individualise(lab, cell, end, v)
-            added, made = _refine(adjacency, lab, cell, end, [s], cells + 1)
-            cells += 1 + added
+            path.append(node)
+            node, made = _child(adjacency, node, v)
             splits.append(made)
-    path.append((lab, cell, end, cells))
+    path.append(node)
     adjsets = graph._adjsets
 
     def keeps_edges(image, moved):
@@ -815,18 +801,16 @@ def _coset_representative(graph: Graph, points, path, splits, level: int, w: int
     map it tests first.
     """
     adjacency, adjsets = graph.adjacency, graph._adjsets
-    lab, cell, end, cells = path[level]
-    stack = [(lab, cell, end, cells, level, [w])]
+    stack = [(path[level], level, [w])]
     while stack:
-        lab, cell, end, cells, depth, candidates = stack[-1]
+        node, depth, candidates = stack[-1]
         if not candidates:
             stack.pop()
             continue
-        clab, ccell, cend = lab[:], cell[:], end[:]
-        s = _individualise(clab, ccell, cend, candidates.pop())
-        added, made = _refine(adjacency, clab, ccell, cend, [s], cells + 1)
+        child, made = _child(adjacency, node, candidates.pop())
         if made != splits[depth]:
             continue
+        clab, _, cend, _ = child
         slab, scell, send, _ = path[depth + 1]
         image, moved = _toward_identity(slab, clab, scell, send)
         if all(image[u] in adjsets[image[x]] for x in moved for u in adjacency[x]):
@@ -837,7 +821,7 @@ def _coset_representative(graph: Graph, points, path, splits, level: int, w: int
             following = [v for v in clab[t:cend[t]] if v != point]
             if len(following) < cend[t] - t:
                 following.append(point)
-            stack.append((clab, ccell, cend, cells + 1 + added, depth + 1, following))
+            stack.append((child, depth + 1, following))
     return None
 
 

@@ -269,13 +269,40 @@ def reference_refine(adjacency, lab, cell, end, splitters):
     return added, splits
 
 
+def colour_classes(colours):
+    """The colour classes as an ordered partition ``(lab, cell, end,
+    starts)``, in order of first appearance, with every class's start in
+    ``starts`` so that a refinement from them queues every class.
+
+    Cells are the ranges ``lab[s:end[s]]`` and ``cell[v]`` is the start of
+    the cell holding ``v``. Built apart from ``symmetry._split``, so the
+    full-queue reference does not share its start.
+    """
+    classes: dict = {}
+    for v, colour in enumerate(colours):
+        classes.setdefault(colour, []).append(v)
+    n = len(colours)
+    lab: list[int] = []
+    cell = [0] * n
+    end = [0] * n
+    starts = []
+    for members in classes.values():
+        s = len(lab)
+        lab.extend(members)
+        for v in members:
+            cell[v] = s
+        end[s] = len(lab)
+        starts.append(s)
+    return lab, cell, end, starts
+
+
 def equitable_classes(graph, colours) -> list[int]:
     """The coarsest equitable partition finer than the colouring (1-WL).
 
     ``result[v]`` is a class id; automorphisms preserving the colouring
     preserve the classes.
     """
-    lab, cell, end, starts = symmetry._initial_partition(colours)
+    lab, cell, end, starts = colour_classes(colours)
     symmetry._refine(graph.adjacency, lab, cell, end, starts, len(starts))
     return cell
 

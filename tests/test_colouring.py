@@ -52,6 +52,7 @@ from .conftest import (
     fix_one_vertex_per_block,
     induced_keys,
     reference_fixing_set,
+    replace,
 )
 
 
@@ -484,16 +485,22 @@ class TestRun:
         assert len(searched) == expected
 
     @pytest.mark.parametrize("degree", [3, 4, 5])
-    @pytest.mark.parametrize("horizon,radius", [(1, 2), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("horizon,radius", [(k, r) for r in (1, 2, 3) for k in range(r + 1)])
     def test_the_ball_colouring_does_not_depend_on_the_truncation(self, degree, horizon, radius):
         # prefix stability: truncating the tree one sphere further out
         # leaves the colours of B_K, K the horizon, as they were; the trees
-        # are numbered breadth first, so B_K is the same vertices in both
+        # are numbered breadth first, so B_K is the same vertices in both.
+        # Each step record is the same too, but for the running
+        # stabilizer's order, which counts automorphisms acting outside B_K
+        def without_orders(step):
+            return replace(step, inner=tuple(replace(rec, stabilizer_order=None) for rec in step.inner))
+
         with deadline(10):
-            near, _ = run(truncated_tree(degree, radius), 0, horizon)
-            far, _ = run(truncated_tree(degree, radius + 1), 0, horizon)
+            near, near_trace = run(truncated_tree(degree, radius), 0, horizon)
+            far, far_trace = run(truncated_tree(degree, radius + 1), 0, horizon)
         inner = ball(truncated_tree(degree, radius), 0, horizon)
         assert [near.colours[v] for v in inner] == [far.colours[v] for v in inner]
+        assert list(map(without_orders, near_trace.steps)) == list(map(without_orders, far_trace.steps))
 
     @pytest.mark.parametrize(
         "graph,expected",

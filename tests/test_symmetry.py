@@ -44,6 +44,7 @@ from asymcolour.symmetry import (
 from .conftest import (
     CountedRows,
     brute_automorphisms,
+    colour_classes,
     connected_graphs,
     count_coset_nodes,
     count_subtree_searches,
@@ -302,10 +303,10 @@ class TestColouredAutomorphisms:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(connected_graphs(max_n=10), SYMMETRIC_GRAPHS).filter(lambda g: len(set(map(len, g.adjacency))) > 1), st.data())
     def test_equitable_leaves_a_largest_class_unqueued(self, g, data):
-        # the searches' own refinement from scratch starts from the
-        # classes of (key, degree) and queues all of them but a largest
-        # one; two keys on a graph that is not regular give key classes
-        # of mixed degrees
+        # the searches' own refinement from scratch splits the unit
+        # partition into the classes of (key, degree) and queues all of
+        # them but a largest one; two keys on a graph that is not regular
+        # give key classes of mixed degrees
         keys = data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
         lab, cell, end, cells = symmetry._equitable(g, keys)
         assert same_partition(cell, naive_colour_refinement(g, keys))
@@ -316,24 +317,27 @@ class TestColouredAutomorphisms:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(connected_graphs(max_n=8), SYMMETRIC_GRAPHS), st.data())
     def test_refinement_that_stops_when_discrete_matches_the_full_queue(self, g, data):
-        # on the colour classes, and after individualising each vertex of a
-        # non-singleton cell of the equitable result, as the searches do
+        # on the colour classes, and for the child of the equitable result
+        # that individualises each vertex of a non-singleton cell, as the
+        # searches take every child
         colours = data.draw(st.lists(st.integers(0, g.n), min_size=g.n, max_size=g.n))
-
-        def refine(lab, cell, end, splitters, cells):
-            full = lab[:], cell[:], end[:]
-            found = symmetry._refine(g.adjacency, lab, cell, end, splitters, cells)
-            assert found == reference_refine(g.adjacency, *full, splitters)
-            assert (lab, cell, end) == full
-            return cells + found[0]
-
-        lab, cell, end, starts = symmetry._initial_partition(colours)
-        cells = refine(lab, cell, end, starts, len(starts))
+        lab, cell, end, starts = colour_classes(colours)
+        full = lab[:], cell[:], end[:]
+        found = symmetry._refine(g.adjacency, lab, cell, end, starts, len(starts))
+        assert found == reference_refine(g.adjacency, *full, starts)
+        assert (lab, cell, end) == full
+        parent = (lab, cell, end, len(starts) + found[0])
+        before = (lab[:], cell[:], end[:], parent[3])
         for v in range(g.n):
             if end[cell[v]] - cell[v] > 1:
+                child, splits = symmetry._child(g.adjacency, parent, v)
+                # every search keeps its nodes, so the child is a copy
+                assert parent == before
                 clab, ccell, cend = lab[:], cell[:], end[:]
                 s = symmetry._individualise(clab, ccell, cend, v)
-                refine(clab, ccell, cend, [s], cells + 1)
+                added, made = reference_refine(g.adjacency, clab, ccell, cend, [s])
+                assert child == (clab, ccell, cend, parent[3] + 1 + added)
+                assert splits == made
 
     @pytest.mark.parametrize(
         "g,v,queue_rest,discrete",
