@@ -19,12 +19,27 @@ keys are kept per step and extended index by index: each index appends
 one partition's block colours. They are rebuilt from the c_k keys when a
 replayed recolouring changes the least colour of an earlier partition,
 which fails ``induced-colours-stable``, or when a reordered trace takes
-an earlier index again, so on any trace they equal the definition. One
-index per partition, built once per step, tells which of its blocks
-holds a vertex. The checks on the replayed colours read only the blocks
-that hold a recoloured vertex, since every other block is still all
-``numeric(1)``. The
-construction takes the same groups as stabilizers of the sphere's own
+an earlier index again, so on any trace they equal the definition.
+
+Each step pays only for what it changes. One pass over its partitions
+checks their nesting and class sizes, finds the first one the c_k group
+does not permute, and builds one index per partition that tells which of
+its blocks holds a vertex; a partition equal to the one before it shares
+that index and those answers. While nothing has been recoloured, every
+block is all ``numeric(1)``: the running keys append ``numeric(1)`` per
+block, and no block is read for its colours. An inner record with no
+fixing blocks recolours nothing, so it settles ``fixing-halves-parent``,
+``recolour-deltas-match`` and ``induced-colours-stable`` without reading
+a block; after a recolouring, the checks on the replayed colours read
+only the blocks that hold a recoloured vertex. A group without
+generators has one-point orbits, preserves every key and fixes every
+block, so its block tests and orbit scans are not run. Details are
+formatted when first read. A malformed record fails its check instead
+of raising: a partition vertex in no block of the partition before, a
+fixing block outside the next sphere, a split without chunk colours, an
+inner index outside the partitions.
+
+The construction takes the same groups as stabilizers of the sphere's own
 colours, so the two agree only if its reasoning holds. Every group is
 taken by one rule (:func:`_stabilizer`): when its keys refine the keys
 of the group before it (``c_{k-1}``'s, or the previous inner index's
@@ -44,6 +59,7 @@ a failed check.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .colouring import (
     Colour,
@@ -51,6 +67,7 @@ from .colouring import (
     FAR,
     ROOT,
     RefinementTrace,
+    barred,
     ceil_sqrt,
     colour_bound,
     initial_colouring,
@@ -59,15 +76,27 @@ from .colouring import (
 from .graphs import Graph, Record, distances
 from .symmetry import PermGroup, coset_search, moved_block, orbits, permutes_blocks, preserves
 
+# the colour every vertex of the next sphere starts a step's replay at, and
+# the running-key entry of a block of that colour
+_ONE = numeric(1)
+_ONE_KEY = (_ONE,)
+
 
 def induced_colouring(colours, partition) -> tuple[Colour, ...]:
     """Per-block colour: the minimum vertex colour in each block."""
     return tuple(min(colours[v] for v in block) for block in partition)
 
 
-class CheckResult(Record):
+class _Deferred(Record):
+    """The slot of a check detail that is formatted on its first read."""
+
+    __slots__ = ("_format",)
+
+
+class CheckResult(_Deferred):
     """One check's verdict; unlike the other records it stays mutable,
-    so it has no hash."""
+    so it has no hash. The audit builds most details with :func:`_later`,
+    which leaves ``detail`` unset until it is first read."""
 
     __slots__ = ("name", "step", "passed", "detail")
     __setattr__ = object.__setattr__
@@ -80,9 +109,30 @@ class CheckResult(Record):
         self.passed = passed
         self.detail = detail
 
+    def __getattr__(self, attr):
+        # reached only for an unset slot
+        if attr != "detail":
+            raise AttributeError(attr)
+        template, *args = self._format
+        self.detail = template.format(*args)
+        return self.detail
+
     def label(self) -> str:
         where = f" (step {self.step})" if self.step is not None else ""
         return f"{self.name}{where}"
+
+
+def _later(name: str, step: int | None, passed: bool, *detail) -> CheckResult:
+    """A check whose detail, ``template.format(*args)`` for ``detail =
+    (template, *args)``, is formatted when it is first read. The args are
+    taken now, so a later change to the variables they came from does not
+    reach the text."""
+    check = object.__new__(CheckResult)
+    check.name = name
+    check.step = step
+    check.passed = passed
+    check._format = detail
+    return check
 
 
 def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[CheckResult]:
@@ -111,53 +161,76 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
     # from k to k+1 only the recoloured vertices and sphere k+1 can change
     wrong_root: set[int] = set()
     wrong_far: set[int] = set()
+    touched = range(graph.n)
     keys = group = None
     for k in range(len(trace.steps) + 1):
-        touched = range(graph.n)
         if k > 0:
-            # c_{k-1} is c_k with the old colours of the recoloured sphere
-            recoloured = trace.steps[k - 1].final_sphere_colours
-            ok_restrict = all(dist[v] >= k or colours[v] == colour for v, colour in recoloured)
-            checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
-            for v, colour in recoloured:
+            # c_{k-1} is c_k with the old colours of the recoloured sphere.
+            # Sphere k is touched at every k; an honest step recolours it
+            # alone, so a recoloured vertex joins touched only from elsewhere
+            ok_restrict = True
+            touched = spheres[k]
+            for v, colour in trace.steps[k - 1].final_sphere_colours:
+                if dist[v] != k:
+                    if dist[v] < k and colours[v] != colour:
+                        ok_restrict = False
+                    touched = touched + [v]
                 colours[v] = colour
-            touched = [v for v, _ in recoloured] + spheres[k]
+            checks.append(CheckResult("inner-ball-preserved", k, ok_restrict))
         # an automorphism preserving c_k fixes the uniquely coloured root (see
         # root-colour-unique), so it preserves the distance from the root too
         previous, keys = keys, list(zip(colours, dist))
         before, group = group, _stabilizer(graph, keys, previous, group)
         if k < len(trace.stabilizer_orders):
             recorded = trace.stabilizer_orders[k]
-            detail = f"recomputed order {group.order}, trace says {recorded}"
-            checks.append(CheckResult("stabilizer-order-recorded", k, group.order == recorded, detail))
+            checks.append(
+                _later(
+                    "stabilizer-order-recorded",
+                    k,
+                    group.order == recorded,
+                    "recomputed order {}, trace says {}",
+                    group.order,
+                    recorded,
+                )
+            )
         for v in touched:
-            wrong_root.discard(v)
-            wrong_far.discard(v)
             if (colours[v] == ROOT) != (v == root):
                 wrong_root.add(v)
+            else:
+                wrong_root.discard(v)
             if (colours[v] == FAR) != (dist[v] > k):
                 wrong_far.add(v)
+            else:
+                wrong_far.discard(v)
         checks.append(CheckResult("root-colour-unique", k, not wrong_root))
         checks.append(CheckResult("far-matches-distance", k, not wrong_far))
         # the group keeps the distance from the root, so the ball's orbits
         # are its spheres' orbits; a group kept from k-1 keeps its largest
-        if group is not before:
-            largest = max(map(len, orbits(group, ball)), default=0)
-        sphere_orbits = orbits(group, spheres[k])
-        largest = max([largest, *map(len, sphere_orbits)])
+        if not group.generators:
+            # every orbit is one point, and the ball holds the root
+            sphere_orbits = tuple((v,) for v in spheres[k])
+            largest = 1
+        else:
+            if group is not before:
+                largest = max(map(len, orbits(group, ball)), default=0)
+            sphere_orbits = orbits(group, spheres[k])
+            largest = max([largest, *map(len, sphere_orbits)])
         ball += spheres[k]
         checks.append(
-            CheckResult(
+            _later(
                 "ball-orbits-small",
                 k,
                 largest <= chunk_cap,
-                f"largest orbit {largest} > ceil(sqrt({delta})) = {chunk_cap}",
+                "largest orbit {} > ceil(sqrt({})) = {}",
+                largest,
+                delta,
+                chunk_cap,
             )
         )
         if k > 0:
             checks.append(CheckResult("stabilizer-monotone", k, preserves(group, previous)))
         if k < len(trace.steps):
-            checks.extend(_audit_step(graph, trace.steps[k], sphere_orbits, keys, group, delta))
+            _audit_step(checks, graph, trace.steps[k], sphere_orbits, keys, group, delta)
 
     checks.append(
         CheckResult(
@@ -181,38 +254,46 @@ def audit_run(graph: Graph, trace: RefinementTrace, final: Colouring) -> list[Ch
     used = {c for c in final.colours if c != FAR}
     max_numeric, barred_values = final.max_numeric(), final.barred_values()
     checks.append(
-        CheckResult(
-            "colour-count",
-            None,
-            len(used) <= budget.total,
-            f"{len(used)} distinct colours, bound {budget.total:g}",
+        _later(
+            "colour-count", None, len(used) <= budget.total, "{} distinct colours, bound {:g}", len(used), budget.total
         )
     )
     checks.append(
-        CheckResult(
+        _later(
             "max-numeric",
             None,
             max_numeric <= budget.numeric,
-            f"max numeric {max_numeric}, bound {budget.numeric:g}",
+            "max numeric {}, bound {:g}",
+            max_numeric,
+            budget.numeric,
         )
     )
     checks.append(
-        CheckResult(
+        _later(
             "barred-palette",
             None,
             all(b <= chunk_cap for b in barred_values),
-            f"barred values {sorted(barred_values)} exceed {chunk_cap}",
+            "barred values {} exceed {}",
+            sorted(barred_values),
+            chunk_cap,
         )
     )
     return checks
 
 
-def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
+def _audit_step(checks, graph, step, sphere_orbits, keys, stabilizer, delta):
     """Recheck step k against ``stabilizer``, the group of c_k that the
     pass of :func:`audit_run` at k took, by the vertex keys ``keys``,
-    (colour, distance from the root), that the running stabilizers extend.
-    ``sphere_orbits`` are that group's orbits on sphere k."""
-    checks: list[CheckResult] = []
+    (colour, distance from the root), that the running stabilizers extend,
+    and append the results to ``checks``. ``sphere_orbits`` are that
+    group's orbits on sphere k.
+
+    A step pays for what it changes. While no inner record has recoloured
+    a vertex, every block is all ``numeric(1)``: no block is read for its
+    colours, and an inner record with no fixing blocks settles its three
+    recolouring checks without reading one. A group without generators
+    fixes every block, so the block tests are not called for it.
+    """
     k = step.k
     chunk_cap = ceil_sqrt(delta)
 
@@ -225,37 +306,47 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
         )
     )
 
+    # one pass over the partitions: partitions-nested, class-sizes, the
+    # first partition the stabilizer does not permute, and index[j][v], the
+    # block of partition j that holds v. A partition equal to the one
+    # before it shares its index and its answers.
     partitions = step.partitions
-    # index[j][v] is the block of partition j that holds v
-    index = [{v: b for b, block in enumerate(blocks) for v in block} for blocks in partitions]
-    expected_first = (step.next_sphere,) if step.next_sphere else ()
-    ok_first = partitions[0] == expected_first
-    ok_nested = True
-    for i in range(1, len(partitions)):
-        for block in partitions[i]:
-            if len({index[i - 1][v] for v in block}) != 1:
-                ok_nested = False
-    checks.append(CheckResult("partitions-nested", k, ok_first and ok_nested))
-
-    oversized_ok = True
+    nested = partitions[:1] == ((step.next_sphere,) if step.next_sphere else (),)
+    sizes_ok = True
+    permuted = len(partitions)
+    index: list[dict[int, int]] = []
+    at: dict[int, int] = {}
+    large = 0
     for i, blocks in enumerate(partitions):
-        large = [b for b in blocks if len(b) > delta]
-        if i == len(partitions) - 1 and large:
-            oversized_ok = False
-        if len(large) > 1:
-            oversized_ok = False
-    checks.append(CheckResult("class-sizes", k, oversized_ok))
-
+        if i == 0 or blocks != partitions[i - 1]:
+            outer, at = at, {}
+            large = 0
+            for b, block in enumerate(blocks):
+                if len(block) > delta:
+                    large += 1
+                for v in block:
+                    at[v] = b
+                if i and nested:
+                    parent = outer.get(block[0]) if block else None
+                    if parent is None or any(outer.get(v) != parent for v in block):
+                        nested = False
+            if large > 1:
+                sizes_ok = False
+            if permuted == len(partitions) and stabilizer.generators and not permutes_blocks(stabilizer, blocks):
+                permuted = i
+        index.append(at)
+    checks.append(CheckResult("partitions-nested", k, nested))
+    # large now counts the finest partition's oversized blocks
+    checks.append(CheckResult("class-sizes", k, sizes_ok and not large))
     # the running stabilizers are taken by vertex keys, which is sound only
     # for partitions whose blocks every element of the stabilizer permutes
-    unpermuted = (i for i, blocks in enumerate(partitions) if not permutes_blocks(stabilizer, blocks))
-    permuted = next(unpermuted, len(partitions))
     checks.append(
-        CheckResult(
+        _later(
             "stabilizer-permutes-partitions",
             k,
             permuted == len(partitions),
-            f"a stabilizer generator does not permute the blocks of partition {permuted}",
+            "a stabilizer generator does not permute the blocks of partition {}",
+            permuted,
         )
     )
 
@@ -263,36 +354,34 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
     # kept from the previous inner index's group or searched; the chain
     # starts at c_k's keys and group
     running_keys, running = keys, stabilizer
-    state = {v: numeric(1) for v in step.next_sphere}
+    state = dict.fromkeys(step.next_sphere, _ONE)
     # the vertices the replay has recoloured, and how often
     recolour_counts: dict[int, int] = {}
     size_cap = math.ceil(3 * chunk_cap / 2)
     # least[j][b] is the least colour under state of block b of partition
-    # j. The blocks of a well-formed partition hold only vertices of the
-    # next sphere, which the replay starts at numeric(1), and only a block
-    # holding a recoloured vertex changes its least colour. The running
-    # keys hold the least colours of partitions 0..keyed-1.
-    least = [[numeric(1)] * len(blocks) for blocks in partitions]
+    # j, built at the first recolouring: until then every block is all
+    # numeric(1), the colour the replay starts the next sphere at, and a
+    # block outside it reads as numeric(1) too. Only a block holding a
+    # recoloured vertex changes its least colour. The running keys hold the
+    # least colours of partitions 0..keyed-1.
+    least = None
     keyed = 0
-
-    def monochromatic(i):
-        """Whether every block of partition i has one colour. A block that
-        holds no recoloured vertex is still all ``numeric(1)``, so only the
-        blocks that hold one are read."""
-        read = {index[i][v] for v in recolour_counts if v in index[i]}
-        return all(len({state[v] for v in partitions[i][b]}) == 1 for b in read)
 
     for rec in step.inner:
         i = rec.index
+        where = f"inner {i}"
+        has_partition = 0 <= i < len(partitions)
         checks.append(
             CheckResult(
                 "acting-orbit-match",
                 k,
-                rec.acting_orbit == step.orbit_list[rec.index],
-                f"inner {rec.index}",
+                0 <= i < len(step.orbit_list) and rec.acting_orbit == step.orbit_list[i],
+                where,
             )
         )
-        if i >= permuted:
+        if not has_partition:
+            gamma_tilde, order = None, f"none (no partition {i})"
+        elif i >= permuted:
             gamma_tilde, order = None, "none (the stabilizer does not permute the partitions)"
         else:
             # every running key extends the c_k key, so a trivial c_k group
@@ -301,121 +390,144 @@ def _audit_step(graph, step, sphere_orbits, keys, stabilizer, delta):
             # key is its c_k key and the least colour of each block holding
             # it in partitions 0..i. They are rebuilt from the c_k keys
             # (keyed = 0) when an earlier partition's least colour changed.
-            if not stabilizer.is_trivial():
+            if stabilizer.generators:
                 # an earlier index again, which only a reordered trace has
                 if i + 1 < keyed:
                     keyed = 0
                 extended = (running_keys if keyed else keys)[:]
                 for j in range(keyed, i + 1):
-                    for block, colour in zip(partitions[j], least[j]):
-                        for v in block:
-                            extended[v] += (colour,)
+                    if least is None:
+                        for block in partitions[j]:
+                            for v in block:
+                                extended[v] += _ONE_KEY
+                    else:
+                        for block, colour in zip(partitions[j], least[j]):
+                            for v in block:
+                                extended[v] += (colour,)
                 keyed = i + 1
                 running, running_keys = _stabilizer(graph, extended, running_keys, running), extended
             gamma_tilde, order = running, running.order
         checks.append(
-            CheckResult(
+            _later(
                 "running-stabilizer-order",
                 k,
                 order == rec.stabilizer_order,
-                f"inner {rec.index}: recomputed {order}, trace says {rec.stabilizer_order}",
+                "{}: recomputed {}, trace says {}",
+                where,
+                order,
+                rec.stabilizer_order,
             )
         )
 
-        blocks_i = partitions[rec.index]
-        checks.append(CheckResult("blocks-monochromatic", k, monochromatic(i), f"inner {rec.index}"))
-
-        fixes = gamma_tilde is not None and moved_block(gamma_tilde, blocks_i) is None
-        checks.append(CheckResult("running-stabilizer-fixes-blocks", k, fixes, f"inner {rec.index}"))
-
+        blocks_i = partitions[i] if has_partition else ()
+        index_i = index[i] if has_partition else {}
         checks.append(
             CheckResult(
-                "fixing-set-size",
+                "blocks-monochromatic",
                 k,
-                len(rec.fixing_blocks) <= size_cap and len(rec.fixing_blocks) <= rec.size_bound,
-                f"inner {rec.index}: {len(rec.fixing_blocks)} picks, caps {size_cap} and {rec.size_bound:g}",
+                not recolour_counts or _monochromatic(blocks_i, index_i, state, recolour_counts),
+                where,
             )
         )
+        fixes = gamma_tilde is not None and (not gamma_tilde.generators or moved_block(gamma_tilde, blocks_i) is None)
+        checks.append(CheckResult("running-stabilizer-fixes-blocks", k, fixes, where))
 
-        halving = not blocks_i or all(len(block) <= len(blocks_i[index[i][block[0]]]) / 2 for block in rec.fixing_blocks)
-        checks.append(CheckResult("fixing-halves-parent", k, halving, f"inner {rec.index}"))
+        fixing = rec.fixing_blocks
+        checks.append(
+            _later(
+                "fixing-set-size",
+                k,
+                len(fixing) <= size_cap and len(fixing) <= rec.size_bound,
+                "{}: {} picks, caps {} and {:g}",
+                where,
+                len(fixing),
+                size_cap,
+                rec.size_bound,
+            )
+        )
+        if not fixing:
+            # nothing is recoloured, so no block changes its colour
+            checks.append(CheckResult("fixing-halves-parent", k, True, where))
+            checks.append(CheckResult("recolour-deltas-match", k, not rec.recoloured, where))
+            checks.append(CheckResult("induced-colours-stable", k, True, where))
+            continue
+
+        # a fixing block must lie in a block of partition i
+        halving = not blocks_i or all(
+            block and block[0] in index_i and len(block) <= len(blocks_i[index_i[block[0]]]) / 2 for block in fixing
+        )
+        checks.append(CheckResult("fixing-halves-parent", k, halving, where))
 
         # every offset is positive, so the replay changes exactly the
-        # vertices of the fixing blocks
-        before = {v: state[v] for block in rec.fixing_blocks for v in block}
-        for offset, block in enumerate(rec.fixing_blocks, start=1):
+        # vertices of the fixing blocks; one outside the next sphere is
+        # not replayed, and its record cannot match
+        before: dict[int, Colour] = {}
+        inside = True
+        for offset, block in enumerate(fixing, start=1):
             for v in block:
+                if v not in state:
+                    inside = False
+                    continue
+                before.setdefault(v, state[v])
                 state[v] = numeric(state[v].value + offset)
                 recolour_counts[v] = recolour_counts.get(v, 0) + 1
         replayed = {(v, colour, state[v]) for v, colour in before.items()}
-        checks.append(
-            CheckResult(
-                "recolour-deltas-match",
-                k,
-                replayed == set(rec.recoloured),
-                f"inner {rec.index}",
-            )
-        )
+        checks.append(CheckResult("recolour-deltas-match", k, inside and replayed == set(rec.recoloured), where))
 
         # only a block holding a recoloured vertex can change its least colour
+        if least is None:
+            least = [[_ONE] * len(blocks) for blocks in partitions]
         induced_ok = True
-        for j, b in {(j, at[v]) for v in before for j, at in enumerate(index) if v in at}:
-            colour = min(state[u] for u in partitions[j][b])
+        for j, b in {(j, at_j[v]) for v in before for j, at_j in enumerate(index) if v in at_j}:
+            colour = min(state.get(u, _ONE) for u in partitions[j][b])
             if colour != least[j][b]:
                 least[j][b] = colour
                 induced_ok = induced_ok and j > i
                 if j < keyed:
                     keyed = 0
-        checks.append(CheckResult("induced-colours-stable", k, induced_ok, f"inner {rec.index}"))
+        checks.append(CheckResult("induced-colours-stable", k, induced_ok, where))
 
-    if partitions[-1]:
-        checks.append(CheckResult("blocks-monochromatic", k, monochromatic(len(partitions) - 1), "finest partition"))
+    if partitions and partitions[-1]:
+        mono = not recolour_counts or _monochromatic(partitions[-1], index[-1], state, recolour_counts)
+        checks.append(CheckResult("blocks-monochromatic", k, mono, "finest partition"))
 
     limit = 1 + math.log2(delta)
-    checks.append(
-        CheckResult(
-            "recolour-count-cap",
-            k,
-            all(count <= limit for count in recolour_counts.values()),
-            f"max recolour count {max(recolour_counts.values(), default=0)}, cap {limit:g}",
-        )
-    )
+    most = max(recolour_counts.values(), default=0)
+    checks.append(_later("recolour-count-cap", k, most <= limit, "max recolour count {}, cap {:g}", most, limit))
 
-    split_ok = True
-    seen_blocks = []
+    # the first chunk keeps the block's replayed colour and the others take
+    # barred(1), barred(2), ...: distinct colours, as the replay's are
+    # numeric
+    finest = partitions[-1] if partitions else ()
+    split_ok = tuple(split.block for split in step.splits) == finest
     for split in step.splits:
-        seen_blocks.append(split.block)
-        flat = tuple(v for chunk in split.chunks for v in chunk)
-        if flat != split.block:
+        chunks, chunk_colours = split.chunks, split.chunk_colours
+        if (
+            not split.block
+            or tuple(chain.from_iterable(chunks)) != split.block
+            or len(chunk_colours) != len(chunks)
+            or max(map(len, chunks)) > chunk_cap
+            or chunk_colours[0] != state.get(split.block[0], _ONE)
+            or chunk_colours[1:] != tuple(map(barred, range(1, len(chunks))))
+        ):
             split_ok = False
-        if any(len(chunk) > chunk_cap for chunk in split.chunks):
-            split_ok = False
-        if len(split.chunk_colours) != len(split.chunks):
-            split_ok = False
-        if split.chunk_colours[0] != state[split.block[0]]:
-            split_ok = False
-        for b, colour in enumerate(split.chunk_colours[1:], start=1):
-            if colour.kind != "barred" or colour.value != b:
-                split_ok = False
-        if len(set(split.chunk_colours)) != len(split.chunk_colours):
-            split_ok = False
-    if tuple(seen_blocks) != partitions[-1]:
-        split_ok = False
     checks.append(CheckResult("final-split", k, split_ok))
 
-    final_state = dict(state)
     for split in step.splits:
         for chunk, colour in zip(split.chunks, split.chunk_colours):
             for v in chunk:
-                final_state[v] = colour
-    checks.append(
-        CheckResult(
-            "sphere-colours-match",
-            k,
-            tuple((v, final_state[v]) for v in step.next_sphere) == step.final_sphere_colours,
-        )
-    )
-    return checks
+                state[v] = colour
+    sphere_colours = tuple(zip(step.next_sphere, map(state.__getitem__, step.next_sphere)))
+    checks.append(CheckResult("sphere-colours-match", k, sphere_colours == step.final_sphere_colours))
+
+
+def _monochromatic(blocks, index, state, recoloured) -> bool:
+    """Whether every block has one colour under ``state``, where
+    ``index[v]`` is the block that holds v. A block that holds no
+    recoloured vertex is still all ``numeric(1)``, so only the blocks that
+    hold one are read."""
+    read = {index[v] for v in recoloured if v in index}
+    return all(len({state.get(u, _ONE) for u in blocks[b]}) == 1 for b in read)
 
 
 def _stabilizer(graph, keys, previous, group):

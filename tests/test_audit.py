@@ -1,6 +1,8 @@
 """The audit must reject tampered runs, not just accept honest ones."""
 
+import pickle
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -50,6 +52,71 @@ def test_each_check_name_comes_in_step_order(graph):
     for name, seen in steps.items():
         if seen != [None]:
             assert seen == sorted(seen), name
+
+
+# the checks made once per inner record, once per step, once per k (the
+# first two from k = 1 on) and once per audit; blocks-monochromatic also
+# runs once per step on the finest partition
+INNER_CHECKS = (
+    "acting-orbit-match",
+    "running-stabilizer-order",
+    "blocks-monochromatic",
+    "running-stabilizer-fixes-blocks",
+    "fixing-set-size",
+    "fixing-halves-parent",
+    "recolour-deltas-match",
+    "induced-colours-stable",
+)
+STEP_CHECKS = (
+    "orbits-match",
+    "partitions-nested",
+    "class-sizes",
+    "stabilizer-permutes-partitions",
+    "recolour-count-cap",
+    "final-split",
+    "sphere-colours-match",
+)
+K_CHECKS = (
+    "inner-ball-preserved",
+    "stabilizer-monotone",
+    "stabilizer-order-recorded",
+    "root-colour-unique",
+    "far-matches-distance",
+    "ball-orbits-small",
+)
+FINAL_CHECKS = ("replay-matches-result", "final-stabilizer-elements", "colour-count", "max-numeric", "barred-palette")
+
+
+def expected_places(trace) -> Counter:
+    """How many results each (check name, step) must have in the audit of
+    an honest trace."""
+    expected = Counter()
+    for k in range(len(trace.steps) + 1):
+        for name in K_CHECKS[0 if k else 2 :]:
+            expected[name, k] += 1
+    for step in trace.steps:
+        for name in STEP_CHECKS:
+            expected[name, step.k] += 1
+        for name in INNER_CHECKS:
+            expected[name, step.k] += len(step.inner)
+        expected["blocks-monochromatic", step.k] += 1
+    for name in FINAL_CHECKS:
+        expected[name, None] += 1
+    if trace.final_stabilizer is None:
+        del expected["final-stabilizer-elements", None]
+    return expected
+
+
+def test_every_check_runs_at_every_place(corpus):
+    # a fast path that settles a check must still report it, once per
+    # record, step, k or audit
+    graphs = [truncated_tree(4, 2), cycle_graph(7), *(g for g in corpus if g.n <= 6)]
+    for graph in graphs:
+        colouring, trace = run(graph, 0)
+        checks = audit.audit_run(graph, trace, colouring)
+        assert audit.all_passed(checks)
+        assert Counter((c.name, c.step) for c in checks) == expected_places(trace)
+    assert len({name for name, _ in expected_places(run(truncated_tree(4, 2), 0)[1])}) == 26
 
 
 def test_audit_holds_one_colouring_at_a_time():
@@ -432,6 +499,95 @@ def test_detects_a_block_straddling_two_blocks_of_the_partition_before():
     tampered = replace(trace, steps=(trace.steps[0], bad_step))
     checks = audit.audit_run(graph, tampered, colouring)
     assert [(c.step, c.detail) for c in checks if c.name == "partitions-nested" and not c.passed] == [(1, "")]
+
+
+def audit_with_step(graph, forge):
+    """The audit of the run of ``graph`` from vertex 0 with step 1 replaced
+    by ``forge(step 1)``, its failed checks as (name, step, detail), and
+    whether it made as many checks as the honest audit."""
+    colouring, trace = run(graph, 0)
+    tampered = replace(trace, steps=(trace.steps[0], forge(trace.steps[1])) + trace.steps[2:])
+    checks = audit.audit_run(graph, tampered, colouring)
+    failed = [(c.name, c.step, c.detail) for c in checks if not c.passed]
+    return failed, len(checks) == len(audit.audit_run(graph, trace, colouring))
+
+
+def test_a_partition_vertex_in_no_block_before_fails_nesting():
+    # the root joins the last block of step 1's partition 1; partition 0,
+    # sphere 2, does not hold it
+    def forge(step):
+        blocks = step.partitions[1]
+        assert blocks == ((4, 5), (6, 7, 8, 9))
+        return replace(step, partitions=(step.partitions[0], blocks[:-1] + (blocks[-1] + (0,),), *step.partitions[2:]))
+
+    failed, complete = audit_with_step(truncated_tree(3, 2), forge)
+    assert ("partitions-nested", 1, "") in failed
+    assert complete
+
+
+def test_a_fixing_block_outside_the_next_sphere_fails_the_deltas():
+    def forge(step):
+        return replace(step, inner=(replace(step.inner[0], fixing_blocks=((0,),)),) + step.inner[1:])
+
+    failed, complete = audit_with_step(truncated_tree(4, 2), forge)
+    assert ("recolour-deltas-match", 1, "inner 0") in failed
+    assert complete
+
+
+def test_a_split_without_chunk_colours_fails_the_split():
+    def forge(step):
+        return replace(step, splits=(replace(step.splits[0], chunk_colours=()),) + step.splits[1:])
+
+    failed, complete = audit_with_step(truncated_tree(3, 2), forge)
+    assert ("final-split", 1, "") in failed
+    assert complete
+
+
+def test_an_inner_index_past_the_partitions_fails_the_acting_orbit():
+    def forge(step):
+        assert len(step.partitions) == 4
+        return replace(step, inner=(replace(step.inner[0], index=4),) + step.inner[1:])
+
+    failed, complete = audit_with_step(truncated_tree(3, 2), forge)
+    assert ("acting-orbit-match", 1, "inner 4") in failed
+    assert complete
+
+
+def test_details_name_their_own_inner_index():
+    # the details are formatted when read, after the audit has moved on to
+    # later records; each still names its own index and values. The size
+    # bounds print by {:g}, so 0.0 reads "0".
+    def forge(step):
+        first, second = step.inner[:2]
+        return replace(
+            step,
+            inner=(
+                replace(first, stabilizer_order=5, size_bound=0.0),
+                replace(second, stabilizer_order=7, size_bound=-0.5),
+                *step.inner[2:],
+            ),
+        )
+
+    failed, _ = audit_with_step(truncated_tree(4, 2), forge)
+    pinned = ("running-stabilizer-order", "fixing-set-size")
+    assert [(name, step, detail) for name, step, detail in failed if name in pinned] == [
+        ("running-stabilizer-order", 1, "inner 0: recomputed 2592, trace says 5"),
+        ("fixing-set-size", 1, "inner 0: 1 picks, caps 3 and 0"),
+        ("running-stabilizer-order", 1, "inner 1: recomputed 1296, trace says 7"),
+        ("fixing-set-size", 1, "inner 1: 0 picks, caps 3 and -0.5"),
+    ]
+
+
+def test_deferred_details_compare_pickle_and_print_like_given_ones():
+    # each audit below is read first by the operation under test, so its
+    # details are still unformatted when it starts
+    graph = truncated_tree(4, 2)
+    colouring, trace = run(graph, 0)
+    given = [audit.CheckResult(c.name, c.step, c.passed, c.detail) for c in audit.audit_run(graph, trace, colouring)]
+    assert audit.audit_run(graph, trace, colouring) == given
+    assert pickle.loads(pickle.dumps(audit.audit_run(graph, trace, colouring))) == given
+    assert repr(audit.audit_run(graph, trace, colouring)) == repr(given)
+    assert [replace(c) for c in audit.audit_run(graph, trace, colouring)] == given
 
 
 def test_detects_a_vertex_recoloured_more_often_than_the_cap():
