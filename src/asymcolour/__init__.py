@@ -30,7 +30,6 @@ from .colouring import (
 )
 from .audit import induced_colouring
 from .graphs import (
-    FamilySpec,
     Graph,
     ball,
     build_graph,

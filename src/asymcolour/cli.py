@@ -49,7 +49,7 @@ from .errors import (
     InternalInvariantError,
     NotAPartitionActionError,
 )
-from .graphs import FamilySpec, generate_family, parse_graph
+from .graphs import FAMILIES, generate_family, parse_graph
 from .symmetry import DEFAULT_CAP, chain_length_bound
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     colour = sub.add_parser("colour", help="run the construction and audit the result")
     source = colour.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="graph file in adjacency-list format")
-    source.add_argument("--family", choices=FamilySpec.FAMILIES, help="built-in graph family")
+    source.add_argument("--family", choices=FAMILIES, help="built-in graph family")
     colour.add_argument("--degree", type=int, help="tree family: degree")
     colour.add_argument("--radius", type=int, help="tree family: truncation radius")
     colour.add_argument("--n", type=int, help="family size parameter")
@@ -149,8 +149,9 @@ def cmd_colour(args) -> int:
     if args.input:
         graph = _load_graph_file(args.input)
     else:
-        spec = FamilySpec(args.family, degree=args.degree, radius=args.radius, n=args.n, m=args.m, w=args.w, h=args.h)
-        graph = generate_family(spec)
+        graph = generate_family(
+            args.family, degree=args.degree, radius=args.radius, n=args.n, m=args.m, w=args.w, h=args.h
+        )
     colouring, trace = run(graph, args.root, args.horizon, bound_mode=args.bound_mode, cap=cap)
     checks = audit.audit_run(graph, trace, colouring)
     asymmetric = oracle.is_asymmetric(graph, colouring)

@@ -2,8 +2,10 @@
 
 Vertices are dense integers 0..n-1. All graph values are immutable after
 construction and every function here is pure, so values can be shared
-freely. Family generators number vertices deterministically (breadth-first
-from the root for trees) so that repeated runs are bit-reproducible.
+freely. Family builders number vertices deterministically (breadth-first
+from the root for trees) so that repeated runs are bit-reproducible. One
+table, ``FAMILY_TABLE``, holds each family's builder, parameters and edge
+count, and ``generate_family`` builds a family by name from it.
 """
 
 from __future__ import annotations
@@ -156,74 +158,24 @@ def _check_connected(n: int, neighbours) -> None:
         raise DisconnectedError(f"graph is disconnected (vertex {missing} unreachable from 0)")
 
 
-class FamilySpec(Record):
-    """Parameters for one of the built-in graph families.
-
-    tree(degree, radius) is the degree-regular tree truncated at the given
-    distance from the root: the root has `degree` children, every other
-    internal vertex has `degree - 1` children, and all leaves sit at the
-    truncation distance.
-    """
-
-    __slots__ = ("family", "degree", "radius", "n", "m", "w", "h")
-
-    FAMILIES = ("tree", "cycle", "path", "complete", "complete_bipartite", "grid")
-
-    def __init__(
-        self,
-        family: str,
-        degree: int | None = None,
-        radius: int | None = None,
-        n: int | None = None,
-        m: int | None = None,
-        w: int | None = None,
-        h: int | None = None,
-    ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "h", h)
-        if self.family not in self.FAMILIES:
-            raise GraphStructureError(f"unknown family {self.family!r}")
-        checks = {
-            "tree": [("degree", self.degree, 2), ("radius", self.radius, 1)],
-            "cycle": [("n", self.n, 3)],
-            "path": [("n", self.n, 1)],
-            "complete": [("n", self.n, 1)],
-            "complete_bipartite": [("m", self.m, 1), ("n", self.n, 1)],
-            "grid": [("w", self.w, 1), ("h", self.h, 1)],
-        }[self.family]
-        for name, value, low in checks:
-            if value is None or value < low:
-                raise GraphStructureError(f"{self.family} requires {name} >= {low}, got {value}")
-
-
-def generate_family(spec: FamilySpec) -> Graph:
-    """Build a graph from a family spec with canonical vertex numbering."""
-    if spec.family == "tree":
-        return truncated_tree(spec.degree, spec.radius)
-    if spec.family == "cycle":
-        return cycle_graph(spec.n)
-    if spec.family == "path":
-        return path_graph(spec.n)
-    if spec.family == "complete":
-        return complete_graph(spec.n)
-    if spec.family == "complete_bipartite":
-        return complete_bipartite_graph(spec.m, spec.n)
-    return grid_graph(spec.w, spec.h)
+def _check(family: str, *values) -> None:
+    """Raise unless each of the family's parameters, given in table
+    order, is at least its least value."""
+    for (name, low), value in zip(FAMILY_TABLE[family][1].items(), values):
+        if value is None or value < low:
+            raise GraphStructureError(f"{family} requires {name} >= {low}, got {value}")
 
 
 def truncated_tree(degree: int, radius: int) -> Graph:
-    """The degree-regular tree truncated at the given radius, BFS-numbered."""
-    spec = FamilySpec("tree", degree=degree, radius=radius)
+    """The degree-regular tree truncated at the given radius, BFS-numbered:
+    the root has `degree` children, every other internal vertex has
+    `degree - 1` children, and all leaves sit at distance `radius`."""
+    _check("tree", degree, radius)
     edges = []
     next_id = 1
     frontier = [0]
-    for depth in range(spec.radius):
-        children_per_vertex = spec.degree if depth == 0 else spec.degree - 1
+    for depth in range(radius):
+        children_per_vertex = degree if depth == 0 else degree - 1
         new_frontier = []
         for parent in frontier:
             for _ in range(children_per_vertex):
@@ -235,30 +187,30 @@ def truncated_tree(degree: int, radius: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    FamilySpec("cycle", n=n)
+    _check("cycle", n)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return build_graph(n, edges, family_tag=f"cycle({n})")
 
 
 def path_graph(n: int) -> Graph:
-    FamilySpec("path", n=n)
+    _check("path", n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)], family_tag=f"path({n})")
 
 
 def complete_graph(n: int) -> Graph:
-    FamilySpec("complete", n=n)
+    _check("complete", n)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return build_graph(n, edges, family_tag=f"complete({n})")
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
-    FamilySpec("complete_bipartite", m=m, n=n)
+    _check("complete_bipartite", m, n)
     edges = [(i, m + j) for i in range(m) for j in range(n)]
     return build_graph(m + n, edges, family_tag=f"complete_bipartite({m},{n})")
 
 
 def grid_graph(w: int, h: int) -> Graph:
-    FamilySpec("grid", w=w, h=h)
+    _check("grid", w, h)
     edges = []
     for r in range(h):
         for c in range(w):
@@ -268,6 +220,47 @@ def grid_graph(w: int, h: int) -> Graph:
             if r + 1 < h:
                 edges.append((v, v + w))
     return build_graph(w * h, edges, family_tag=f"grid({w},{h})")
+
+
+def _tree_edges(degree: int, radius: int) -> int:
+    """Edges of tree(degree, radius), summed level by level until past
+    FAMILY_EDGE_LIMIT, so a huge radius costs no big power."""
+    edges, level = 0, degree
+    for _ in range(radius):
+        edges += level
+        if edges > FAMILY_EDGE_LIMIT:
+            break
+        level *= degree - 1
+    return edges
+
+
+# family: (builder, its parameters in the builder's order with their
+# least values, its edge count from the same parameters)
+FAMILY_TABLE = {
+    "tree": (truncated_tree, {"degree": 2, "radius": 1}, _tree_edges),
+    "cycle": (cycle_graph, {"n": 3}, lambda n: n),
+    "path": (path_graph, {"n": 1}, lambda n: n - 1),
+    "complete": (complete_graph, {"n": 1}, lambda n: n * (n - 1) // 2),
+    "complete_bipartite": (complete_bipartite_graph, {"m": 1, "n": 1}, lambda m, n: m * n),
+    "grid": (grid_graph, {"w": 1, "h": 1}, lambda w, h: (w - 1) * h + w * (h - 1)),
+}
+FAMILIES = tuple(FAMILY_TABLE)
+FAMILY_EDGE_LIMIT = 10**5
+
+
+def generate_family(family: str, **params) -> Graph:
+    """Build the named family from its parameters in ``params``, ignoring
+    any others. A graph above FAMILY_EDGE_LIMIT edges is refused before
+    anything is built; the builders themselves take any size."""
+    if family not in FAMILY_TABLE:
+        raise GraphStructureError(f"unknown family {family!r}")
+    builder, floors, edge_count = FAMILY_TABLE[family]
+    values = [params.get(name) for name in floors]
+    _check(family, *values)
+    if edge_count(*values) > FAMILY_EDGE_LIMIT:
+        tag = f"{family}({','.join(map(str, values))})"
+        raise GraphStructureError(f"{tag} has more than {FAMILY_EDGE_LIMIT} edges, the limit for a built-in family")
+    return builder(*values)
 
 
 def distances(graph: Graph, root: int) -> list[int]:

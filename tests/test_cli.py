@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from asymcolour import (
 from asymcolour import cli, oracle
 from asymcolour.cli import main
 from asymcolour.errors import NotAPartitionActionError
+from asymcolour.graphs import FAMILIES, FAMILY_TABLE
 
 from .conftest import break_construction_search, deadline, drop_fixing_sets, fix_one_vertex_per_block, paley
 
@@ -91,6 +93,32 @@ class TestColourCommand:
     def test_invalid_family_params(self, capsys):
         code = main(["colour", "--family", "tree", "--degree", "1", "--radius", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_parameter_is_a_flag(self, family):
+        for name in FAMILY_TABLE[family][1]:
+            args = cli._build_parser().parse_args(["colour", "--family", family, f"--{name}", "7"])
+            assert getattr(args, name) == 7
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_oversized_family_is_refused_unbuilt(self, family, tmp_path, capsys):
+        # every parameter at 10**9: a build would not finish
+        out = tmp_path / "c.txt"
+        flags = [arg for name in FAMILY_TABLE[family][1] for arg in (f"--{name}", str(10**9))]
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = main(["colour", "--family", family, *flags, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"asym: {family}(") and "more than 100000 edges" in captured.err
+        assert peak < 1 << 20 and elapsed < 1.0
 
     def test_bad_graph_file(self, tmp_path, capsys):
         path = tmp_path / "bad.adj"

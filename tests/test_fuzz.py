@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from asymcolour import parse_colouring, parse_graph
 from asymcolour.cli import ORACLE_QUANTITIES, main
-from asymcolour.graphs import FamilySpec
+from asymcolour.graphs import FAMILIES, FAMILY_TABLE
 
 TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["b:1", "b:0", "inf", "#", "x", "1_0", "+1", "\u0661", "b:+1"]))
 LINES = st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=8)
@@ -98,8 +98,11 @@ def test_colour_and_oracle_reject_a_malformed_graph_in_one_line(graph_text, quan
 # every numeric option is drawn from -3..3 or left out. Family sizes stay
 # small on purpose: larger ones test the search's cost, not the guards.
 # coloured_automorphisms(tree(7,4)) alone took 180 s with a 125 MiB
-# tracemalloc peak (one run, tracing on, 2-vCPU Xeon VM)
+# tracemalloc peak (one run, tracing on, 2-vCPU Xeon VM). The colour
+# options may also be 10**9, which every family refuses unbuilt
 NUMBERS = st.one_of(st.none(), st.integers(-3, 3))
+COLOUR_NUMBERS = st.one_of(st.none(), st.sampled_from([*range(-3, 4), 10**9]))
+FAMILY_PARAMETERS = sorted({name for _, floors, _ in FAMILY_TABLE.values() for name in floors})
 
 
 def options(values):
@@ -117,10 +120,8 @@ def exits_with_a_documented_code(argv):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(FamilySpec.FAMILIES),
-    st.fixed_dictionaries(
-        {name: NUMBERS for name in ("degree", "radius", "n", "m", "w", "h", "root", "horizon", "cap")}
-    ),
+    st.sampled_from(FAMILIES),
+    st.fixed_dictionaries({name: COLOUR_NUMBERS for name in (*FAMILY_PARAMETERS, "root", "horizon", "cap")}),
 )
 def test_colour_numeric_options_exit_with_a_documented_code(family, values):
     exits_with_a_documented_code(["colour", "--family", family, *options(values)])

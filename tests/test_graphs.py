@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from asymcolour import (
-    FamilySpec,
     ball,
     build_graph,
     complete_bipartite_graph,
@@ -28,6 +27,7 @@ from asymcolour.errors import (
     SelfLoopError,
     VertexRangeError,
 )
+from asymcolour.graphs import FAMILIES, FAMILY_EDGE_LIMIT, FAMILY_TABLE
 
 from .conftest import connected_graphs
 
@@ -112,8 +112,10 @@ class TestFamilies:
         assert g.edge_count == 7
 
     def test_generate_family_dispatch(self):
-        assert generate_family(FamilySpec("cycle", n=5)) == cycle_graph(5)
-        assert generate_family(FamilySpec("tree", degree=3, radius=2)) == truncated_tree(3, 2)
+        assert generate_family("cycle", n=5) == cycle_graph(5)
+        assert generate_family("tree", degree=3, radius=2, n=7, w=-1) == truncated_tree(3, 2)
+        with pytest.raises(GraphStructureError, match="^unknown family 'nonesuch'$"):
+            generate_family("nonesuch", n=3)
 
     @pytest.mark.parametrize(
         "spec_kwargs",
@@ -128,7 +130,40 @@ class TestFamilies:
     )
     def test_invalid_family_params(self, spec_kwargs):
         with pytest.raises(GraphStructureError):
-            FamilySpec(**spec_kwargs)
+            generate_family(**spec_kwargs)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generate_family_is_the_builder(self, family):
+        builder, floors, edge_count = FAMILY_TABLE[family]
+        values = [low + 1 for low in floors.values()]
+        graph = generate_family(family, **dict(zip(floors, values)))
+        assert graph == builder(*values)
+        assert graph.family_tag == builder(*values).family_tag
+        assert graph.edge_count == edge_count(*values)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_below_floor_gives_one_message(self, family):
+        builder, floors, _ = FAMILY_TABLE[family]
+        for i, (name, low) in enumerate(floors.items()):
+            values = [value + 1 if j != i else value - 1 for j, value in enumerate(floors.values())]
+            with pytest.raises(GraphStructureError) as from_builder:
+                builder(*values)
+            with pytest.raises(GraphStructureError) as from_table:
+                generate_family(family, **dict(zip(floors, values)))
+            message = f"{family} requires {name} >= {low}, got {low - 1}"
+            assert str(from_builder.value) == str(from_table.value) == message
+        with pytest.raises(GraphStructureError, match=f"requires {next(iter(floors))} >= .*, got None$"):
+            generate_family(family)
+
+    def test_the_limit_admits_exactly_its_edge_count(self):
+        assert generate_family("path", n=FAMILY_EDGE_LIMIT + 1).edge_count == FAMILY_EDGE_LIMIT
+        with pytest.raises(GraphStructureError) as refused:
+            generate_family("path", n=FAMILY_EDGE_LIMIT + 2)
+        assert str(refused.value) == "path(100002) has more than 100000 edges, the limit for a built-in family"
+        # a degree-2 tree is a path of 2 * radius edges, counted level by level
+        tree_edges = FAMILY_TABLE["tree"][2]
+        assert tree_edges(2, FAMILY_EDGE_LIMIT // 2) == FAMILY_EDGE_LIMIT
+        assert tree_edges(2, FAMILY_EDGE_LIMIT // 2 + 1) > FAMILY_EDGE_LIMIT
 
 
 class TestMetric:

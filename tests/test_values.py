@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import asymcolour
-from asymcolour import FamilySpec, colour_bound, numeric, run, truncated_tree
+from asymcolour import colour_bound, numeric, run, truncated_tree
 from asymcolour.audit import CheckResult
 from asymcolour.oracle import OracleReport
 
@@ -27,7 +27,6 @@ def samples():
         (step.splits[0], "chunk_colours", (numeric(9),)),
         (step, "k", 7),
         (trace, "final_stabilizer", ()),
-        (FamilySpec("cycle", n=5), "n", 6),
         (CheckResult("final-split", 1, True), "passed", False),
         (OracleReport("motion", 4, 10, 0.0), "details", {"radius": 2}),
     ]
