@@ -2,7 +2,12 @@
 
 Subcommands: ``colour`` runs the construction and self-audits, ``verify``
 checks a colouring file for asymmetry, ``oracle`` computes exhaustive
-quantities, ``bound`` prints the closed-form bounds.
+quantities, ``bound`` prints the closed-form bounds. One table,
+``ORACLE_TABLE``, maps each oracle quantity to its report call and marks
+the two that read the cap; ``oracle`` times that one call, and its
+``oracle.elapsed`` line is the only timing any output holds. Graph and
+colouring files are read by one reader, so an unreadable file of either
+kind is reported as ``cannot read PATH``.
 
 Exit codes: 0 success (all checks pass), 1 invalid input, a malformed
 command line or a guard violation, 2 group cap exceeded, 3 a bug
@@ -31,6 +36,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import audit, oracle
@@ -61,7 +67,17 @@ EXIT_NOT_ASYMMETRIC = 4
 # exceptions that signal a bug, never bad input; each exits 3
 BUG_SURFACE = (InternalInvariantError, NotAPartitionActionError, DomainNotInvariantError, RecursionError)
 
-ORACLE_QUANTITIES = ("motion", "dnumber", "autorder", "motion-lemma", "interior-support")
+# quantity: (its report from the graph g, the parsed arguments and the
+# cap, whether it reads the cap). Only the two scans that may list
+# elements read the cap
+ORACLE_TABLE = {
+    "motion": (lambda g, args, cap: oracle.motion_report(g, cap), True),
+    "dnumber": (lambda g, args, cap: oracle.distinguishing_report(g, args.max_colours), False),
+    "autorder": (lambda g, args, cap: oracle.autorder_report(g), False),
+    "motion-lemma": (lambda g, args, cap: oracle.motion_lemma_check(g, cap), True),
+    "interior-support": (lambda g, args, cap: oracle.interior_support_report(g, args.root, args.horizon), False),
+}
+ORACLE_QUANTITIES = tuple(ORACLE_TABLE)
 
 
 def _cap(args) -> int:
@@ -128,12 +144,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph_file(path: str):
+def _load(path: str, parse):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
-    return parse_graph(text)
+    return parse(text)
 
 
 def _emit(lines, fmt: str) -> None:
@@ -147,7 +163,7 @@ def _emit(lines, fmt: str) -> None:
 def cmd_colour(args) -> int:
     cap = _cap(args)
     if args.input:
-        graph = _load_graph_file(args.input)
+        graph = _load(args.input, parse_graph)
     else:
         graph = generate_family(
             args.family, degree=args.degree, radius=args.radius, n=args.n, m=args.m, w=args.w, h=args.h
@@ -193,35 +209,32 @@ def cmd_colour(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    graph = _load_graph_file(args.graph)
-    colouring = parse_colouring(Path(args.colouring).read_text(encoding="utf-8"))
+    graph = _load(args.graph, parse_graph)
+    colouring = _load(args.colouring, parse_colouring)
     if len(colouring) != graph.n:
         raise ValueError(f"colouring covers {len(colouring)} vertices, graph has {graph.n}")
     order = oracle.stabilizer_order(graph, colouring)
     if order == 1:
-        print("asymmetric: true")
+        _emit([("asymmetric", "true")], "text")
         return EXIT_OK
-    print("asymmetric: false")
-    print(f"stabilizer-order: {order}")
+    _emit([("asymmetric", "false"), ("stabilizer-order", order)], "text")
     return EXIT_NOT_ASYMMETRIC
 
 
 def cmd_oracle(args) -> int:
-    # only the two scans that may list elements read the cap
-    cap = _cap(args) if args.quantity in ("motion", "motion-lemma") else None
-    graph = _load_graph_file(args.graph)
-    if args.quantity == "motion":
-        report = oracle.motion_report(graph, cap=cap)
-    elif args.quantity == "dnumber":
-        report = oracle.distinguishing_report(graph, args.max_colours)
-    elif args.quantity == "autorder":
-        report = oracle.autorder_report(graph)
-    elif args.quantity == "motion-lemma":
-        report = oracle.motion_lemma_check(graph, cap=cap)
-    else:
-        report = oracle.interior_support_report(graph, args.root, args.horizon)
-    for line in report.kv_lines():
-        print(line)
+    call, reads_cap = ORACLE_TABLE[args.quantity]
+    cap = _cap(args) if reads_cap else None
+    graph = _load(args.graph, parse_graph)
+    start = time.perf_counter()
+    report = call(graph, args, cap)
+    lines = [
+        ("oracle.quantity", report.quantity),
+        ("oracle.value", report.value),
+        ("oracle.search-space", report.search_space),
+        ("oracle.elapsed", f"{time.perf_counter() - start:.3f}"),
+    ]
+    lines.extend((f"oracle.{key}", value) for key, value in sorted(report.details.items()))
+    _emit(lines, "kv")
     return EXIT_OK
 
 

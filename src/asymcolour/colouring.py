@@ -199,15 +199,20 @@ class ColourBudget(Record):
 
 def colour_bound(delta: int) -> ColourBudget:
     """1 + (5/2 + 3/2 log2 d) ceil(sqrt d) total colours; the numeric
-    values stay below 1 + (1 + log2 d) ceil(3 ceil(sqrt d) / 2)."""
+    values stay below 1 + (1 + log2 d) ceil(3 ceil(sqrt d) / 2). Raises
+    ValueError when either bound is not a finite float (d from about
+    3.5·10^609 on)."""
     if delta < 1:
         raise ValueError(f"max degree must be >= 1, got {delta}")
     s = ceil_sqrt(delta)
     log = math.log2(delta)
-    return ColourBudget(
-        total=1.0 + (2.5 + 1.5 * log) * s,
-        numeric=1.0 + (1.0 + log) * math.ceil(3 * s / 2),
-    )
+    try:
+        budget = ColourBudget(1.0 + (2.5 + 1.5 * log) * s, 1.0 + (1.0 + log) * math.ceil(3 * s / 2))
+    except OverflowError:
+        budget = ColourBudget(math.inf, math.inf)
+    if not (math.isfinite(budget.total) and math.isfinite(budget.numeric)):
+        raise ValueError(f"the colour bound of a {delta.bit_length()}-bit max degree overflows a float")
+    return budget
 
 
 def initial_colouring(graph: Graph, root: int) -> Colouring:

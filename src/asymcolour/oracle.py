@@ -2,7 +2,9 @@
 
 Every search here is exhaustive over an explicitly bounded space; nothing
 is sampled, so oracle output is admissible as test ground truth. Sizes
-are protected by guards, not by approximation.
+are protected by guards, not by approximation. A report holds only what
+its search found; no clock is read here, and ``asym oracle`` times the
+call itself.
 
 ``Aut(G)`` is read as a base and strong generating set,
 :func:`~asymcolour.symmetry.coset_search` (the audit's coset search).
@@ -42,7 +44,6 @@ shares none of its search.
 
 from __future__ import annotations
 
-import time
 from operator import eq
 
 from .colouring import Colouring, numeric
@@ -56,32 +57,21 @@ TWO_COLOURING_VERTEX_GUARD = 20
 
 
 class OracleReport(Record):
-    """Result of one exhaustive computation.
+    """What one exhaustive computation found.
 
-    ``search_space`` is the number of objects the search examined;
-    ``elapsed`` is wall-clock seconds (diagnostic only, never part of a
-    deterministic output file). Each report without ``details`` gets a
-    fresh empty dict.
+    ``search_space`` is the number of objects the search examined, and
+    ``details`` names the rest of what it found (a witness, the radius
+    searched). A report holds no timing, so two reports of one search are
+    equal. Each report without ``details`` gets a fresh empty dict.
     """
 
-    __slots__ = ("quantity", "value", "search_space", "elapsed", "details")
+    __slots__ = ("quantity", "value", "search_space", "details")
 
-    def __init__(self, quantity: str, value: object, search_space: int, elapsed: float, details: dict | None = None):
+    def __init__(self, quantity: str, value: object, search_space: int, details: dict | None = None):
         object.__setattr__(self, "quantity", quantity)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "search_space", search_space)
-        object.__setattr__(self, "elapsed", elapsed)
         object.__setattr__(self, "details", {} if details is None else details)
-
-    def kv_lines(self) -> list[str]:
-        lines = [
-            f"oracle.quantity {self.quantity}",
-            f"oracle.value {self.value}",
-            f"oracle.search-space {self.search_space}",
-            f"oracle.elapsed {self.elapsed:.3f}",
-        ]
-        lines.extend(f"oracle.{key} {value}" for key, value in sorted(self.details.items()))
-        return lines
 
 
 def is_asymmetric(graph: Graph, colouring) -> bool:
@@ -270,7 +260,6 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None) -> Oracl
     The search at c colours only runs after every (c-1)-class partition
     has been refuted, so the returned value is minimal by exhaustion.
     """
-    start = time.perf_counter()
     if graph.n > DISTINGUISHING_VERTEX_GUARD:
         raise SearchGuardError(
             f"distinguishing-number search supports up to {DISTINGUISHING_VERTEX_GUARD} vertices, got {graph.n}"
@@ -282,13 +271,7 @@ def distinguishing_report(graph: Graph, max_colours: int | None = None) -> Oracl
     witness, examined = _asymmetric_partition(graph, range(1, min(max_colours, graph.n) + 1))
     if witness is None:
         raise NoAsymmetricColouringError(f"no asymmetric colouring with at most {max_colours} colours")
-    return OracleReport(
-        quantity="dnumber",
-        value=max(witness) + 1,
-        search_space=examined,
-        elapsed=time.perf_counter() - start,
-        details={"witness": " ".join(str(x) for x in witness)},
-    )
+    return OracleReport("dnumber", max(witness) + 1, examined, {"witness": " ".join(map(str, witness))})
 
 
 def distinguishing_number(graph: Graph, max_colours: int | None = None) -> int:
@@ -326,11 +309,10 @@ def motion_report(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     search space is the number of strong generators read when one of them
     settles it, and otherwise ``|Aut|``, every element of which is
     examined."""
-    start = time.perf_counter()
     group = automorphism_sgs(graph)
     value, listed = _motion(group, cap)
     examined = len(group.generators) if listed is None else listed.order
-    return OracleReport("motion", value, examined, time.perf_counter() - start)
+    return OracleReport("motion", value, examined)
 
 
 def motion(graph: Graph, cap: int = DEFAULT_CAP) -> int:
@@ -366,20 +348,13 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
     the walk is short already; building the table would cost every graph
     that reaches the walk and save next to nothing.
     """
-    start = time.perf_counter()
     n = graph.n
     group = coset_search(graph, [0] * n, order=range(n))
     m, _ = _motion(group, cap)
     order = group.order
     details = {"motion": m, "aut-order": order}
     if not _motion_hypothesis(m, order):
-        return OracleReport(
-            quantity="motion-lemma",
-            value="hypothesis-not-satisfied",
-            search_space=0,
-            elapsed=time.perf_counter() - start,
-            details=details,
-        )
+        return OracleReport("motion-lemma", "hypothesis-not-satisfied", 0, details)
 
     if n > TWO_COLOURING_VERTEX_GUARD:
         raise SearchGuardError(
@@ -394,13 +369,8 @@ def motion_lemma_check(graph: Graph, cap: int = DEFAULT_CAP) -> OracleReport:
         raise InternalInvariantError("motion lemma hypothesis held but no 2-colouring was found")
     colouring = Colouring(tuple(numeric(label + 1) for label in witness))
     details["colouring"] = " ".join(c.token() for c in colouring.colours)
-    return OracleReport(
-        quantity="motion-lemma",
-        value="colouring-found",
-        search_space=1 + sum(label << (v - 1) for v, label in enumerate(witness) if v),
-        elapsed=time.perf_counter() - start,
-        details=details,
-    )
+    rank = 1 + sum(label << (v - 1) for v, label in enumerate(witness) if v)
+    return OracleReport("motion-lemma", "colouring-found", rank, details)
 
 
 def interior_support_check(graph: Graph, root: int, truncation_radius: int) -> bool:
@@ -420,17 +390,11 @@ def interior_support_report(graph: Graph, root: int, truncation_radius: int | No
     """:func:`interior_support_check` as a report, with the order of the
     searched :func:`exterior_stabilizer` as search space. The radius
     defaults to the root's eccentricity."""
-    start = time.perf_counter()
     if truncation_radius is None:
         truncation_radius = eccentricity(graph, root)
     searched = exterior_stabilizer(graph, root, truncation_radius)
-    return OracleReport(
-        "interior-support",
-        "true" if searched.is_trivial() else "false",
-        searched.order,
-        time.perf_counter() - start,
-        details={"root": root, "radius": truncation_radius},
-    )
+    value = "true" if searched.is_trivial() else "false"
+    return OracleReport("interior-support", value, searched.order, {"root": root, "radius": truncation_radius})
 
 
 def exterior_stabilizer(graph: Graph, root: int, truncation_radius: int) -> SGSGroup:
@@ -453,9 +417,8 @@ def autorder_report(graph: Graph) -> OracleReport:
     """``|Aut(G)|``, the product of the basic orbit lengths of its strong
     generating set, with the number of strong generators as search space.
     No element is listed, so no cap applies."""
-    start = time.perf_counter()
     group = automorphism_sgs(graph)
-    return OracleReport("autorder", group.order, len(group.generators), time.perf_counter() - start)
+    return OracleReport("autorder", group.order, len(group.generators))
 
 
 def automorphism_order(graph: Graph) -> int:

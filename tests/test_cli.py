@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -319,7 +320,13 @@ class TestVerifyCommand:
 
     def test_missing_file(self, tmp_path, capsys):
         graph_path = write_graph(tmp_path, cycle_graph(5))
-        assert main(["verify", graph_path, str(tmp_path / "nope.txt")]) == 1
+        missing = tmp_path / "nope.txt"
+        assert main(["verify", graph_path, str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # the colouring file is read as a graph file is
+        assert captured.err.startswith(f"asym: cannot read {missing}: [Errno 2] ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_negative_vertex(self, tmp_path, capsys):
         graph_path = write_graph(tmp_path, cycle_graph(5))
@@ -393,6 +400,27 @@ class TestVerifyCommand:
 
 
 class TestOracleCommand:
+    def test_prints_the_report_then_its_sorted_details(self, tmp_path, capsys):
+        path = write_graph(tmp_path, complete_graph(2))
+        assert main(["oracle", path, "motion-lemma"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"oracle\.elapsed \d+\.\d{3}", lines.pop(3))
+        assert lines == [
+            "oracle.quantity motion-lemma",
+            "oracle.value colouring-found",
+            "oracle.search-space 2",
+            "oracle.aut-order 2",
+            "oracle.colouring 1 2",
+            "oracle.motion 2",
+        ]
+
+    def test_one_table_gives_the_choices_and_the_cap_readers(self, capsys):
+        assert cli.ORACLE_QUANTITIES == tuple(cli.ORACLE_TABLE)
+        assert {q for q, (_, reads_cap) in cli.ORACLE_TABLE.items() if reads_cap} == {"motion", "motion-lemma"}
+        assert main(["oracle", "g.adj", "nothing"]) == 1
+        choices = ", ".join(map(repr, cli.ORACLE_QUANTITIES))
+        assert capsys.readouterr().err == f"asym: argument quantity: invalid choice: 'nothing' (choose from {choices})\n"
+
     def test_motion_c5(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(5))
         assert main(["oracle", path, "motion"]) == 0
@@ -637,6 +665,15 @@ class TestBoundCommand:
 
     def test_nonpositive(self, capsys):
         assert main(["bound", "chain", "0"]) == 1
+
+    @pytest.mark.parametrize("exponent,bits", [(616, 2047), (700, 2326)])
+    def test_colours_beyond_a_float_are_refused(self, capsys, exponent, bits):
+        # at 10**616 the bound is inf, and from 10**617 on the float
+        # conversion overflows
+        assert main(["bound", "colours", str(10**exponent)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"asym: the colour bound of a {bits}-bit max degree overflows a float\n"
 
 
 # each class of malformed input, run as the installed command runs: one

@@ -1,17 +1,21 @@
 """Malformed input never escapes as anything but a ValueError, and the
-command turns it into one ``asym:`` line."""
+command turns it into one ``asym:`` line. Well-formed family options
+reach the construction, and every audit check passes."""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asymcolour import parse_colouring, parse_graph
+from asymcolour import eccentricity, generate_family, parse_colouring, parse_graph
+from asymcolour.colouring import BOUND_MODES
 from asymcolour.cli import ORACLE_QUANTITIES, main
 from asymcolour.graphs import FAMILIES, FAMILY_TABLE
+
+from .conftest import deadline
 
 TOKENS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["b:1", "b:0", "inf", "#", "x", "1_0", "+1", "\u0661", "b:+1"]))
 LINES = st.lists(st.lists(TOKENS, min_size=1, max_size=3), max_size=8)
@@ -138,3 +142,32 @@ def test_oracle_numeric_options_exit_with_a_documented_code(graph_text, quantity
         graph_path = Path(tmp) / "g.adj"
         graph_path.write_text(graph_text, encoding="utf-8")
         exits_with_a_documented_code(["oracle", str(graph_path), quantity, *options(values)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_colour_of_a_family_passes_every_check(data):
+    # each parameter from its floor to floor + 3, at most about 300 edges,
+    # any root and any horizon up to the root's eccentricity
+    family = data.draw(st.sampled_from(FAMILIES), "family")
+    _, floors, edges = FAMILY_TABLE[family]
+    params = {name: data.draw(st.sampled_from(range(low, low + 4)), name) for name, low in floors.items()}
+    assume(edges(*params.values()) <= 300)
+    graph = generate_family(family, **params)
+    root = data.draw(st.integers(0, graph.n - 1), "root")
+    horizon = data.draw(st.one_of(st.none(), st.integers(0, eccentricity(graph, root))), "horizon")
+    mode = data.draw(st.sampled_from(BOUND_MODES), "bound mode")
+    values = {**params, "root": root, "horizon": horizon, "bound-mode": mode, "format": "kv"}
+    with deadline(10):
+        code, out, err = run_main(["colour", "--family", family, *options(values)])
+    assert (code, err) == (0, ""), values
+    assert "checks.all pass" in out.splitlines()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(["chain", "colours"]), st.sampled_from([*range(-3, 4), 10**9, 10**616, 10**700]))
+def test_bound_exits_0_or_1_with_at_most_one_line(kind, value):
+    code, out, err = run_main(["bound", kind, str(value)])
+    assert code in (0, 1)
+    assert len(err.splitlines()) <= 1
+    assert (code == 1) == bool(err) == (not out)

@@ -516,12 +516,6 @@ class TestMotionLemma:
         with pytest.raises(SearchGuardError, match="up to 20 vertices"):
             motion_lemma_check(path_graph(2100))
 
-    def test_kv_lines(self):
-        report = motion_lemma_check(complete_graph(2))
-        lines = report.kv_lines()
-        assert lines[0] == "oracle.quantity motion-lemma"
-        assert any(line.startswith("oracle.value ") for line in lines)
-
 
 class TestInteriorSupport:
     def test_tree33_boundary_rigid(self):
@@ -583,6 +577,23 @@ class TestOneSearchRoute:
         break_construction_search(monkeypatch)
         assert is_asymmetric(g, colouring)
         assert oracle.stabilizer_order(g, colouring) == 1
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        oracle.distinguishing_report,
+        oracle.motion_report,
+        motion_lemma_check,
+        oracle.autorder_report,
+        lambda graph: oracle.interior_support_report(graph, 0),
+    ],
+    ids=["dnumber", "motion", "motion-lemma", "autorder", "interior-support"],
+)
+def test_two_reports_of_one_search_are_equal(report):
+    # a report holds only what the search found, no timing
+    graph = complete_bipartite_graph(1, 3)
+    assert report(graph) == report(graph)
 
 
 class TestRunVerification:

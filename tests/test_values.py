@@ -28,7 +28,7 @@ def samples():
         (step, "k", 7),
         (trace, "final_stabilizer", ()),
         (CheckResult("final-split", 1, True), "passed", False),
-        (OracleReport("motion", 4, 10, 0.0), "details", {"radius": 2}),
+        (OracleReport("motion", 4, 10), "details", {"radius": 2}),
     ]
 
 
@@ -90,8 +90,8 @@ def test_repr_names_the_type_and_its_fields(value, field, other):
 
 
 def test_reports_never_share_details():
-    first = OracleReport("motion", 4, 10, 0.0)
-    second = OracleReport("motion", 4, 10, 0.0)
+    first = OracleReport("motion", 4, 10)
+    second = OracleReport("motion", 4, 10)
     assert first.details == second.details == {}
     first.details["radius"] = 2
     assert second.details == {}
